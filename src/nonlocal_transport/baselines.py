@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .coarsen import BreakthroughCurve
 from .errors import ConfigurationError
 from .nonlocal_diffusion import DynamicKernel, NonlocalSolution, solve
 
@@ -104,16 +103,18 @@ class SurrogateNet:
     x_range: tuple
     t_range: tuple
 
-    def to_json(self, path) -> None:
-        record = {
+    def record(self) -> dict:
+        return {
             "model": "mlp",
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
             "normalization": {"x_range": list(self.x_range),
                               "t_range": list(self.t_range)},
         }
+
+    def to_json(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
+            json.dump(self.record(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     @classmethod

@@ -144,18 +144,22 @@ def extract_btc(coarse: CoarseDensity, locations) -> list[BreakthroughCurve]:
     The injection instant t = 0 carries no breakthrough information and is
     dropped, so a run recorded at 0, dt, ..., T yields T/dt samples.
     """
-    length = coarse.num_cells * coarse.cell_width
-    keep = coarse.snapshot_times > 0.0
+    return cell_traces(coarse.values, coarse.snapshot_times, coarse.cell_width,
+                       locations)
+
+
+def cell_traces(values, times, cell_width, locations) -> list[BreakthroughCurve]:
+    """Rows of a (cells, times) array owning each location, without t = 0."""
+    num_cells = values.shape[0]
+    length = num_cells * cell_width
+    keep = times > 0.0
     curves = []
     for x in np.atleast_1d(np.asarray(locations, dtype=float)):
         if not 0.0 < x < length:
             raise ConfigurationError(f"location {x} outside the open domain (0, {length})")
-        cell = min(int(x / coarse.cell_width), coarse.num_cells - 1)
-        curves.append(BreakthroughCurve(
-            location=float(x),
-            times=coarse.snapshot_times[keep].copy(),
-            values=coarse.values[cell, keep].copy(),
-        ))
+        cell = min(int(x / cell_width), num_cells - 1)
+        curves.append(BreakthroughCurve(location=float(x), times=times[keep].copy(),
+                                        values=values[cell, keep].copy()))
     return curves
 
 

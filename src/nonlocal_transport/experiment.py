@@ -28,7 +28,7 @@ from .coarsen import (
 from .config import ExperimentConfig, load_config
 from .darcy import solve_medium, solve_unit_cell
 from .errors import ArtifactError, ConfigurationError, NumericalError
-from .learning import LearningProblem, fit
+from .learning import LearningProblem, fit, warm_start_raw
 from .nonlocal_diffusion import (
     DynamicKernel, model_btc, solution_moments, solve, unit_spike,
 )
@@ -248,9 +248,26 @@ def run_learn(cfg: ExperimentConfig, dataset_dir=None) -> Path:
         "n_samples_per_curve": cfg.n_train_steps,
         "train_locations": [c.location for c in train],
     }
+    fits = {}
+
+    def fitted(model):
+        if model not in fits:
+            problem = LearningProblem(
+                curves=tuple(train), beta=cfg.beta, model=model,
+                horizon_cells=cfg.horizon_cells,
+                cell_width=cfg.medium.cell_width,
+                num_cells=cfg.medium.num_cells,
+                injection_cell=cfg.model_injection_cell,
+                dt=cfg.record_dt, n_steps=cfg.n_train_steps,
+                history=cfg.history, max_iterations=cfg.max_iterations,
+                gradient_tolerance=cfg.gradient_tolerance)
+            start = (warm_start_raw(problem, fitted("classical"))
+                     if model == "nonlocal" else None)
+            fits[model] = fit(problem, start)
+        return fits[model]
+
     for model in cfg.models:
         with _stage(f"learn[{model}]"):
-            target = out / f"fit_{model}.json"
             if model == "mlp":
                 net = train_surrogate(
                     train, epochs=int(cfg.mlp["epochs"]),
@@ -258,29 +275,14 @@ def run_learn(cfg: ExperimentConfig, dataset_dir=None) -> Path:
                     seed=cfg.seed,
                     hidden_layers=int(cfg.mlp["hidden_layers"]),
                     width=int(cfg.mlp["width"]))
-                record = {
-                    "model": "mlp",
-                    "weights": [w.tolist() for w in net.weights],
-                    "biases": [b.tolist() for b in net.biases],
-                    "normalization": {"x_range": list(net.x_range),
-                                      "t_range": list(net.t_range)},
-                    "training": {**training_block,
-                                 "epochs": int(cfg.mlp["epochs"]),
-                                 "seed": cfg.seed},
-                }
+                record = {**net.record(),
+                          "training": {**training_block,
+                                       "epochs": int(cfg.mlp["epochs"]),
+                                       "seed": cfg.seed}}
             else:
-                problem = LearningProblem(
-                    curves=tuple(train), beta=cfg.beta, model=model,
-                    horizon_cells=cfg.horizon_cells,
-                    cell_width=cfg.medium.cell_width,
-                    num_cells=cfg.medium.num_cells,
-                    injection_cell=cfg.model_injection_cell,
-                    dt=cfg.record_dt, n_steps=cfg.n_train_steps,
-                    history=cfg.history, max_iterations=cfg.max_iterations,
-                    gradient_tolerance=cfg.gradient_tolerance)
-                record = fit(problem).to_json()
-                record["training"] = training_block
-            _write_json(target, cfg, record)
+                record = {**fitted(model).to_json(),
+                          "training": training_block}
+            _write_json(out / f"fit_{model}.json", cfg, record)
     return out
 
 
@@ -309,11 +311,7 @@ def _predict_curves(cfg: ExperimentConfig, model: str, record: dict,
     params = record["parameters"]
     c0 = unit_spike(cfg.medium.num_cells, cfg.model_injection_cell)
     if model == "nonlocal":
-        kernel = DynamicKernel(phi=np.asarray(params["phi"], dtype=float),
-                               p=float(params["p"]),
-                               horizon_cells=int(params["N_delta"]),
-                               cell_width=float(params["l1"]))
-        solution = solve(kernel, c0, times)
+        solution = solve(DynamicKernel.from_record(params), c0, times)
     elif model == "fractal":
         solution = solve_fractal(
             FractalParams(D_bar=float(params["D_bar"]),

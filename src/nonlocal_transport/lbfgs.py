@@ -26,23 +26,20 @@ class OptimizeResult:
 
 
 def _two_loop_direction(grad, s_hist, y_hist):
+    pairs = [(s, y, 1.0 / np.dot(s, y)) for s, y in zip(s_hist, y_hist)]
     q = grad.copy()
     alphas = []
-    for s, y, rho in reversed(s_hist_pairs(s_hist, y_hist)):
+    for s, y, rho in reversed(pairs):
         a = rho * np.dot(s, q)
         alphas.append(a)
         q -= a * y
     if s_hist:
         s, y = s_hist[-1], y_hist[-1]
         q *= np.dot(s, y) / np.dot(y, y)
-    for (s, y, rho), a in zip(s_hist_pairs(s_hist, y_hist), reversed(alphas)):
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
         b = rho * np.dot(y, q)
         q += (a - b) * s
     return -q
-
-
-def s_hist_pairs(s_hist, y_hist):
-    return [(s, y, 1.0 / np.dot(s, y)) for s, y in zip(s_hist, y_hist)]
 
 
 def minimize(fun_and_grad, x0, *, fun_only=None, history: int = 10,

@@ -24,14 +24,14 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.special import expit
 
 from .baselines import ClassicalParams, FractalParams
-from .coarsen import BreakthroughCurve
 from .errors import ConfigurationError, SolverError
 from .lbfgs import OptimizeResult, minimize
-from .nonlocal_diffusion import DynamicKernel, first_step_theta, unit_spike
+from .nonlocal_diffusion import (
+    DynamicKernel, assemble_operator, march, theta_schedule, unit_spike,
+)
 
 _MODELS = ("nonlocal", "fractal", "classical")
 
@@ -185,17 +185,6 @@ def initial_raw(problem: LearningProblem) -> np.ndarray:
 # --- forward model and tangents ------------------------------------------
 
 
-def _banded_template(phi, num_cells, horizon):
-    """Diagonal-ordered band of the exchange operator for these weights."""
-    width = 2 * horizon + 1
-    band = np.zeros((width, num_cells))
-    band[horizon, :] = -(np.sum(phi) - phi[horizon])
-    for k in range(1, horizon + 1):
-        band[horizon - k, k:] = phi[horizon + k]
-        band[horizon + k, :-k] = phi[horizon - k]
-    return band
-
-
 def _shift_differences(c, horizon):
     """Columns (c_{i+j} - c_i) for every offset j, zero outside the domain."""
     n = c.shape[0]
@@ -213,20 +202,6 @@ def _shift_differences(c, horizon):
     return out
 
 
-def _theta_schedule(p, dt, n_steps):
-    """Per-step theta and d(theta)/dp for the implicit scheme."""
-    times = np.arange(1, n_steps + 1) * dt
-    with np.errstate(over="ignore", invalid="ignore"):
-        theta = times ** p
-        d_theta = theta * np.log(times)
-        theta[0] = first_step_theta(p, dt)
-        d_theta[0] = theta[0] * (np.log(dt) - 1.0 / (p + 1.0))
-    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(d_theta))):
-        raise SolverError(
-            f"time exponent p={p} overflows the step weights")
-    return theta, d_theta
-
-
 def _forward(problem: LearningProblem, phi, p, d_phi=None, d_p=None):
     """Step the model and, when Jacobians are given, its parameter tangents.
 
@@ -241,32 +216,19 @@ def _forward(problem: LearningProblem, phi, p, d_phi=None, d_p=None):
     dt = problem.dt
     probes = problem.probe_cells
     with_tangents = d_phi is not None
-    theta, d_theta = _theta_schedule(p, dt, problem.n_steps)
+    theta, d_theta = theta_schedule(p, problem.time_grid)
+    kernel = DynamicKernel(phi=phi, p=p, horizon_cells=nd,
+                           cell_width=problem.cell_width)
 
-    c = unit_spike(n, problem.injection_cell)
     btc = np.empty((len(probes), problem.n_steps))
-    tangents = None
     btc_tan = None
     if with_tangents:
         n_par = d_phi.shape[1]
         tangents = np.zeros((n, n_par))
         btc_tan = np.empty((len(probes), problem.n_steps, n_par))
 
-    band = _banded_template(phi, n, nd)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = dt * np.max(np.abs(band)) * np.max(theta)
-    if not np.isfinite(scale):
-        raise SolverError(
-            "exchange weights overflow the implicit system")
-    for step in range(problem.n_steps):
-        system = -dt * theta[step] * band
-        system[nd, :] += 1.0
-        try:
-            c = solve_banded((nd, nd), system, c)
-        except np.linalg.LinAlgError as exc:   # pragma: no cover - defensive
-            raise SolverError(f"implicit step failed: {exc}") from exc
-        if not np.all(np.isfinite(c)):
-            raise SolverError("implicit step produced non-finite values")
+    for step, c, solve_step in march(assemble_operator(kernel, n), theta, dt,
+                                     unit_spike(n, problem.injection_cell)):
         btc[:, step] = c[probes]
         if with_tangents:
             diffs = _shift_differences(c, nd)
@@ -276,7 +238,7 @@ def _forward(problem: LearningProblem, phi, p, d_phi=None, d_p=None):
             rhs = (tangents
                    + dt * np.outer(a_c, d_theta[step] * d_p)
                    + dt * theta[step] * (diffs @ d_phi))
-            tangents = solve_banded((nd, nd), system, rhs)
+            tangents = solve_step(rhs)
             btc_tan[:, step, :] = tangents[probes]
     return btc, btc_tan
 
@@ -334,10 +296,7 @@ class FitResult:
 
     def parameters_json(self):
         if self.model == "nonlocal":
-            k = self.kernel
-            return {"model": "nonlocal", "phi": [float(v) for v in k.phi],
-                    "p": float(k.p), "N_delta": int(k.horizon_cells),
-                    "l1": float(k.cell_width)}
+            return {"model": "nonlocal", **self.kernel.record()}
         if self.model == "fractal":
             return {"model": "fractal", "D_bar": float(self.fractal.D_bar),
                     "q": float(self.fractal.q)}
@@ -396,7 +355,8 @@ def _package_result(problem: LearningProblem, opt: OptimizeResult) -> FitResult:
     return result
 
 
-def warm_start_raw(problem: LearningProblem) -> np.ndarray:
+def warm_start_raw(problem: LearningProblem,
+                   classical: FitResult | None = None) -> np.ndarray:
     """Starting point for the full kernel, seeded by a classical pre-fit.
 
     The loss surface has a spurious shallow regime at very large exponents
@@ -405,8 +365,10 @@ def warm_start_raw(problem: LearningProblem) -> np.ndarray:
     line search may wander into it and stall.  Starting at the classical
     optimum (nearest-neighbor weights D/l1^2, exponent 0) puts every later
     monotone iterate below that regime's loss floor, which excludes it.
+    ``classical`` is that pre-fit on the same data, fitted here if omitted.
     """
-    classical = fit(replace(problem, model="classical"))
+    if classical is None:
+        classical = fit(replace(problem, model="classical"))
     weight = classical.classical.D0_bar / problem.cell_width ** 2
     base = float(softplus_inverse(weight))
     floor = float(softplus_inverse(min(1e-3, 0.01 * weight)))

@@ -7,7 +7,7 @@ separates into cell-integrated spatial weights phi_j and a temporal factor
 t^p; time stepping is first-order implicit with the temporal factor evaluated
 at the new level, except across the singular first step from t = 0 where its
 step average is used so that exponents down to (but not including) -1 remain
-usable.
+usable.  Fitting marches the same stepper, carrying parameter tangents.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .coarsen import BreakthroughCurve
+from .coarsen import BreakthroughCurve, cell_traces
 from .errors import ConfigurationError, SolverError
 
 
@@ -68,19 +68,24 @@ class DynamicKernel:
         """Center-of-mass velocity per unit theta: -l1 sum j phi_j."""
         return float(-self.cell_width * np.sum(self.offsets * self.phi))
 
+    def record(self) -> dict:
+        return {"phi": [float(v) for v in self.phi], "p": float(self.p),
+                "N_delta": int(self.horizon_cells), "l1": float(self.cell_width)}
+
+    @classmethod
+    def from_record(cls, record) -> "DynamicKernel":
+        return cls(phi=np.asarray(record["phi"], dtype=float), p=float(record["p"]),
+                   horizon_cells=int(record["N_delta"]), cell_width=float(record["l1"]))
+
     def to_json(self, path) -> None:
-        record = {"phi": [float(v) for v in self.phi], "p": float(self.p),
-                  "N_delta": int(self.horizon_cells), "l1": float(self.cell_width)}
         with open(path, "w") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
+            json.dump(self.record(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     @classmethod
     def from_json(cls, path) -> "DynamicKernel":
         with open(Path(path)) as fh:
-            record = json.load(fh)
-        return cls(phi=np.asarray(record["phi"], dtype=float), p=float(record["p"]),
-                   horizon_cells=int(record["N_delta"]), cell_width=float(record["l1"]))
+            return cls.from_record(json.load(fh))
 
 
 @dataclass(frozen=True)
@@ -109,6 +114,25 @@ def first_step_theta(p: float, dt: float) -> float:
     return dt ** p / (p + 1.0)
 
 
+def theta_schedule(p: float, times: np.ndarray):
+    """Per-step theta and d(theta)/dp on a uniform grid starting at t = 0.
+
+    Step n uses t_{n+1}**p, except the first, which uses the step average
+    from :func:`first_step_theta`.
+    """
+    times = np.asarray(times, dtype=float)[1:]
+    dt = times[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = times ** p
+        d_theta = theta * np.log(times)
+        theta[0] = first_step_theta(p, dt)
+        d_theta[0] = theta[0] * (np.log(dt) - 1.0 / (p + 1.0))
+    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(d_theta))):
+        raise SolverError(
+            f"time exponent p={p} overflows the step weights")
+    return theta, d_theta
+
+
 def assemble_operator(kernel: DynamicKernel, num_cells: int) -> np.ndarray:
     """Banded (diagonal-ordered) form of the spatial exchange operator.
 
@@ -121,19 +145,45 @@ def assemble_operator(kernel: DynamicKernel, num_cells: int) -> np.ndarray:
     if num_cells <= 2 * nd:
         raise ConfigurationError(
             f"need more than {2 * nd} cells for a horizon of {nd}")
-    band = np.zeros((2 * nd + 1, num_cells))
     phi = kernel.phi
-    loss = float(np.sum(phi)) - float(phi[nd])
-    for k in range(-nd, nd + 1):
-        if k == 0:
-            band[nd, :] = -loss
-        else:
-            row = nd - k
-            if k > 0:
-                band[row, k:] = phi[nd + k]
-            else:
-                band[row, :k] = phi[nd + k]
+    band = np.zeros((2 * nd + 1, num_cells))
+    band[nd, :] = -(np.sum(phi) - phi[nd])
+    for k in range(1, nd + 1):
+        band[nd - k, k:] = phi[nd + k]
+        band[nd + k, :-k] = phi[nd - k]
     return band
+
+
+def march(band: np.ndarray, theta: np.ndarray, dt: float, initial: np.ndarray):
+    """Step (I - dt*theta_n*A) c_{n+1} = c_n once per entry of ``theta``.
+
+    Each system is LU-factored once.  Yields (n, c_{n+1}, solve_step) where
+    ``solve_step(rhs)`` solves the same system for further right-hand sides
+    (tangents) by reusing the factors.
+    """
+    nd = (band.shape[0] - 1) // 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = dt * np.max(np.abs(band)) * np.max(theta)
+    if not np.isfinite(scale):
+        raise SolverError("exchange weights overflow the implicit system")
+    c = initial
+    for step, weight in enumerate(theta):
+        # LAPACK band storage: nd rows of fill-in above the diagonals
+        system = np.zeros((3 * nd + 1, band.shape[1]), order="F")
+        system[nd:] = -dt * weight * band
+        system[2 * nd] += 1.0
+        lu, piv, info = dgbtrf(system, nd, nd, overwrite_ab=True)
+        if info != 0:   # not reachable for nonnegative kernels
+            raise SolverError(f"implicit step factorization failed (info={info})")
+
+        def solve_step(rhs, lu=lu, piv=piv):
+            x, info = dgbtrs(lu, nd, nd, rhs, piv)
+            if info != 0 or not np.isfinite(x).all():
+                raise SolverError("implicit step produced non-finite values")
+            return x
+
+        c = solve_step(c)
+        yield step, c, solve_step
 
 
 def apply_operator(kernel: DynamicKernel, values: np.ndarray) -> np.ndarray:
@@ -157,34 +207,6 @@ def apply_operator(kernel: DynamicKernel, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _implicit_solve(band_a: np.ndarray, nd: int, theta: float, dt: float,
-                    rhs: np.ndarray) -> np.ndarray:
-    system = -dt * theta * band_a
-    system[nd, :] += 1.0
-    try:
-        return solve_banded((nd, nd), system, rhs)
-    except LinAlgError as exc:     # not reachable for nonnegative kernels
-        raise SolverError(f"implicit step failed: {exc}") from exc
-
-
-def step_implicit(c_n: np.ndarray, kernel: DynamicKernel, t_next: float,
-                  dt: float, *, theta: float | None = None) -> np.ndarray:
-    """One backward step (I - dt*theta*A) c_{n+1} = c_n.
-
-    ``theta`` defaults to t_next**p; the override exists for the averaged
-    coefficient used across the singular first step.
-    """
-    if dt <= 0:
-        raise ConfigurationError("time step must be positive")
-    c_n = np.asarray(c_n, dtype=float)
-    if theta is None:
-        if t_next <= 0 and kernel.p < 0:
-            raise ConfigurationError("t**p undefined at t <= 0 for negative p")
-        theta = float(t_next) ** kernel.p
-    band = assemble_operator(kernel, c_n.shape[0])
-    return _implicit_solve(band, kernel.horizon_cells, float(theta), dt, c_n)
-
-
 def solve(kernel: DynamicKernel, initial: np.ndarray, times: np.ndarray) -> NonlocalSolution:
     """March the implicit scheme over a uniform grid starting at t = 0."""
     c0 = np.asarray(initial, dtype=float)
@@ -196,22 +218,12 @@ def solve(kernel: DynamicKernel, initial: np.ndarray, times: np.ndarray) -> Nonl
     dt = times[1] - times[0]
     if dt <= 0 or not np.allclose(np.diff(times), dt, rtol=1e-9, atol=0):
         raise ConfigurationError("the time grid must be uniform and increasing")
-    if kernel.p <= -1.0:
-        raise ConfigurationError(
-            f"temporal exponent p={kernel.p} is not integrable across the first step")
-    nd = kernel.horizon_cells
-    n = c0.shape[0]
-    band = assemble_operator(kernel, n)
-    values = np.empty((n, len(times)))
+    theta, _ = theta_schedule(kernel.p, times)
+    values = np.empty((c0.shape[0], len(times)))
     values[:, 0] = c0
-    c = c0.copy()
-    for j in range(1, len(times)):
-        if j == 1:
-            theta = first_step_theta(kernel.p, dt)
-        else:
-            theta = float(times[j]) ** kernel.p
-        c = _implicit_solve(band.copy(), nd, theta, dt, c)
-        values[:, j] = c
+    band = assemble_operator(kernel, c0.shape[0])
+    for step, c, _ in march(band, theta, dt, c0):
+        values[:, step + 1] = c
     return NonlocalSolution(values=values, times=times.copy(),
                             initial_condition=c0.copy(),
                             cell_width=kernel.cell_width)
@@ -229,20 +241,8 @@ def unit_spike(num_cells: int, injection_cell: int) -> np.ndarray:
 
 def model_btc(solution: NonlocalSolution, locations) -> list[BreakthroughCurve]:
     """Time traces of the cells owning each location, excluding t = 0."""
-    length = solution.num_cells * solution.cell_width
-    keep = solution.times > 0.0
-    curves = []
-    for x in np.atleast_1d(np.asarray(locations, dtype=float)):
-        if not 0.0 < x < length:
-            raise ConfigurationError(
-                f"location {x} outside the open domain (0, {length})")
-        cell = min(int(x / solution.cell_width), solution.num_cells - 1)
-        curves.append(BreakthroughCurve(
-            location=float(x),
-            times=solution.times[keep].copy(),
-            values=solution.values[cell, keep].copy(),
-        ))
-    return curves
+    return cell_traces(solution.values, solution.times, solution.cell_width,
+                       locations)
 
 
 @dataclass(frozen=True)

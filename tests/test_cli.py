@@ -1,6 +1,7 @@
 """End-to-end command-line runs on a miniature experiment."""
 
 import json
+import shutil
 
 import pytest
 import yaml
@@ -175,6 +176,19 @@ def test_numerical_failure_exits_3(pipeline, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_generate", boom)
     assert cli.main(["generate", "--config", str(path)]) == 3
     assert "synthetic instability" in capsys.readouterr().err
+
+
+def test_overflowing_kernel_exits_3(pipeline, tmp_path, capsys):
+    path, out = pipeline
+    target = tmp_path / "overflow"
+    shutil.copytree(out, target)
+    fit_path = target / "fit_nonlocal.json"
+    record = json.loads(fit_path.read_text())
+    record["parameters"]["phi"] = [1e308] * len(record["parameters"]["phi"])
+    fit_path.write_text(json.dumps(record))
+    assert cli.main(["predict", "--config", str(path),
+                     "--out", str(target)]) == 3
+    assert "predict[nonlocal]" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2():

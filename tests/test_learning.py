@@ -5,7 +5,7 @@ import pytest
 
 from nonlocal_transport.errors import ConfigurationError
 from nonlocal_transport.learning import (
-    LearningProblem, evaluate_loss, fit, gradient, initial_raw,
+    LearningProblem, _forward, evaluate_loss, fit, gradient, initial_raw,
     loss_and_gradient, softplus, softplus_inverse,
 )
 from nonlocal_transport.nonlocal_diffusion import (
@@ -74,6 +74,22 @@ def test_gradient_matches_finite_differences_classical():
     fd = central_difference(problem, raw, 0)
     g = gradient(problem, raw)
     assert abs(g[0] - fd) <= 1e-5 * abs(fd)
+
+
+def test_fitted_curves_equal_predicted_curves():
+    # fitting and prediction march the same stepper, so the curves the loss
+    # sees are bit for bit the curves a forward solve reports
+    problem, _ = make_problem([0.05, 0.3, 0.0, 0.2, 0.1], 0.4)
+    phi = np.array([0.04, 0.25, 0.0, 0.15, 0.12])
+    p = 1.7
+    kernel = DynamicKernel(phi=phi, p=p, horizon_cells=problem.horizon_cells,
+                           cell_width=problem.cell_width)
+    btc, _ = _forward(problem, phi, p)
+    solution = solve(kernel, unit_spike(problem.num_cells,
+                                        problem.injection_cell),
+                     problem.time_grid)
+    predicted = model_btc(solution, [c.location for c in problem.curves])
+    np.testing.assert_array_equal(btc, np.stack([c.values for c in predicted]))
 
 
 def test_perfect_parameters_give_zero_misfit_and_gradient():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from nonlocal_transport.errors import ConfigurationError
+from nonlocal_transport.errors import ConfigurationError, SolverError
 from nonlocal_transport.nonlocal_diffusion import (
     DynamicKernel,
     apply_operator,
@@ -16,7 +16,6 @@ from nonlocal_transport.nonlocal_diffusion import (
     model_btc,
     solution_moments,
     solve,
-    step_implicit,
     unit_spike,
 )
 from nonlocal_transport.tracking import linear_slope, log_log_slope
@@ -204,7 +203,8 @@ def test_step_implicit_matches_manual_solve():
     dense = dense_by_definition(kernel, n)
     dt = 0.07
     manual = np.linalg.solve(np.eye(n) - dt * dense, c0)
-    np.testing.assert_allclose(step_implicit(c0, kernel, dt, dt), manual,
+    one_step = solve(kernel, c0, np.array([0.0, dt])).values[:, -1]
+    np.testing.assert_allclose(one_step, manual,
                                rtol=1e-12, atol=1e-15)
 
 
@@ -221,6 +221,14 @@ def test_solve_validates_time_grid():
                           cell_width=L1)
     with pytest.raises(ConfigurationError):
         solve(steep, c0, np.array([0.0, 0.1, 0.2]))
+
+
+@pytest.mark.parametrize("weight", [1e308, math.inf])
+def test_overflowing_kernel_is_a_solver_error(weight):
+    kernel = DynamicKernel(phi=np.array([weight, 0.0, weight]), p=0.0,
+                           horizon_cells=1, cell_width=L1)
+    with pytest.raises(SolverError):
+        solve(kernel, unit_spike(8, 4), np.arange(4) * 0.1)
 
 
 def test_model_btc_traces_solution_rows():
