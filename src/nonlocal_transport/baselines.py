@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
@@ -31,12 +30,6 @@ class FractalParams:
         if self.D_bar < 0:
             raise ConfigurationError("diffusivity must be nonnegative")
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump({"model": "fractal", "D_bar": float(self.D_bar),
-                       "q": float(self.q)}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 @dataclass(frozen=True)
 class ClassicalParams:
@@ -47,12 +40,6 @@ class ClassicalParams:
     def __post_init__(self) -> None:
         if self.D0_bar < 0:
             raise ConfigurationError("diffusivity must be nonnegative")
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump({"model": "classical", "D0_bar": float(self.D0_bar)},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def fractal_kernel(params: FractalParams, cell_width: float) -> DynamicKernel:
@@ -112,14 +99,9 @@ class SurrogateNet:
                               "t_range": list(self.t_range)},
         }
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.record(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
     @classmethod
     def from_json(cls, path) -> "SurrogateNet":
-        with open(Path(path)) as fh:
+        with open(path) as fh:
             record = json.load(fh)
         return cls(
             weights=tuple(np.asarray(w, dtype=float) for w in record["weights"]),
@@ -135,14 +117,14 @@ def _normalize(value, lo, hi):
     return 2.0 * (np.asarray(value, dtype=float) - lo) / (hi - lo) - 1.0
 
 
-def _forward(net: SurrogateNet, inputs: np.ndarray):
+def _forward(weights, biases, inputs: np.ndarray):
     """Forward pass returning the output and per-layer activations."""
     activations = [inputs]
     a = inputs
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+    for w, b in zip(weights[:-1], biases[:-1]):
         a = np.tanh(a @ w + b)
         activations.append(a)
-    z_out = a @ net.weights[-1] + net.biases[-1]
+    z_out = a @ weights[-1] + biases[-1]
     return _softplus(z_out), z_out, activations
 
 
@@ -153,7 +135,7 @@ def surrogate_eval(net: SurrogateNet, x, t) -> np.ndarray:
     shape = np.broadcast_shapes(x.shape, t.shape)
     xn = np.broadcast_to(_normalize(x, *net.x_range), shape).ravel()
     tn = np.broadcast_to(_normalize(t, *net.t_range), shape).ravel()
-    out, _, _ = _forward(net, np.column_stack([xn, tn]))
+    out, _, _ = _forward(net.weights, net.biases, np.column_stack([xn, tn]))
     return out[:, 0].reshape(shape)
 
 
@@ -185,13 +167,6 @@ def dataset_arrays(curves) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate(ys))
 
 
-def surrogate_mse(net: SurrogateNet, curves) -> float:
-    """Mean squared error of the surrogate over a curve set."""
-    inputs, targets = dataset_arrays(curves)
-    predictions = surrogate_eval(net, inputs[:, 0], inputs[:, 1])
-    return float(np.mean((predictions - targets) ** 2))
-
-
 def train_surrogate(curves, *, epochs: int = 20_000, learning_rate: float = 1e-3,
                     seed: int = 0, hidden_layers: int = 3,
                     width: int = 4) -> SurrogateNet:
@@ -217,15 +192,7 @@ def train_surrogate(curves, *, epochs: int = 20_000, learning_rate: float = 1e-3
 
     for step in range(1, epochs + 1):
         weights = params[:n_layers]
-        biases = params[n_layers:]
-        # forward
-        activations = [inputs]
-        a = inputs
-        for w, b in zip(weights[:-1], biases[:-1]):
-            a = np.tanh(a @ w + b)
-            activations.append(a)
-        z_out = a @ weights[-1] + biases[-1]
-        out = _softplus(z_out)
+        out, z_out, activations = _forward(weights, params[n_layers:], inputs)
         # backward
         delta = (2.0 / n) * (out - y) * expit(z_out)
         grads_w = [None] * n_layers

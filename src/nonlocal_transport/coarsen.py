@@ -1,4 +1,4 @@
-"""Upscaling of fine particle densities to one coarse value per unit cell.
+"""Upscaling of particle densities to one coarse value per unit cell.
 
 The coarse profile at cell i is a forward-window average over ``m`` unit
 cells starting at i, normalized by the window volume; near the right edge the
@@ -20,7 +20,6 @@ import numpy as np
 from .darcy import FlowField, cell_center_velocity
 from .errors import ConfigurationError, NumericalError
 from .medium import MediumSpec
-from .tracking import DensityHistory
 
 
 @dataclass(frozen=True)
@@ -68,46 +67,15 @@ class EffectiveAdvection:
     v_bar_rescaled: float
 
 
-def upscale(fine: DensityHistory, spec: MediumSpec, m: int) -> CoarseDensity:
-    """Average the fine density over forward windows of ``m`` unit cells.
-
-    The value at cell i is the fine mass in cells i..i+m-1 divided by the
-    window volume m*l1*l2; windows extending past the last cell are clipped
-    and the volume adjusted accordingly.
-    """
-    if m < 1:
-        raise ConfigurationError("smoothing window must cover at least one cell")
-    n_cells = spec.num_cells
-    if m > n_cells:
-        raise ConfigurationError(
-            f"smoothing window m={m} exceeds the {n_cells}-cell domain")
-    n_snap, nx, ny = fine.values.shape
-    if nx % n_cells:
-        raise ConfigurationError("fine grid does not align with unit cells")
-    if abs(nx * fine.dx - spec.domain_length) > 1e-9 * spec.domain_length:
-        raise ConfigurationError("fine density does not cover the medium domain")
-    cols = nx // n_cells
-    # mass per unit cell, then clipped forward-window sums via a cumulative sum
-    cell_mass = fine.values.reshape(n_snap, n_cells, cols, ny).sum(axis=(2, 3))
-    cell_mass *= fine.dx * fine.dy
-    cum = np.concatenate(
-        [np.zeros((n_snap, 1)), np.cumsum(cell_mass, axis=1)], axis=1)
-    idx = np.arange(n_cells)
-    win = np.minimum(m, n_cells - idx)
-    window_mass = cum[:, idx + win] - cum[:, idx]
-    volume = win * spec.cell_width * spec.layer_height
-    values = (window_mass / volume).T
-    return CoarseDensity(values=values, smoothing_cells=m,
-                         snapshot_times=fine.times.copy(),
-                         cell_width=spec.cell_width)
-
-
 def coarse_from_ensemble(ensemble, spec: MediumSpec, m: int) -> CoarseDensity:
-    """Coarse density straight from particle positions, skipping the 2D grid.
+    """Average the particle mass over forward windows of ``m`` unit cells.
 
-    Equivalent to ``upscale(fine_density(...))`` (binning per unit cell
-    commutes with summing the fine histogram over each cell) but needs only
-    O(num_cells) memory per snapshot, which matters on large runs.
+    Particles are binned straight into unit cells by their x position, each
+    carrying mass 1/num_particles; those that have exited by a snapshot are
+    left out of it, stagnant ones count where they stalled.  The value at
+    cell i is the mass in cells i..i+m-1 divided by the window volume
+    m*l1*l2; windows extending past the last cell are clipped and the
+    volume adjusted accordingly.
     """
     if m < 1:
         raise ConfigurationError("smoothing window must cover at least one cell")

@@ -9,7 +9,6 @@ downstream relies on: it consumes the face-normal velocities directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -206,35 +205,3 @@ def cell_center_velocity(
     vx = 0.5 * (flow.face_velocity_x[:-1, :] + flow.face_velocity_x[1:, :])
     vy = 0.5 * (flow.face_velocity_y[:, :-1] + flow.face_velocity_y[:, 1:])
     return vx, vy
-
-
-def save_flow_field(flow: FlowField, path: str | Path) -> None:
-    """Write a flow field to a self-describing .npz container.
-
-    Layout: scalars ``grid_nx, grid_ny, dx, dy`` plus the row-major arrays
-    ``face_velocity_x`` (nx+1, ny), ``face_velocity_y`` (nx, ny+1) and
-    ``head`` (nx, ny).
-    """
-    np.savez(
-        Path(path),
-        grid_nx=np.int64(flow.grid_nx),
-        grid_ny=np.int64(flow.grid_ny),
-        dx=np.float64(flow.dx),
-        dy=np.float64(flow.dy),
-        face_velocity_x=flow.face_velocity_x,
-        face_velocity_y=flow.face_velocity_y,
-        head=flow.head,
-    )
-
-
-def load_flow_field(path: str | Path) -> FlowField:
-    with np.load(Path(path)) as data:
-        return FlowField(
-            grid_nx=int(data["grid_nx"]),
-            grid_ny=int(data["grid_ny"]),
-            dx=float(data["dx"]),
-            dy=float(data["dy"]),
-            face_velocity_x=data["face_velocity_x"],
-            face_velocity_y=data["face_velocity_y"],
-            head=data["head"],
-        )

@@ -32,7 +32,9 @@ from .learning import LearningProblem, fit, warm_start_raw
 from .nonlocal_diffusion import (
     DynamicKernel, model_btc, solution_moments, solve, unit_spike,
 )
-from .tracking import displacement_stats, inject, linear_slope, track
+from .tracking import (
+    displacement_stats, inject, linear_slope, log_log_slope, track,
+)
 
 PDE_MODELS = ("nonlocal", "fractal", "classical")
 
@@ -464,7 +466,6 @@ def run_report(cfg: ExperimentConfig, dataset_dir=None) -> Path:
 
 
 def log_log_slope_or_none(times, values):
-    from .tracking import log_log_slope
     try:
         return float(log_log_slope(times, values))
     except ConfigurationError:

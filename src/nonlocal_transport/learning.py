@@ -19,9 +19,7 @@ difference oracle is floating-point roundoff.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
@@ -30,7 +28,8 @@ from .baselines import ClassicalParams, FractalParams
 from .errors import ConfigurationError, SolverError
 from .lbfgs import OptimizeResult, minimize
 from .nonlocal_diffusion import (
-    DynamicKernel, assemble_operator, march, theta_schedule, unit_spike,
+    DynamicKernel, assemble_operator, exchange_differences, march,
+    theta_schedule, unit_spike,
 )
 
 _MODELS = ("nonlocal", "fractal", "classical")
@@ -185,23 +184,6 @@ def initial_raw(problem: LearningProblem) -> np.ndarray:
 # --- forward model and tangents ------------------------------------------
 
 
-def _shift_differences(c, horizon):
-    """Columns (c_{i+j} - c_i) for every offset j, zero outside the domain."""
-    n = c.shape[0]
-    out = np.zeros((n, 2 * horizon + 1))
-    for j in range(-horizon, horizon + 1):
-        if j == 0:
-            continue
-        col = out[:, horizon + j]
-        if j > 0:
-            col[:n - j] = c[j:] - c[:n - j]
-            col[n - j:] = -c[n - j:]
-        else:
-            col[-j:] = c[:n + j] - c[-j:]
-            col[:-j] = -c[:-j]
-    return out
-
-
 def _forward(problem: LearningProblem, phi, p, d_phi=None, d_p=None):
     """Step the model and, when Jacobians are given, its parameter tangents.
 
@@ -231,7 +213,7 @@ def _forward(problem: LearningProblem, phi, p, d_phi=None, d_p=None):
                                      unit_spike(n, problem.injection_cell)):
         btc[:, step] = c[probes]
         if with_tangents:
-            diffs = _shift_differences(c, nd)
+            diffs = exchange_differences(c, nd)
             a_c = diffs @ phi
             # (I - dt*theta*A) cdot_{n+1} = cdot_n
             #                             + dt*(theta_dot*A + theta*A_dot) c_{n+1}
@@ -269,10 +251,6 @@ def loss_and_gradient(problem: LearningProblem, raw):
     grad = 2.0 * np.einsum("ct,ctk->k", residual, btc_tan)
     penalty, d_penalty = _penalty_terms(problem, phi, d_phi)
     return misfit + problem.beta * penalty, grad + problem.beta * d_penalty
-
-
-def gradient(problem: LearningProblem, raw) -> np.ndarray:
-    return loss_and_gradient(problem, raw)[1]
 
 
 # --- fitting --------------------------------------------------------------
@@ -320,12 +298,6 @@ class FitResult:
                 for it, f, gn in self.trace
             ],
         }
-
-    def save(self, path):
-        path = Path(path)
-        path.write_text(json.dumps(self.to_json(), indent=2, sort_keys=True)
-                        + "\n")
-        return path
 
 
 def _package_result(problem: LearningProblem, opt: OptimizeResult) -> FitResult:

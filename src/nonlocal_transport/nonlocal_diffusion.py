@@ -12,9 +12,7 @@ usable.  Fitting marches the same stepper, carrying parameter tangents.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -77,16 +75,6 @@ class DynamicKernel:
         return cls(phi=np.asarray(record["phi"], dtype=float), p=float(record["p"]),
                    horizon_cells=int(record["N_delta"]), cell_width=float(record["l1"]))
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.record(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def from_json(cls, path) -> "DynamicKernel":
-        with open(Path(path)) as fh:
-            return cls.from_record(json.load(fh))
-
 
 @dataclass(frozen=True)
 class NonlocalSolution:
@@ -147,7 +135,9 @@ def assemble_operator(kernel: DynamicKernel, num_cells: int) -> np.ndarray:
             f"need more than {2 * nd} cells for a horizon of {nd}")
     phi = kernel.phi
     band = np.zeros((2 * nd + 1, num_cells))
-    band[nd, :] = -(np.sum(phi) - phi[nd])
+    # weights that overflow leave a non-finite band, which march rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        band[nd, :] = -(np.sum(phi) - phi[nd])
     for k in range(1, nd + 1):
         band[nd - k, k:] = phi[nd + k]
         band[nd + k, :-k] = phi[nd - k]
@@ -186,25 +176,19 @@ def march(band: np.ndarray, theta: np.ndarray, dt: float, initial: np.ndarray):
         yield step, c, solve_step
 
 
-def apply_operator(kernel: DynamicKernel, values: np.ndarray) -> np.ndarray:
-    """Apply the exchange operator to one state (or a stack of states).
+def exchange_differences(c: np.ndarray, horizon_cells: int) -> np.ndarray:
+    """Neighbor differences c_{i+j} - c_i, one column per offset j.
 
-    ``values`` may be (N,) or (N, m); out-of-range neighbors are zero.
+    Returns the (N, 2*horizon_cells + 1) matrix whose column
+    horizon_cells + j holds the offset-j differences, with out-of-range
+    neighbors zero, so ``exchange_differences(c, Nd) @ phi`` applies the
+    exchange operator to ``c``.
     """
-    nd = kernel.horizon_cells
-    phi = kernel.phi
-    c = np.asarray(values, dtype=float)
-    out = (-(np.sum(phi) - phi[nd])) * c
-    for k in range(-nd, nd + 1):
-        if k == 0 or phi[nd + k] == 0.0:
-            continue
-        shifted = np.zeros_like(c)
-        if k > 0:
-            shifted[:-k] = c[k:]
-        else:
-            shifted[-k:] = c[:k]
-        out += phi[nd + k] * shifted
-    return out
+    n = c.shape[0]
+    padded = np.zeros(n + 2 * horizon_cells)
+    padded[horizon_cells:horizon_cells + n] = c
+    return padded[np.arange(n)[:, None]
+                  + np.arange(2 * horizon_cells + 1)] - c[:, None]
 
 
 def solve(kernel: DynamicKernel, initial: np.ndarray, times: np.ndarray) -> NonlocalSolution:

@@ -91,20 +91,6 @@ class ParticleEnsemble:
 
 
 @dataclass(frozen=True)
-class DensityHistory:
-    """Per-snapshot 2D histograms of the in-domain particle mass."""
-
-    times: np.ndarray
-    values: np.ndarray
-    dx: float
-    dy: float
-
-    def mass(self) -> np.ndarray:
-        """Domain integral of the density at each snapshot."""
-        return self.values.sum(axis=(1, 2)) * self.dx * self.dy
-
-
-@dataclass(frozen=True)
 class DisplacementStats:
     """Ensemble x-statistics over non-exited particles, per snapshot."""
 
@@ -358,37 +344,6 @@ def track(flow: FlowField, positions, cfg: TrackingConfig) -> ParticleEnsemble:
         exit_time=exit_time, stagnant_time=stagnant_time,
         length_x=length_x, length_y=length_y,
     )
-
-
-def fine_density(ensemble: ParticleEnsemble, grid_nx: int, grid_ny: int,
-                 *, normalize: bool = True) -> DensityHistory:
-    """Histogram the in-domain particle mass on an (nx, ny) grid per snapshot.
-
-    Exited particles are excluded from the snapshot where they exit onward;
-    stagnant particles keep contributing where they stalled.  With
-    ``normalize`` the counts are divided by num_particles*dx*dy so the domain
-    integral equals 1 at t = 0; without it raw counts are returned (useful
-    when accumulating over particle chunks).
-    """
-    if ensemble.positions.size == 0:
-        raise ConfigurationError("cannot histogram an empty ensemble")
-    if grid_nx < 1 or grid_ny < 1:
-        raise ConfigurationError("histogram grid must be at least 1x1")
-    dx = ensemble.length_x / grid_nx
-    dy = ensemble.length_y / grid_ny
-    n_snap = len(ensemble.snapshot_times)
-    values = np.zeros((n_snap, grid_nx, grid_ny))
-    for j, t in enumerate(ensemble.snapshot_times):
-        keep = ensemble.exit_time > t
-        p = ensemble.positions[j, keep, :]
-        cx = np.minimum((p[:, 0] / dx).astype(np.int64), grid_nx - 1)
-        cy = np.minimum((p[:, 1] / dy).astype(np.int64), grid_ny - 1)
-        counts = np.bincount(cx * grid_ny + cy, minlength=grid_nx * grid_ny)
-        values[j] = counts.reshape(grid_nx, grid_ny)
-    if normalize:
-        values /= ensemble.num_particles * dx * dy
-    return DensityHistory(times=ensemble.snapshot_times.copy(), values=values,
-                          dx=dx, dy=dy)
 
 
 def displacement_stats(ensemble: ParticleEnsemble) -> DisplacementStats:

@@ -1,5 +1,6 @@
 """Tests for the PDE baselines and the neural surrogate."""
 
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from nonlocal_transport.baselines import (
     solve_classical,
     solve_fractal,
     surrogate_eval,
-    surrogate_mse,
     train_surrogate,
 )
 from nonlocal_transport.coarsen import BreakthroughCurve
@@ -113,7 +113,9 @@ def test_surrogate_fits_zero_targets():
     zeros = [BreakthroughCurve(location=1.0, times=times, values=np.zeros(30)),
              BreakthroughCurve(location=2.0, times=times, values=np.zeros(30))]
     net = train_surrogate(zeros, epochs=20_000, seed=1)
-    assert surrogate_mse(net, zeros) < 1e-6
+    inputs, targets = dataset_arrays(zeros)
+    predictions = surrogate_eval(net, inputs[:, 0], inputs[:, 1])
+    assert np.mean((predictions - targets) ** 2) < 1e-6
 
 
 def test_surrogate_interpolates_single_sample():
@@ -142,7 +144,7 @@ def test_surrogate_json_round_trip(tmp_path):
                               values=np.array([0.1, 0.4, 0.3, 0.2, 0.1]))]
     net = train_surrogate(data, epochs=200, seed=4)
     path = tmp_path / "mlp.json"
-    net.to_json(path)
+    path.write_text(json.dumps(net.record()))
     back = SurrogateNet.from_json(path)
     x = np.linspace(0, 4, 7)
     t = np.linspace(0, 3, 7)
@@ -160,15 +162,3 @@ def test_dataset_arrays_flatten_and_sort():
     np.testing.assert_array_equal(targets, [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(ConfigurationError):
         dataset_arrays([])
-
-
-def test_params_json(tmp_path):
-    FractalParams(D_bar=0.3, q=0.6).to_json(tmp_path / "fractal.json")
-    ClassicalParams(D0_bar=0.2).to_json(tmp_path / "classical.json")
-    import json
-    with open(tmp_path / "fractal.json") as fh:
-        rec = json.load(fh)
-    assert rec == {"model": "fractal", "D_bar": 0.3, "q": 0.6}
-    with open(tmp_path / "classical.json") as fh:
-        rec = json.load(fh)
-    assert rec == {"model": "classical", "D0_bar": 0.2}

@@ -8,20 +8,19 @@ import pytest
 from nonlocal_transport.coarsen import (
     BreakthroughCurve,
     CoarseDensity,
+    coarse_from_ensemble,
     effective_advection,
     extract_btc,
     load_btc_dataset,
     save_btc_dataset,
     shift_frame,
-    upscale,
 )
 from nonlocal_transport.darcy import solve_medium, solve_unit_cell
 from nonlocal_transport.errors import ConfigurationError, NumericalError
 from nonlocal_transport.medium import MediumSpec, build_conductivity
 from nonlocal_transport.tracking import (
-    DensityHistory,
+    ParticleEnsemble,
     TrackingConfig,
-    fine_density,
     inject,
     track,
 )
@@ -37,63 +36,93 @@ def medium(num_cells=8, inclusion_fraction=1.0, head_left=2.0):
     )
 
 
-def synthetic_history(spec, cols=4, ny=6, n_snap=3, seed=0):
-    nx = spec.num_cells * cols
+def ensemble(spec, x, times=(0.0,), exit_time=None, stagnant_time=None,
+             length_x=None):
+    """Hand-built ensemble with positions ``x`` of shape (n_snap, n)."""
+    x = np.asarray(x, dtype=float).reshape(len(times), -1)
+    n = x.shape[1]
+    rng = np.random.default_rng(0)
+    positions = np.stack(
+        [x, rng.uniform(0.0, spec.layer_height, size=x.shape)], axis=-1)
+    return ParticleEnsemble(
+        snapshot_times=np.asarray(times, dtype=float), positions=positions,
+        exit_time=np.full(n, np.inf) if exit_time is None else exit_time,
+        stagnant_time=(np.full(n, np.inf) if stagnant_time is None
+                       else stagnant_time),
+        length_x=spec.domain_length if length_x is None else length_x,
+        length_y=spec.layer_height)
+
+
+def synthetic_ensemble(spec, n=200, n_snap=4, seed=0):
+    """Random ensemble in which some particles exit and some stagnate.
+
+    As in a tracked run, exited particles sit on the outlet plane from
+    their exit time on, and stagnant ones stay where they stalled.
+    """
     rng = np.random.default_rng(seed)
-    values = rng.uniform(0.0, 2.0, size=(n_snap, nx, ny))
-    return DensityHistory(
-        times=np.arange(n_snap) * 0.5,
-        values=values,
-        dx=spec.domain_length / nx,
-        dy=spec.layer_height / ny,
-    )
+    times = np.arange(n_snap) * 0.5
+    x = rng.uniform(0.0, spec.domain_length, size=(n_snap, n))
+    exit_time = np.where(rng.uniform(size=n) < 0.3,
+                         rng.choice(times[1:], size=n), np.inf)
+    exit_time[:3] = times[1]          # exactly on a snapshot instant
+    x[times[:, None] >= exit_time[None, :]] = spec.domain_length
+    stagnant_time = np.where(~np.isfinite(exit_time)
+                             & (rng.uniform(size=n) < 0.2), 0.0, np.inf)
+    x[:, stagnant_time == 0.0] = x[0, stagnant_time == 0.0]
+    return ensemble(spec, x, times, exit_time, stagnant_time)
 
 
-def brute_force_upscale(fine, spec, m):
+def brute_force_upscale(ens, spec, m):
     """Windowed averages via explicit loops, for cross-checking."""
-    n_snap, nx, ny = fine.values.shape
-    cols = nx // spec.num_cells
+    n_snap = len(ens.snapshot_times)
+    cell_of = np.minimum((ens.positions[:, :, 0] / spec.cell_width).astype(int),
+                         spec.num_cells - 1)
     out = np.zeros((spec.num_cells, n_snap))
     for t in range(n_snap):
         for i in range(spec.num_cells):
             width = min(m, spec.num_cells - i)
             total = 0.0
             for k in range(i, i + width):
-                total += fine.values[t, k * cols:(k + 1) * cols, :].sum()
-            total *= fine.dx * fine.dy
+                for p in range(ens.num_particles):
+                    if (ens.exit_time[p] > ens.snapshot_times[t]
+                            and cell_of[t, p] == k):
+                        total += 1.0
+            total /= ens.num_particles
             out[i, t] = total / (width * spec.cell_width * spec.layer_height)
     return out
 
 
+def in_domain_fraction(ens):
+    """Fraction of the particles not yet exited at each snapshot."""
+    return (ens.exit_time[None, :] > ens.snapshot_times[:, None]).mean(axis=1)
+
+
 def test_upscale_matches_brute_force():
     spec = medium(num_cells=8)
-    fine = synthetic_history(spec, seed=3)
+    ens = synthetic_ensemble(spec, seed=3)
     for m in (1, 3, 8):
-        coarse = upscale(fine, spec, m)
-        np.testing.assert_allclose(coarse.values, brute_force_upscale(fine, spec, m),
+        coarse = coarse_from_ensemble(ens, spec, m)
+        np.testing.assert_allclose(coarse.values, brute_force_upscale(ens, spec, m),
                                    rtol=1e-13, atol=1e-15)
         assert coarse.smoothing_cells == m
         assert np.all(coarse.values >= 0)
 
 
 def test_upscale_preserves_constants():
+    # three particles in every cell: a uniform density, kept by every window
     spec = medium(num_cells=6)
-    fine = synthetic_history(spec)
-    const = DensityHistory(times=fine.times, values=np.full_like(fine.values, 1.7),
-                           dx=fine.dx, dy=fine.dy)
+    x = (np.repeat(np.arange(6), 3) + np.tile([0.1, 0.5, 0.9], 6)) * spec.cell_width
+    ens = ensemble(spec, x)
+    level = 1.0 / (spec.num_cells * spec.cell_width * spec.layer_height)
     for m in (1, 2, 6):
-        coarse = upscale(const, spec, m)
-        np.testing.assert_allclose(coarse.values, 1.7, rtol=1e-13)
+        coarse = coarse_from_ensemble(ens, spec, m)
+        np.testing.assert_allclose(coarse.values, level, rtol=1e-13)
 
 
 def test_upscale_single_cell_support():
     spec = medium(num_cells=5)
-    fine = synthetic_history(spec)
-    vals = np.zeros_like(fine.values)
-    cols = vals.shape[1] // spec.num_cells
-    vals[:, 2 * cols:3 * cols, :] = 1.0
-    point = DensityHistory(times=fine.times, values=vals, dx=fine.dx, dy=fine.dy)
-    coarse = upscale(point, spec, 1)
+    ens = ensemble(spec, np.linspace(2.05, 2.95, 7) * spec.cell_width)
+    coarse = coarse_from_ensemble(ens, spec, 1)
     assert np.all(coarse.values[2, :] > 0)
     others = np.delete(np.arange(5), 2)
     np.testing.assert_array_equal(coarse.values[others, :], 0.0)
@@ -101,39 +130,33 @@ def test_upscale_single_cell_support():
 
 def test_upscale_mass_consistency():
     spec = medium(num_cells=8)
-    fine = synthetic_history(spec, seed=9)
-    fine_mass = fine.values.sum(axis=(1, 2)) * fine.dx * fine.dy
-    coarse = upscale(fine, spec, 1)
+    ens = synthetic_ensemble(spec, seed=9)
+    coarse = coarse_from_ensemble(ens, spec, 1)
     cell_volume = spec.cell_width * spec.layer_height
-    np.testing.assert_allclose(coarse.values.sum(axis=0) * cell_volume, fine_mass,
-                               rtol=1e-12)
+    np.testing.assert_allclose(coarse.values.sum(axis=0) * cell_volume,
+                               in_domain_fraction(ens), rtol=1e-12)
     # wider windows: exact as long as the support stays away from both edges
-    vals = np.zeros_like(fine.values)
-    cols = vals.shape[1] // spec.num_cells
-    vals[:, 3 * cols:5 * cols, :] = np.random.default_rng(4).uniform(
-        0.5, 1.5, size=vals[:, 3 * cols:5 * cols, :].shape)
-    interior = DensityHistory(times=fine.times, values=vals, dx=fine.dx, dy=fine.dy)
-    interior_mass = vals.sum(axis=(1, 2)) * fine.dx * fine.dy
-    coarse3 = upscale(interior, spec, 3)
+    x = np.random.default_rng(4).uniform(3.0, 5.0, size=(4, 50)) * spec.cell_width
+    interior = ensemble(spec, x, times=np.arange(4) * 0.5)
+    coarse3 = coarse_from_ensemble(interior, spec, 3)
     np.testing.assert_allclose(coarse3.values.sum(axis=0) * cell_volume,
-                               interior_mass, rtol=1e-12)
+                               1.0, rtol=1e-12)
 
 
 def test_upscale_rejects_bad_window():
     spec = medium(num_cells=4)
-    fine = synthetic_history(spec)
+    ens = synthetic_ensemble(spec)
     with pytest.raises(ConfigurationError):
-        upscale(fine, spec, 0)
+        coarse_from_ensemble(ens, spec, 0)
     with pytest.raises(ConfigurationError):
-        upscale(fine, spec, 5)
+        coarse_from_ensemble(ens, spec, 5)
 
 
 def test_upscale_rejects_misaligned_grid():
     spec = medium(num_cells=5)
-    bad = DensityHistory(times=np.array([0.0]), values=np.ones((1, 12, 4)),
-                         dx=spec.domain_length / 12, dy=0.25)
+    bad = ensemble(spec, [0.1, 0.2], length_x=1.01 * spec.domain_length)
     with pytest.raises(ConfigurationError):
-        upscale(bad, spec, 1)
+        coarse_from_ensemble(bad, spec, 1)
 
 
 def test_extract_btc_traces_owning_cell():
@@ -212,7 +235,7 @@ def test_effective_advection_rejects_dead_flow():
 
 def test_shift_frame_identity_at_zero_speed():
     spec = medium(num_cells=6)
-    coarse = upscale(synthetic_history(spec, seed=5), spec, 2)
+    coarse = coarse_from_ensemble(synthetic_ensemble(spec, seed=5), spec, 2)
     same = shift_frame(coarse, 0.0)
     np.testing.assert_array_equal(same.values, coarse.values)
 
@@ -249,7 +272,7 @@ def test_shift_frame_mass_preserved_for_interior_support():
 
 def test_shift_frame_rejects_negative_speed():
     spec = medium(num_cells=4)
-    coarse = upscale(synthetic_history(spec), spec, 1)
+    coarse = coarse_from_ensemble(synthetic_ensemble(spec), spec, 1)
     with pytest.raises(ConfigurationError):
         shift_frame(coarse, -0.1)
 
@@ -260,11 +283,10 @@ def test_tracked_run_coarse_mass_matches_fine():
     cfg = TrackingConfig(injection_cell=2, num_particles=400, dt=0.5, t_end=4.0,
                          rng_seed=17)
     ens = track(flow, inject(flow, cfg, spec.num_cells), cfg)
-    hist = fine_density(ens, 48, 16)
-    coarse = upscale(hist, spec, 1)
+    coarse = coarse_from_ensemble(ens, spec, 1)
     cell_volume = spec.cell_width * spec.layer_height
     np.testing.assert_allclose(coarse.values.sum(axis=0) * cell_volume,
-                               hist.mass(), rtol=1e-12, atol=1e-15)
+                               in_domain_fraction(ens), rtol=1e-12, atol=1e-15)
 
 
 def test_btc_dataset_round_trip(tmp_path):

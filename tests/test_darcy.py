@@ -2,11 +2,8 @@ import numpy as np
 import pytest
 
 from nonlocal_transport.darcy import (
-    FlowField,
     cell_center_velocity,
-    load_flow_field,
     max_relative_divergence,
-    save_flow_field,
     solve_darcy,
     solve_medium,
     solve_unit_cell,
@@ -146,19 +143,6 @@ def test_zero_conductivity_rejected():
     cond[3, 3] = 0.0
     with pytest.raises(SolverError):
         solve_darcy(cond, spec)
-
-
-def test_flow_field_round_trip(tmp_path):
-    flow = solve_medium(hetero_spec(num_cells=2), grid_nx=20, grid_ny=8)
-    path = tmp_path / "flow.npz"
-    save_flow_field(flow, path)
-    back = load_flow_field(path)
-    assert isinstance(back, FlowField)
-    assert back.grid_nx == flow.grid_nx and back.grid_ny == flow.grid_ny
-    assert back.dx == flow.dx and back.dy == flow.dy
-    np.testing.assert_array_equal(back.face_velocity_x, flow.face_velocity_x)
-    np.testing.assert_array_equal(back.face_velocity_y, flow.face_velocity_y)
-    np.testing.assert_array_equal(back.head, flow.head)
 
 
 def test_cg_path_matches_direct():

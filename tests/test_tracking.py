@@ -8,15 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
+from nonlocal_transport.coarsen import coarse_from_ensemble
 from nonlocal_transport.darcy import FlowField, solve_medium
 from nonlocal_transport.errors import ConfigurationError, InjectionError
 from nonlocal_transport.medium import MediumSpec, inclusion_mask
 from nonlocal_transport.tracking import (
     DisplacementStats,
-    ParticleEnsemble,
     TrackingConfig,
     displacement_stats,
-    fine_density,
     inject,
     linear_slope,
     log_log_slope,
@@ -242,19 +241,22 @@ def test_stagnant_particle_frozen_and_flagged():
 
 
 def test_fine_density_mass_and_support(small_hetero):
+    # the pipeline's window average at m = 1 is the in-domain mass per cell
     spec, flow = small_hetero
     cfg = TrackingConfig(injection_cell=2, num_particles=500, dt=0.5, t_end=25.0,
                          rng_seed=31)
     ens = track(flow, inject(flow, cfg, spec.num_cells), cfg)
-    hist = fine_density(ens, 48, 16)
-    mass = hist.mass()
+    coarse = coarse_from_ensemble(ens, spec, 1)
+    cell_mass = coarse.values * spec.cell_width * spec.layer_height
+    mass = cell_mass.sum(axis=0)
     assert abs(mass[0] - 1.0) < 1e-12
     assert np.all(np.diff(mass) <= 1e-12)
     assert mass[-1] < 1.0            # outflow on this short domain
-    # initial support: only the 8 grid columns of cell 2
-    occupied = np.nonzero(hist.values[0].sum(axis=1))[0]
-    assert occupied.min() >= 8 and occupied.max() < 16
-    assert np.all(hist.values >= 0)
+    in_domain = (ens.exit_time[None, :] > ens.snapshot_times[:, None]).mean(axis=1)
+    np.testing.assert_allclose(mass, in_domain, rtol=1e-12, atol=1e-15)
+    # initial support: only cell 2
+    np.testing.assert_array_equal(np.nonzero(cell_mass[:, 0])[0], [1])
+    assert np.all(coarse.values >= 0)
 
 
 def test_fine_density_raw_counts(small_hetero):
@@ -262,18 +264,10 @@ def test_fine_density_raw_counts(small_hetero):
     cfg = TrackingConfig(injection_cell=1, num_particles=64, dt=0.5, t_end=1.0,
                          rng_seed=2)
     ens = track(flow, inject(flow, cfg, spec.num_cells), cfg)
-    raw = fine_density(ens, 12, 4, normalize=False)
-    assert raw.values[0].sum() == 64.0
-
-
-def test_fine_density_empty_ensemble_rejected():
-    ens = ParticleEnsemble(
-        snapshot_times=np.array([0.0]), positions=np.empty((1, 0, 2)),
-        exit_time=np.empty(0), stagnant_time=np.empty(0),
-        length_x=1.0, length_y=1.0,
-    )
-    with pytest.raises(ConfigurationError):
-        fine_density(ens, 4, 4)
+    coarse = coarse_from_ensemble(ens, spec, 1)
+    counts = (coarse.values[:, 0] * spec.cell_width * spec.layer_height
+              * ens.num_particles)
+    np.testing.assert_allclose(counts.sum(), 64.0, rtol=1e-12)
 
 
 def test_point_source_in_uniform_flow_has_zero_msd():
