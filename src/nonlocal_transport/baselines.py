@@ -9,7 +9,6 @@ the breakthrough samples directly, with no transport structure at all.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,9 +99,7 @@ class SurrogateNet:
         }
 
     @classmethod
-    def from_json(cls, path) -> "SurrogateNet":
-        with open(path) as fh:
-            record = json.load(fh)
+    def from_record(cls, record: dict) -> "SurrogateNet":
         return cls(
             weights=tuple(np.asarray(w, dtype=float) for w in record["weights"]),
             biases=tuple(np.asarray(b, dtype=float) for b in record["biases"]),

@@ -1,5 +1,9 @@
 """Upscaling of particle densities to one coarse value per unit cell.
 
+This module also owns the on-disk table format: every CSV artifact is written
+by :func:`write_table` and parsed by :func:`read_table`, every JSON artifact
+is written by :func:`write_json`.
+
 The coarse profile at cell i is a forward-window average over ``m`` unit
 cells starting at i, normalized by the window volume; near the right edge the
 window is clipped to the cells that exist and the normalization shrinks with
@@ -18,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .darcy import FlowField, cell_center_velocity
-from .errors import ConfigurationError, NumericalError
+from .errors import ArtifactError, ConfigurationError, NumericalError
 from .medium import MediumSpec
 
 
@@ -177,7 +181,41 @@ def shift_frame(coarse: CoarseDensity, v_bar: float) -> CoarseDensity:
                          cell_width=coarse.cell_width)
 
 
-def save_btc_dataset(path, curves, *, metadata: dict) -> None:
+def _format_cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def write_table(path, header, rows, comments=()) -> None:
+    """Write ``#`` comment lines, a header and rows, every line ending in \\n."""
+    with open(path, "w", newline="") as fh:
+        for line in comments:
+            fh.write(line + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_format_cell(v) for v in row] for row in rows)
+
+
+def read_table(path) -> list[dict]:
+    """Rows of a table written by :func:`write_table`, comment lines skipped."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(line for line in fh
+                                   if not line.startswith("#")))
+
+
+def write_json(path, record: dict) -> None:
+    """Write ``record`` as indented, key-sorted JSON ending in a newline."""
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def save_btc_dataset(path, curves, *, metadata: dict, comments=()) -> None:
     """Write curves as (location, t, value) CSV plus a JSON sidecar.
 
     Curves are ordered by location so files are reproducible regardless of
@@ -187,28 +225,19 @@ def save_btc_dataset(path, curves, *, metadata: dict) -> None:
     """
     path = Path(path)
     curves = sorted(curves, key=lambda c: c.location)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["location", "t", "value"])
-        for curve in curves:
-            for t, v in zip(curve.times, curve.values):
-                writer.writerow([repr(float(curve.location)), repr(float(t)),
-                                 repr(float(v))])
-    sidecar = path.with_suffix(path.suffix + ".json")
-    with open(sidecar, "w") as fh:
-        json.dump(metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_table(path, ["location", "t", "value"],
+                ((curve.location, t, v) for curve in curves
+                 for t, v in zip(curve.times, curve.values)), comments)
+    write_json(path.with_suffix(path.suffix + ".json"), metadata)
 
 
 def load_btc_dataset(path) -> tuple[list[BreakthroughCurve], dict]:
     """Read a dataset written by :func:`save_btc_dataset`."""
     path = Path(path)
     by_location: dict[float, list[tuple[float, float]]] = {}
-    with open(path, newline="") as fh:
-        rows = (line for line in fh if not line.startswith("#"))
-        for row in csv.DictReader(rows):
-            by_location.setdefault(float(row["location"]), []).append(
-                (float(row["t"]), float(row["value"])))
+    for row in read_table(path):
+        by_location.setdefault(float(row["location"]), []).append(
+            (float(row["t"]), float(row["value"])))
     curves = []
     for loc in sorted(by_location):
         samples = sorted(by_location[loc])
@@ -219,7 +248,7 @@ def load_btc_dataset(path) -> tuple[list[BreakthroughCurve], dict]:
         ))
     sidecar = path.with_suffix(path.suffix + ".json")
     if not sidecar.exists():
-        raise ConfigurationError(f"missing dataset sidecar {sidecar}")
+        raise ArtifactError(f"missing dataset sidecar {sidecar}")
     with open(sidecar) as fh:
         metadata = json.load(fh)
     return curves, metadata

@@ -9,7 +9,6 @@ seed reproduces every file byte for byte.
 
 from __future__ import annotations
 
-import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -23,7 +22,8 @@ from .baselines import (
 )
 from .coarsen import (
     BreakthroughCurve, coarse_from_ensemble, effective_advection, extract_btc,
-    load_btc_dataset, save_btc_dataset, shift_frame,
+    load_btc_dataset, read_table, save_btc_dataset, shift_frame, write_json,
+    write_table,
 )
 from .config import ExperimentConfig, load_config
 from .darcy import solve_medium, solve_unit_cell
@@ -48,42 +48,13 @@ def _stage(name: str):
         raise type(exc)(f"stage '{name}' failed: {exc}") from exc
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def _write_csv(path: Path, cfg: ExperimentConfig, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(cfg.provenance_line() + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
+def _write_csv(path: Path, cfg: ExperimentConfig, header, rows,
+               comments=()) -> None:
+    write_table(path, header, rows, [cfg.provenance_line(), *comments])
 
 
 def _write_json(path: Path, cfg: ExperimentConfig, record: dict) -> None:
-    record = dict(record)
-    record.setdefault("provenance", cfg.provenance())
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _prepend_line(path: Path, line: str) -> None:
-    body = path.read_text()
-    path.write_text(line + "\n" + body)
-
-
-def _read_table(path: Path) -> list[dict]:
-    with open(path, newline="") as fh:
-        rows = (line for line in fh if not line.startswith("#"))
-        return list(csv.DictReader(rows))
+    write_json(path, {"provenance": cfg.provenance(), **record})
 
 
 # --- generate -------------------------------------------------------------
@@ -125,7 +96,6 @@ def run_generate(cfg: ExperimentConfig) -> Path:
                   for c in extract_btc(shifted, cfg.all_locations)]
 
     with _stage("output"):
-        active, exited, stagnant = ensemble.status_counts()
         metadata = {
             "kind": "btc-dataset",
             "provenance": cfg.provenance(),
@@ -142,13 +112,12 @@ def run_generate(cfg: ExperimentConfig) -> Path:
                       "v_bar_homogenized": float(adv.v_bar_rescaled)},
             "train_locations": [float(x) for x in sorted(cfg.train_locations)],
             "test_locations": [float(x) for x in sorted(cfg.test_locations)],
-            "final_status": {"active": int(active[-1]),
-                             "exited": int(exited[-1]),
-                             "stagnant": int(stagnant[-1])},
+            "final_status": {"active": int(stats.n_active[-1]),
+                             "exited": int(stats.n_exited[-1]),
+                             "stagnant": int(stats.n_stagnant[-1])},
         }
-        dataset_path = out / "dataset.csv"
-        save_btc_dataset(dataset_path, curves, metadata=metadata)
-        _prepend_line(dataset_path, cfg.provenance_line())
+        save_btc_dataset(out / "dataset.csv", curves, metadata=metadata,
+                         comments=[cfg.provenance_line()])
 
         _write_json(out / "provenance.json", cfg, cfg.provenance())
         _write_json(out / "effective_advection.json", cfg, {
@@ -161,9 +130,10 @@ def run_generate(cfg: ExperimentConfig) -> Path:
             "v_bar_used": float(v_bar),
         })
 
-        msd_path = out / "msd_fine.csv"
-        stats.to_csv(msd_path)
-        _prepend_line(msd_path, cfg.provenance_line())
+        _write_csv(out / "msd_fine.csv", cfg,
+                   ["t", "mean_x", "msd", "n_active", "n_exited", "n_stagnant"],
+                   zip(stats.times, stats.mean_x, stats.msd, stats.n_active,
+                       stats.n_exited, stats.n_stagnant))
 
         centers = shifted.cell_centers
         profile_rows = (
@@ -179,14 +149,9 @@ def run_generate(cfg: ExperimentConfig) -> Path:
         by_location = {c.location: c for c in curves}
         for k, loc in enumerate(train_sorted, start=1):
             curve = by_location[float(loc)]
-            target = btc_dir / f"train_btc_{k}.csv"
-            with open(target, "w", newline="") as fh:
-                fh.write(cfg.provenance_line() + "\n")
-                fh.write(f"# location = {repr(float(loc))}\n")
-                writer = csv.writer(fh)
-                writer.writerow(["t", "value"])
-                for t, v in zip(curve.times, curve.values):
-                    writer.writerow([repr(float(t)), repr(float(v))])
+            _write_csv(btc_dir / f"train_btc_{k}.csv", cfg, ["t", "value"],
+                       zip(curve.times, curve.values),
+                       [f"# location = {float(loc)!r}"])
     return out
 
 
@@ -304,7 +269,7 @@ def _load_fit(cfg: ExperimentConfig, model: str) -> dict:
 def _predict_curves(cfg: ExperimentConfig, model: str, record: dict,
                     times: np.ndarray, locations):
     if model == "mlp":
-        net = SurrogateNet.from_json(cfg.output_dir / f"fit_{model}.json")
+        net = SurrogateNet.from_record(record)
         curves = [BreakthroughCurve(
             location=float(x), times=times[1:].copy(),
             values=surrogate_eval(net, float(x), times[1:]))
@@ -397,7 +362,7 @@ def run_report(cfg: ExperimentConfig, dataset_dir=None) -> Path:
     if not mse_path.exists():
         raise ArtifactError(
             f"missing {mse_path}; run the 'predict' command first")
-    rows = _read_table(mse_path)
+    rows = read_table(mse_path)
     table = _mse_lookup(rows)
 
     fitted = {}
@@ -418,14 +383,14 @@ def run_report(cfg: ExperimentConfig, dataset_dir=None) -> Path:
     msd_block = {}
     msd_path = out / "msd_fine.csv"
     if msd_path.exists():
-        fine = _read_table(msd_path)
+        fine = read_table(msd_path)
         t = np.array([float(r["t"]) for r in fine])
         msd = np.array([float(r["msd"]) for r in fine])
         msd_block["fine_slope_loglog"] = log_log_slope_or_none(t, msd)
     for model in cfg.models:
         model_path = out / f"msd_model_{model}.csv"
         if model_path.exists():
-            series = _read_table(model_path)
+            series = read_table(model_path)
             t = np.array([float(r["t"]) for r in series])
             msd = np.array([float(r["msd"]) for r in series])
             msd_block[f"{model}_slope_loglog"] = log_log_slope_or_none(t, msd)

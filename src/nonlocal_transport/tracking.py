@@ -9,7 +9,6 @@ recorded, never how the trajectory is integrated.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,17 +99,6 @@ class DisplacementStats:
     n_active: np.ndarray
     n_exited: np.ndarray
     n_stagnant: np.ndarray
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "mean_x", "msd", "n_active", "n_exited", "n_stagnant"])
-            for row in zip(
-                self.times, self.mean_x, self.msd,
-                self.n_active, self.n_exited, self.n_stagnant,
-            ):
-                writer.writerow([repr(float(row[0])), repr(float(row[1])),
-                                 repr(float(row[2])), int(row[3]), int(row[4]), int(row[5])])
 
 
 def velocity_at(flow: FlowField, x, y):
@@ -348,10 +336,7 @@ def track(flow: FlowField, positions, cfg: TrackingConfig) -> ParticleEnsemble:
 
 def displacement_stats(ensemble: ParticleEnsemble) -> DisplacementStats:
     """Mean displacement and MSD of the non-exited particles per snapshot."""
-    t = ensemble.snapshot_times[:, None]
-    exited = ensemble.exit_time[None, :] <= t
-    stagnant = (ensemble.stagnant_time[None, :] <= t) & ~exited
-    keep = ~exited
+    keep = ensemble.exit_time[None, :] > ensemble.snapshot_times[:, None]
     n_in = keep.sum(axis=1)
     x = ensemble.positions[:, :, 0]
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -360,9 +345,7 @@ def displacement_stats(ensemble: ParticleEnsemble) -> DisplacementStats:
         msd = (dev ** 2).sum(axis=1) / n_in
     mean_x[n_in == 0] = np.nan
     msd[n_in == 0] = np.nan
-    n_exited = exited.sum(axis=1)
-    n_stagnant = stagnant.sum(axis=1)
-    n_active = ensemble.num_particles - n_exited - n_stagnant
+    n_active, n_exited, n_stagnant = ensemble.status_counts()
     return DisplacementStats(
         times=ensemble.snapshot_times.copy(), mean_x=mean_x, msd=msd,
         n_active=n_active, n_exited=n_exited, n_stagnant=n_stagnant,

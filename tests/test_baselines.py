@@ -145,7 +145,7 @@ def test_surrogate_json_round_trip(tmp_path):
     net = train_surrogate(data, epochs=200, seed=4)
     path = tmp_path / "mlp.json"
     path.write_text(json.dumps(net.record()))
-    back = SurrogateNet.from_json(path)
+    back = SurrogateNet.from_record(json.loads(path.read_text()))
     x = np.linspace(0, 4, 7)
     t = np.linspace(0, 3, 7)
     np.testing.assert_array_equal(surrogate_eval(back, x, t),

@@ -67,6 +67,20 @@ def test_generate_outputs(pipeline):
     assert "seed=11" in first
 
 
+def test_csv_outputs_share_one_line_format(pipeline):
+    _, out = pipeline
+    tables = sorted(out.rglob("*.csv"))
+    assert len(tables) >= 10
+    for table in tables:
+        blob = table.read_bytes()
+        assert b"\r" not in blob, table
+        assert blob.startswith(b"# provenance: config_sha256="), table
+    for k, x in enumerate([1.7, 2.0], start=1):
+        lines = (out / "btc" / f"train_btc_{k}.csv").read_text().split("\n")
+        assert lines[1] == f"# location = {x!r}"
+        assert lines[2] == "t,value"
+
+
 def test_learn_outputs(pipeline):
     _, out = pipeline
     for model in ("nonlocal", "classical", "mlp"):
@@ -159,6 +173,16 @@ def test_learn_without_dataset_exits_4(tmp_path, capsys):
     path = write_config(tmp_path, tiny_config(tmp_path / "fresh"))
     assert cli.main(["learn", "--config", str(path)]) == 4
     assert "generate" in capsys.readouterr().err
+
+
+def test_learn_without_dataset_sidecar_exits_4(pipeline, tmp_path, capsys):
+    path, out = pipeline
+    target = tmp_path / "no_sidecar"
+    target.mkdir()
+    shutil.copy(out / "dataset.csv", target / "dataset.csv")
+    assert cli.main(["learn", "--config", str(path),
+                     "--out", str(target)]) == 4
+    assert "dataset.csv.json" in capsys.readouterr().err
 
 
 def test_report_without_predictions_exits_4(tmp_path, capsys):

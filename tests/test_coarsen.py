@@ -16,7 +16,9 @@ from nonlocal_transport.coarsen import (
     shift_frame,
 )
 from nonlocal_transport.darcy import solve_medium, solve_unit_cell
-from nonlocal_transport.errors import ConfigurationError, NumericalError
+from nonlocal_transport.errors import (
+    ArtifactError, ConfigurationError, NumericalError,
+)
 from nonlocal_transport.medium import MediumSpec, build_conductivity
 from nonlocal_transport.tracking import (
     ParticleEnsemble,
@@ -312,5 +314,5 @@ def test_btc_dataset_round_trip(tmp_path):
 def test_btc_dataset_missing_sidecar(tmp_path):
     path = tmp_path / "orphan.csv"
     path.write_text("location,t,value\n1.0,0.1,0.5\n")
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ArtifactError):
         load_btc_dataset(path)

@@ -1,6 +1,5 @@
 """Tests for semi-analytical particle tracking and ensemble statistics."""
 
-import csv
 import math
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
-from nonlocal_transport.coarsen import coarse_from_ensemble
+from nonlocal_transport.coarsen import coarse_from_ensemble, read_table, write_table
 from nonlocal_transport.darcy import FlowField, solve_medium
 from nonlocal_transport.errors import ConfigurationError, InjectionError
 from nonlocal_transport.medium import MediumSpec, inclusion_mask
@@ -309,9 +308,10 @@ def test_displacement_stats_csv_round_trip(tmp_path, small_hetero):
                          rng_seed=4)
     stats = displacement_stats(track(flow, inject(flow, cfg, spec.num_cells), cfg))
     path = tmp_path / "stats.csv"
-    stats.to_csv(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    write_table(path, ["t", "mean_x", "msd", "n_active"],
+                zip(stats.times, stats.mean_x, stats.msd, stats.n_active),
+                ["# provenance: test"])
+    rows = read_table(path)
     assert len(rows) == len(stats.times)
     for j, row in enumerate(rows):
         assert float(row["t"]) == stats.times[j]
