@@ -16,10 +16,6 @@ import numpy as np
 from .darcy import FlowField
 from .errors import ConfigurationError, InjectionError
 
-STATUS_ACTIVE = 0
-STATUS_EXITED = 1
-STATUS_STAGNANT = 2
-
 #: Fraction of the mean face speed below which a particle is considered
 #: motionless along an axis; protects the exit-time formulas from division
 #: by velocities that are zero to rounding.
@@ -80,11 +76,13 @@ class ParticleEnsemble:
 
     def status_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-snapshot (n_active, n_exited, n_stagnant)."""
-        t = self.snapshot_times[:, None]
-        exited = self.exit_time[None, :] <= t
-        stagnant = (self.stagnant_time[None, :] <= t) & ~exited
-        n_exited = exited.sum(axis=1)
-        n_stagnant = stagnant.sum(axis=1)
+        def count_by(t):
+            return np.searchsorted(np.sort(t), self.snapshot_times, side="right")
+
+        n_exited = count_by(self.exit_time)
+        # a particle counts as stagnant only until it has also exited
+        n_stagnant = (count_by(self.stagnant_time)
+                      - count_by(np.maximum(self.stagnant_time, self.exit_time)))
         n_active = self.num_particles - n_exited - n_stagnant
         return n_active, n_exited, n_stagnant
 
@@ -169,35 +167,47 @@ def inject(flow: FlowField, cfg: TrackingConfig, num_cells: int,
 def _axis_exit(vp, v_lo, v_hi, a, loc, width, v_floor):
     """Time to leave a cell along one axis, from local coordinate ``loc``.
 
-    Returns (tau, direction): tau = +inf when the particle cannot reach either
+    Returns (tau, fwd, bwd): tau = +inf when the particle cannot reach either
     face along this axis (motionless, or decelerating toward an interior
-    stagnation plane); direction is +1 for the high face, -1 for the low one.
+    stagnation plane); fwd / bwd mark motion toward the high / low face.
     """
-    tau = np.full(vp.shape, np.inf)
-    direction = np.zeros(vp.shape, dtype=np.int64)
     fwd = vp > v_floor
     bwd = vp < -v_floor
-    direction[fwd] = 1
-    direction[bwd] = -1
-    dist = np.where(fwd, width - loc, -loc)
-    v_face = np.where(fwd, v_hi, v_lo)
-    reach = (fwd | bwd) & (v_face * vp > 0.0)
+    # width - loc ahead, else 0.0 - loc: that is -loc but for the sign of a
+    # zero, and a zero tau of either sign ends the transit at the same time
+    # and place
+    dist = fwd * width
+    dist -= loc
+    reach = (fwd & (v_hi * vp > 0.0)) | (bwd & (v_lo * vp > 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         # a*dist/vp equals v_face/vp - 1 up to rounding; clamp just above -1
         # so a same-sign face velocity at the rounding edge cannot produce NaN
-        ratio = np.maximum(a * dist / vp, np.nextafter(-1.0, 0.0))
-        t_exp = np.log1p(ratio) / a
-        t_lin = dist / vp
-    candidate = np.where(a == 0.0, t_lin, t_exp)
-    tau[reach] = candidate[reach]
-    return tau, direction
+        tau = a * dist
+        tau /= vp
+        np.maximum(tau, np.nextafter(-1.0, 0.0), out=tau)
+        np.log1p(tau, out=tau)
+        tau /= a
+        linear = a == 0.0
+        if linear.any():
+            tau[linear] = dist[linear] / vp[linear]
+    tau[~reach] = np.inf
+    return tau, fwd, bwd
 
 
 def _coord_at(loc, vp, a, tau):
     """Local coordinate after time ``tau`` inside the current cell."""
-    safe_a = np.where(a == 0.0, 1.0, a)
-    growth = np.where(a == 0.0, tau, np.expm1(safe_a * tau) / safe_a)
-    return loc + vp * growth
+    linear = a == 0.0
+    any_linear = linear.any()
+    if any_linear:
+        a = np.where(linear, 1.0, a)
+    growth = a * tau
+    np.expm1(growth, out=growth)
+    growth /= a
+    if any_linear:
+        growth[linear] = tau[linear]
+    growth *= vp
+    growth += loc
+    return growth
 
 
 def track(flow: FlowField, positions, cfg: TrackingConfig) -> ParticleEnsemble:
@@ -224,108 +234,126 @@ def track(flow: FlowField, positions, cfg: TrackingConfig) -> ParticleEnsemble:
     fvx, fvy = flow.face_velocity_x, flow.face_velocity_y
     mean_speed = 0.5 * (np.mean(np.abs(fvx)) + np.mean(np.abs(fvy)))
     v_floor = STAGNATION_FLOOR_FRACTION * mean_speed
+    # per-cell face velocities and gradients, indexed by ix * ny + iy
+    vx_lo, vx_hi = fvx[:-1, :].ravel(), fvx[1:, :].ravel()
+    vy_lo, vy_hi = fvy[:, :-1].ravel(), fvy[:, 1:].ravel()
+    ax_cell = (vx_hi - vx_lo) / dx
+    ay_cell = (vy_hi - vy_lo) / dy
 
-    # per-particle state: entry point/time of the current transit segment
-    x0 = pos[:, 0].copy()
-    y0 = pos[:, 1].copy()
+    # current transit of each particle: entry time, cell origin, entry
+    # coordinates relative to it, entry velocity and velocity gradient
     t0 = np.zeros(n)
-    ix = np.clip((x0 / dx).astype(np.int64), 0, nx - 1)
-    iy = np.clip((y0 / dy).astype(np.int64), 0, ny - 1)
-    status = np.full(n, STATUS_ACTIVE, dtype=np.uint8)
+    seg_ox, seg_oy = np.empty(n), np.empty(n)
+    seg_locx, seg_locy = np.empty(n), np.empty(n)
+    seg_vxp, seg_vyp = np.empty(n), np.empty(n)
+    seg_ax, seg_ay = np.empty(n), np.empty(n)
+    # when and where it ends, and the cell it leads into
+    t_seg_end = np.full(n, np.inf)
+    x_seg_end, y_seg_end = np.empty(n), np.empty(n)
+    next_ix = np.empty(n, dtype=np.int64)
+    next_iy = np.empty(n, dtype=np.int64)
+    # particles that left the outlet or stalled keep these positions
+    active = np.ones(n, dtype=bool)
+    frozen = np.empty((n, 2))
     exit_time = np.full(n, np.inf)
     stagnant_time = np.full(n, np.inf)
-    # segment cache: when/where the current transit ends, and its coefficients
-    t_seg_end = np.full(n, np.inf)
-    x_seg_end = np.empty(n)
-    y_seg_end = np.empty(n)
-    next_ix = np.zeros(n, dtype=np.int64)
-    next_iy = np.zeros(n, dtype=np.int64)
-    seg_ax = np.zeros(n)
-    seg_ay = np.zeros(n)
-    seg_vxp = np.zeros(n)
-    seg_vyp = np.zeros(n)
 
-    def compute_transit(idx: np.ndarray) -> None:
-        cix, ciy = ix[idx], iy[idx]
-        vxl, vxr = fvx[cix, ciy], fvx[cix + 1, ciy]
-        vyb, vyt = fvy[cix, ciy], fvy[cix, ciy + 1]
-        ax = (vxr - vxl) / dx
-        ay = (vyt - vyb) / dy
-        loc_x = x0[idx] - cix * dx
-        loc_y = y0[idx] - ciy * dy
-        vxp = vxl + ax * loc_x
-        vyp = vyb + ay * loc_y
-        seg_ax[idx], seg_ay[idx] = ax, ay
+    def freeze(idx, x, y):
+        active[idx] = False
+        t_seg_end[idx] = np.inf
+        frozen[idx, 0] = x
+        frozen[idx, 1] = y
+
+    def compute_transit(idx, x, y, t, cix, ciy):
+        """Start a transit from (x, y) at time t in cell (cix, ciy)."""
+        cell = cix * ny + ciy
+        vxl, vxr = vx_lo.take(cell), vx_hi.take(cell)
+        vyb, vyt = vy_lo.take(cell), vy_hi.take(cell)
+        ax, ay = ax_cell.take(cell), ay_cell.take(cell)
+        ox, oy = cix * dx, ciy * dy
+        loc_x, loc_y = x - ox, y - oy
+        vxp = ax * loc_x
+        vxp += vxl
+        vyp = ay * loc_y
+        vyp += vyb
+        t0[idx] = t
+        seg_ox[idx], seg_oy[idx] = ox, oy
+        seg_locx[idx], seg_locy[idx] = loc_x, loc_y
         seg_vxp[idx], seg_vyp[idx] = vxp, vyp
+        seg_ax[idx], seg_ay[idx] = ax, ay
 
-        tau_x, dir_x = _axis_exit(vxp, vxl, vxr, ax, loc_x, dx, v_floor)
-        tau_y, dir_y = _axis_exit(vyp, vyb, vyt, ay, loc_y, dy, v_floor)
+        tau_x, fwd_x, bwd_x = _axis_exit(vxp, vxl, vxr, ax, loc_x, dx, v_floor)
+        tau_y, fwd_y, bwd_y = _axis_exit(vyp, vyb, vyt, ay, loc_y, dy, v_floor)
         tau = np.minimum(tau_x, tau_y)
-
         stalled = ~np.isfinite(tau)
-        if np.any(stalled):
-            sub = idx[stalled]
-            status[sub] = STATUS_STAGNANT
-            stagnant_time[sub] = t0[sub]
-            t_seg_end[sub] = np.inf
-        live = np.nonzero(~stalled)[0]
-        if live.size == 0:
-            return
-        li = idx[live]
-        tau_l = tau[live]
-        hit_x = tau_x[live] <= tau_l
-        hit_y = tau_y[live] <= tau_l
-        step_x = np.where(hit_x, dir_x[live], 0)
-        step_y = np.where(hit_y, dir_y[live], 0)
-        cix_l, ciy_l = cix[live], ciy[live]
-        # crossed coordinates snap to the face; the other follows the closed form
-        xe = _coord_at(loc_x[live], vxp[live], ax[live], tau_l) + cix_l * dx
-        ye = _coord_at(loc_y[live], vyp[live], ay[live], tau_l) + ciy_l * dy
-        xe = np.where(step_x == 1, (cix_l + 1) * dx, np.where(step_x == -1, cix_l * dx, xe))
-        ye = np.where(step_y == 1, (ciy_l + 1) * dy, np.where(step_y == -1, ciy_l * dy, ye))
-        t_seg_end[li] = t0[li] + tau_l
-        x_seg_end[li], y_seg_end[li] = xe, ye
-        next_ix[li] = cix_l + step_x
-        next_iy[li] = ciy_l + step_y
+        if stalled.any():
+            stagnant_time[idx[stalled]] = t[stalled]
+            freeze(idx[stalled], x[stalled], y[stalled])
+            live = ~stalled
+            idx, t, cix, ciy, tau = idx[live], t[live], cix[live], ciy[live], tau[live]
+            ox, oy, loc_x, loc_y = ox[live], oy[live], loc_x[live], loc_y[live]
+            vxp, vyp, ax, ay = vxp[live], vyp[live], ax[live], ay[live]
+            tau_x, fwd_x, bwd_x = tau_x[live], fwd_x[live], bwd_x[live]
+            tau_y, fwd_y, bwd_y = tau_y[live], fwd_y[live], bwd_y[live]
+        # the crossed coordinate snaps to its face; the other follows the
+        # closed form
+        hit_x = tau_x <= tau
+        hit_y = tau_y <= tau
+        up_x, down_x = hit_x & fwd_x, hit_x & bwd_x
+        up_y, down_y = hit_y & fwd_y, hit_y & bwd_y
+        xe = _coord_at(loc_x, vxp, ax, tau)
+        xe += ox
+        ye = _coord_at(loc_y, vyp, ay, tau)
+        ye += oy
+        x_seg_end[idx] = np.where(hit_x, (cix + up_x) * dx, xe)
+        y_seg_end[idx] = np.where(hit_y, (ciy + up_y) * dy, ye)
+        t_seg_end[idx] = t + tau
+        cix = cix + up_x
+        cix -= down_x
+        ciy = ciy + up_y
+        ciy -= down_y
+        next_ix[idx], next_iy[idx] = cix, ciy
 
-    compute_transit(np.arange(n))
+    start_ix = np.clip((pos[:, 0] / dx).astype(np.int64), 0, nx - 1)
+    start_iy = np.clip((pos[:, 1] / dy).astype(np.int64), 0, ny - 1)
+    compute_transit(np.arange(n), pos[:, 0].copy(), pos[:, 1].copy(),
+                    np.zeros(n), start_ix, start_iy)
 
     times = cfg.snapshot_times
     out = np.empty((len(times), n, 2))
     for j, ts in enumerate(times):
-        while True:
-            due = np.nonzero((status == STATUS_ACTIVE) & (t_seg_end <= ts))[0]
-            if due.size == 0:
-                break
-            x0[due], y0[due], t0[due] = x_seg_end[due], y_seg_end[due], t_seg_end[due]
-            ix[due], iy[due] = next_ix[due], next_iy[due]
-            gone = due[ix[due] >= nx]
-            if gone.size:
-                status[gone] = STATUS_EXITED
-                exit_time[gone] = t0[gone]
-                x0[gone] = length_x
-            # inflow boundary and walls cannot be crossed; guard against
-            # rounding pathologies by stalling instead of indexing out of range
-            bad = due[(ix[due] < 0) | (iy[due] < 0) | (iy[due] >= ny)]
-            if bad.size:
-                status[bad] = STATUS_STAGNANT
-                stagnant_time[bad] = t0[bad]
-                ix[bad] = np.clip(ix[bad], 0, nx - 1)
-                iy[bad] = np.clip(iy[bad], 0, ny - 1)
-            moving = due[status[due] == STATUS_ACTIVE]
-            if moving.size:
-                compute_transit(moving)
-        rec_x = x0.copy()
-        rec_y = y0.copy()
-        live = np.nonzero(status == STATUS_ACTIVE)[0]
-        if live.size:
-            tau = ts - t0[live]
-            rec_x[live] = ix[live] * dx + _coord_at(
-                x0[live] - ix[live] * dx, seg_vxp[live], seg_ax[live], tau)
-            rec_y[live] = iy[live] * dy + _coord_at(
-                y0[live] - iy[live] * dy, seg_vyp[live], seg_ay[live], tau)
-        out[j, :, 0] = rec_x
-        out[j, :, 1] = rec_y
+        due = np.flatnonzero(t_seg_end <= ts)
+        while due.size:
+            t, x, y = t_seg_end[due], x_seg_end[due], y_seg_end[due]
+            cix, ciy = next_ix[due], next_iy[due]
+            if (cix.min() < 0 or cix.max() >= nx
+                    or ciy.min() < 0 or ciy.max() >= ny):
+                gone = cix >= nx
+                exit_time[due[gone]] = t[gone]
+                # inflow boundary and walls cannot be crossed; guard against
+                # rounding pathologies by stalling instead of indexing out
+                # of range
+                bad = (cix < 0) | (ciy < 0) | (ciy >= ny)
+                stagnant_time[due[bad]] = t[bad]
+                stop = gone | bad
+                freeze(due[stop], np.where(gone, length_x, x)[stop], y[stop])
+                keep = ~stop
+                due, t, x, y = due[keep], t[keep], x[keep], y[keep]
+                cix, ciy = cix[keep], ciy[keep]
+            compute_transit(due, x, y, t, cix, ciy)
+            due = due.compress(t_seg_end[due] <= ts)
+        if active.all():
+            live = slice(None)
+        else:
+            out[j] = frozen
+            live = np.flatnonzero(active)
+        tau = ts - t0[live]
+        xr = _coord_at(seg_locx[live], seg_vxp[live], seg_ax[live], tau)
+        xr += seg_ox[live]
+        yr = _coord_at(seg_locy[live], seg_vyp[live], seg_ay[live], tau)
+        yr += seg_oy[live]
+        out[j, live, 0] = xr
+        out[j, live, 1] = yr
 
     return ParticleEnsemble(
         snapshot_times=times, positions=out,
@@ -335,19 +363,26 @@ def track(flow: FlowField, positions, cfg: TrackingConfig) -> ParticleEnsemble:
 
 
 def displacement_stats(ensemble: ParticleEnsemble) -> DisplacementStats:
-    """Mean displacement and MSD of the non-exited particles per snapshot."""
-    keep = ensemble.exit_time[None, :] > ensemble.snapshot_times[:, None]
-    n_in = keep.sum(axis=1)
-    x = ensemble.positions[:, :, 0]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean_x = np.where(keep, x, 0.0).sum(axis=1) / n_in
-        dev = np.where(keep, x - mean_x[:, None], 0.0)
-        msd = (dev ** 2).sum(axis=1) / n_in
-    mean_x[n_in == 0] = np.nan
-    msd[n_in == 0] = np.nan
+    """Mean displacement and MSD of the non-exited particles per snapshot.
+
+    Reduces one snapshot at a time, so no (snapshots x particles)
+    temporary is ever built.
+    """
+    times = ensemble.snapshot_times
+    mean_x = np.full(len(times), np.nan)
+    msd = np.full(len(times), np.nan)
+    for j, t in enumerate(times):
+        keep = ensemble.exit_time > t
+        n_in = np.count_nonzero(keep)
+        if n_in == 0:
+            continue
+        x = ensemble.positions[j, :, 0]
+        mean_x[j] = np.where(keep, x, 0.0).sum() / n_in
+        dev = np.where(keep, x - mean_x[j], 0.0)
+        msd[j] = (dev ** 2).sum() / n_in
     n_active, n_exited, n_stagnant = ensemble.status_counts()
     return DisplacementStats(
-        times=ensemble.snapshot_times.copy(), mean_x=mean_x, msd=msd,
+        times=times.copy(), mean_x=mean_x, msd=msd,
         n_active=n_active, n_exited=n_exited, n_stagnant=n_stagnant,
     )
 

@@ -23,6 +23,7 @@ from nonlocal_transport.medium import MediumSpec, build_conductivity
 from nonlocal_transport.tracking import (
     ParticleEnsemble,
     TrackingConfig,
+    displacement_stats,
     inject,
     track,
 )
@@ -108,6 +109,54 @@ def test_upscale_matches_brute_force():
                                    rtol=1e-13, atol=1e-15)
         assert coarse.smoothing_cells == m
         assert np.all(coarse.values >= 0)
+
+
+def brute_force_displacement_stats(ens):
+    """Counts, mean and MSD from whole (snapshots x particles) masks."""
+    t = ens.snapshot_times[:, None]
+    exited = ens.exit_time[None, :] <= t
+    stagnant = (ens.stagnant_time[None, :] <= t) & ~exited
+    n_in = (~exited).sum(axis=1)
+    x = ens.positions[:, :, 0]
+    with np.errstate(invalid="ignore"):
+        mean_x = np.where(~exited, x, 0.0).sum(axis=1) / n_in
+        dev = np.where(~exited, x - mean_x[:, None], 0.0)
+        msd = (dev ** 2).sum(axis=1) / n_in
+    return (ens.num_particles - exited.sum(axis=1) - stagnant.sum(axis=1),
+            exited.sum(axis=1), stagnant.sum(axis=1), mean_x, msd)
+
+
+def test_displacement_stats_match_brute_force():
+    spec = medium(num_cells=8)
+    everyone_exits = ensemble(spec, np.full((3, 20), spec.domain_length),
+                              times=[0.0, 0.5, 1.0], exit_time=np.full(20, 0.5))
+    # particles that stall and later exit count as stagnant only until then
+    stall_then_exit = ensemble(spec, np.full((4, 3), spec.domain_length),
+                               times=[0.0, 0.5, 1.0, 1.5],
+                               exit_time=np.array([1.0, np.inf, 0.5]),
+                               stagnant_time=np.array([0.5, 0.0, 1.0]))
+    for ens in (synthetic_ensemble(spec, seed=3),
+                synthetic_ensemble(spec, n=1000, n_snap=9, seed=7),
+                everyone_exits, stall_then_exit):
+        stats = displacement_stats(ens)
+        n_active, n_exited, n_stagnant, mean_x, msd = \
+            brute_force_displacement_stats(ens)
+        np.testing.assert_array_equal(ens.status_counts(),
+                                      (n_active, n_exited, n_stagnant))
+        np.testing.assert_array_equal(stats.n_active, n_active)
+        np.testing.assert_array_equal(stats.n_exited, n_exited)
+        np.testing.assert_array_equal(stats.n_stagnant, n_stagnant)
+        np.testing.assert_array_equal(stats.mean_x, mean_x)
+        np.testing.assert_array_equal(stats.msd, msd)
+        np.testing.assert_array_equal(n_active + n_exited + n_stagnant,
+                                      ens.num_particles)
+        assert n_exited[-1] > 0
+    # the synthetic ensembles cover stagnation and exits on a snapshot instant
+    ens = synthetic_ensemble(spec, seed=3)
+    assert displacement_stats(ens).n_stagnant[-1] > 0
+    assert np.isin(ens.exit_time, ens.snapshot_times).any()
+    assert np.isnan(displacement_stats(everyone_exits).msd[1:]).all()
+    np.testing.assert_array_equal(stall_then_exit.status_counts()[2], [1, 2, 1, 1])
 
 
 def test_upscale_preserves_constants():

@@ -21,6 +21,7 @@ from nonlocal_transport.tracking import (
     track,
     velocity_at,
 )
+from reference_tracking import reference_track
 
 L1 = math.sqrt(3.0) / 3.0
 
@@ -182,6 +183,94 @@ def test_injection_is_flux_weighted(small_hetero):
 
     sigma = math.sqrt(frac_oracle * (1 - frac_oracle) / cfg.num_particles)
     assert abs(frac_hat - frac_oracle) <= 3 * sigma
+
+
+def random_flow(nx=6, ny=5, dx=0.3, dy=0.2, seed=0):
+    """Face velocities of both signs, some exactly zero: particles move
+    backward, stall, exit, and run into the inflow face and the walls."""
+    rng = np.random.default_rng(seed)
+    fvx = rng.normal(0.4, 1.0, size=(nx + 1, ny))
+    fvy = rng.normal(0.0, 1.0, size=(nx, ny + 1))
+    fvx[rng.uniform(size=fvx.shape) < 0.1] = 0.0
+    fvy[rng.uniform(size=fvy.shape) < 0.1] = 0.0
+    fvx[2, :] = fvx[3, :]              # cells with a == 0 beside others
+    return FlowField(grid_nx=nx, grid_ny=ny, dx=dx, dy=dy,
+                     face_velocity_x=fvx, face_velocity_y=fvy,
+                     head=np.zeros((nx, ny)))
+
+
+def assert_matches_reference(flow, start, cfg):
+    ens = track(flow, start, cfg)
+    ref = reference_track(flow, start, cfg)
+    np.testing.assert_array_equal(ens.snapshot_times, ref.snapshot_times)
+    for name in ("positions", "exit_time", "stagnant_time"):
+        got, want = getattr(ens, name), getattr(ref, name)
+        np.testing.assert_array_equal(got, want)
+        assert got.tobytes() == want.tobytes(), name   # signed zeros too
+    return ens
+
+
+def test_track_matches_reference_with_exits(small_hetero):
+    spec, flow = small_hetero
+    cfg = TrackingConfig(injection_cell=1, num_particles=400, dt=0.5, t_end=30.0,
+                         rng_seed=23)
+    ens = assert_matches_reference(flow, inject(flow, cfg, spec.num_cells), cfg)
+    assert np.isfinite(ens.exit_time).sum() > 100
+    assert np.all(ens.positions[-1, np.isfinite(ens.exit_time), 0]
+                  == flow.length_x)
+
+
+def test_track_matches_reference_in_stagnant_cell():
+    flow = single_cell_flow(1.0, 0.0)
+    cfg = TrackingConfig(injection_cell=1, num_particles=3, dt=0.1, t_end=1.0,
+                         rng_seed=0)
+    start = np.array([[0.0, 0.5], [0.2, 0.1], [0.69, 0.9]])
+    ens = assert_matches_reference(flow, start, cfg)
+    np.testing.assert_array_equal(ens.stagnant_time, 0.0)
+
+
+def test_track_matches_reference_in_uniform_field():
+    flow = uniform_flow()
+    assert np.all(np.diff(flow.face_velocity_x, axis=0) == 0.0)   # a == 0
+    cfg = TrackingConfig(injection_cell=1, num_particles=40, dt=0.5, t_end=10.0,
+                         rng_seed=0)
+    rng = np.random.default_rng(1)
+    start = np.column_stack([rng.uniform(0.0, flow.length_x, 40),
+                             rng.uniform(0.0, flow.length_y, 40)])
+    ens = assert_matches_reference(flow, start, cfg)
+    assert 0 < np.isfinite(ens.exit_time).sum() < 40
+
+
+def test_track_matches_reference_from_faces(small_hetero):
+    spec, flow = small_hetero
+    kx, ky = np.meshgrid(np.arange(flow.grid_nx + 1), np.arange(flow.grid_ny + 1),
+                         indexing="ij")
+    start = np.column_stack([kx.ravel() * flow.dx, ky.ravel() * flow.dy])
+    start[:, 0] = np.minimum(start[:, 0], flow.length_x)
+    start[:, 1] = np.minimum(start[:, 1], flow.length_y)
+    cfg = TrackingConfig(injection_cell=1, num_particles=len(start), dt=0.5,
+                         t_end=15.0, rng_seed=0)
+    ens = assert_matches_reference(flow, start, cfg)
+    # particles moving away from their face cross it at t = 0 and are
+    # recorded from the neighbouring cell, which moves them by rounding
+    assert 0 < np.any(ens.positions[0] != start, axis=1).sum() < len(start) // 10
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_track_matches_reference_in_random_field(seed):
+    flow = random_flow(seed=seed)
+    n = 300
+    rng = np.random.default_rng(seed)
+    start = np.column_stack([rng.uniform(0.0, flow.length_x, n),
+                             rng.uniform(0.0, flow.length_y, n)])
+    start[:20, 0] = np.arange(20) % (flow.grid_nx + 1) * flow.dx   # on x-faces
+    start[20:40, 1] = np.arange(20) % (flow.grid_ny + 1) * flow.dy
+    start = np.minimum(start, [flow.length_x, flow.length_y])
+    cfg = TrackingConfig(injection_cell=1, num_particles=n, dt=0.05, t_end=3.0,
+                         rng_seed=0)
+    ens = assert_matches_reference(flow, start, cfg)
+    assert np.isfinite(ens.stagnant_time).any()
+    assert np.isfinite(ens.exit_time).any()
 
 
 def test_tracking_deterministic(small_hetero):
