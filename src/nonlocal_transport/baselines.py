@@ -170,7 +170,10 @@ def train_surrogate(curves, *, epochs: int = 20_000, learning_rate: float = 1e-3
     """Fit the surrogate to breakthrough samples by full-batch Adam.
 
     Full batches keep the run deterministic for a given seed; the loss is the
-    mean squared error over all (location, time) samples.
+    mean squared error over all (location, time) samples.  All weights and
+    biases live in one flat buffer, each layer's arrays being views into it,
+    and the gradients in a second one, so each Adam update is one pass of
+    elementwise operations over every parameter.
     """
     inputs_raw, targets = dataset_arrays(curves)
     x_range = (float(inputs_raw[:, 0].min()), float(inputs_raw[:, 0].max()))
@@ -181,37 +184,46 @@ def train_surrogate(curves, *, epochs: int = 20_000, learning_rate: float = 1e-3
     y = targets[:, None]
     n = inputs.shape[0]
 
-    params = [w.copy() for w in net.weights] + [b.copy() for b in net.biases]
+    initial = net.weights + net.biases
+    params = np.concatenate([p.ravel() for p in initial])
+    grads = np.zeros_like(params)
     n_layers = len(net.weights)
-    moment1 = [np.zeros_like(p) for p in params]
-    moment2 = [np.zeros_like(p) for p in params]
+    weights, biases = _unflatten(params, initial, n_layers)
+    grads_w, grads_b = _unflatten(grads, initial, n_layers)
+    moment1 = np.zeros_like(params)
+    moment2 = np.zeros_like(params)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     for step in range(1, epochs + 1):
-        weights = params[:n_layers]
-        out, z_out, activations = _forward(weights, params[n_layers:], inputs)
-        # backward
+        out, z_out, activations = _forward(weights, biases, inputs)
+        # backward, written straight into the gradient buffer
         delta = (2.0 / n) * (out - y) * expit(z_out)
-        grads_w = [None] * n_layers
-        grads_b = [None] * n_layers
-        grads_w[-1] = activations[-1].T @ delta
-        grads_b[-1] = delta.sum(axis=0)
+        np.matmul(activations[-1].T, delta, out=grads_w[-1])
+        np.sum(delta, axis=0, out=grads_b[-1])
         back = delta @ weights[-1].T
         for layer in range(n_layers - 2, -1, -1):
             back = back * (1.0 - activations[layer + 1] ** 2)
-            grads_w[layer] = activations[layer].T @ back
-            grads_b[layer] = back.sum(axis=0)
+            np.matmul(activations[layer].T, back, out=grads_w[layer])
+            np.sum(back, axis=0, out=grads_b[layer])
             if layer:
                 back = back @ weights[layer].T
-        grads = grads_w + grads_b
         # Adam update with bias correction
-        for i, g in enumerate(grads):
-            moment1[i] = beta1 * moment1[i] + (1 - beta1) * g
-            moment2[i] = beta2 * moment2[i] + (1 - beta2) * g ** 2
-            m_hat = moment1[i] / (1 - beta1 ** step)
-            v_hat = moment2[i] / (1 - beta2 ** step)
-            params[i] = params[i] - learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        moment1 *= beta1
+        moment1 += (1 - beta1) * grads
+        moment2 *= beta2
+        moment2 += (1 - beta2) * grads ** 2
+        m_hat = moment1 / (1 - beta1 ** step)
+        v_hat = moment2 / (1 - beta2 ** step)
+        params -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
-    return SurrogateNet(weights=tuple(params[:n_layers]),
-                        biases=tuple(params[n_layers:]),
+    return SurrogateNet(weights=weights, biases=biases,
                         x_range=x_range, t_range=t_range)
+
+
+def _unflatten(buffer: np.ndarray, shapes_of, n_layers: int):
+    """Views of ``buffer`` shaped like ``shapes_of``, split as (weights, biases)."""
+    views, start = [], 0
+    for array in shapes_of:
+        views.append(buffer[start:start + array.size].reshape(array.shape))
+        start += array.size
+    return tuple(views[:n_layers]), tuple(views[n_layers:])

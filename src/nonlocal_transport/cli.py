@@ -20,7 +20,7 @@ import sys
 from .config import load_config
 from .errors import ArtifactError, ConfigurationError, NumericalError
 from .experiment import (
-    run_generate, run_learn, run_predict, run_report, run_sweep,
+    run_generate, run_learn_split, run_predict, run_report, run_sweep,
 )
 
 
@@ -69,7 +69,7 @@ def main(argv=None) -> int:
             out = run_generate(cfg)
             print(f"generate: dataset written to {out}")
         elif args.command == "learn":
-            out = run_learn(cfg)
+            out = run_learn_split(cfg)
             print(f"learn: fitted {', '.join(cfg.models)} in {out}")
         elif args.command == "predict":
             out = run_predict(cfg)

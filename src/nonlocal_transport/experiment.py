@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -204,8 +205,21 @@ def _training_curves(cfg: ExperimentConfig, curves):
     return trimmed
 
 
-def run_learn(cfg: ExperimentConfig, dataset_dir=None) -> Path:
-    """Fit every configured model on the training window of the dataset."""
+def run_learn(cfg: ExperimentConfig, dataset_dir=None, models=None) -> Path:
+    """Fit ``models`` (default: every configured model) on the training window.
+
+    Each model's ``fit_<model>.json`` depends only on ``cfg`` and the
+    dataset, so fitting a subset writes the same bytes as fitting them all.
+    The fits run one after another in this process: tests, sweep workers
+    and traced runs call this function directly, and a pool inside it would
+    nest in the sweep's workers and hide the fits from an in-process tracer.
+    :func:`run_learn_split` is the two-process form the CLI uses.
+    """
+    models = cfg.models if models is None else tuple(models)
+    unknown = [m for m in models if m not in cfg.models]
+    if unknown:
+        raise ConfigurationError(
+            f"models {unknown} are not among the configured {list(cfg.models)}")
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     curves, metadata = _load_dataset(cfg, dataset_dir)
@@ -233,7 +247,7 @@ def run_learn(cfg: ExperimentConfig, dataset_dir=None) -> Path:
             fits[model] = fit(problem, start)
         return fits[model]
 
-    for model in cfg.models:
+    for model in models:
         with _stage(f"learn[{model}]"):
             if model == "mlp":
                 net = train_surrogate(
@@ -251,6 +265,26 @@ def run_learn(cfg: ExperimentConfig, dataset_dir=None) -> Path:
                           "training": training_block}
             _write_json(out / f"fit_{model}.json", cfg, record)
     return out
+
+
+def run_learn_split(cfg: ExperimentConfig) -> Path:
+    """:func:`run_learn` with the MLP trained in a second process.
+
+    The MLP shares nothing with the PDE fits, so one worker trains it while
+    this process fits the PDE models, each writing its own fit file from the
+    same ``cfg``.  With only one of the two groups configured no worker
+    starts.  The worker is forked, so it inherits the imported package
+    instead of importing it again.
+    """
+    pde = tuple(m for m in cfg.models if m != "mlp")
+    if not pde or "mlp" not in cfg.models:
+        return run_learn(cfg)
+    with ProcessPoolExecutor(max_workers=1,
+                             mp_context=get_context("fork")) as pool:
+        mlp = pool.submit(run_learn, cfg, None, ("mlp",))
+        run_learn(cfg, models=pde)
+        mlp.result()
+    return cfg.output_dir
 
 
 # --- predict --------------------------------------------------------------

@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from nonlocal_transport.baselines import (
     ClassicalParams,
     FractalParams,
     SurrogateNet,
+    _forward,
+    _normalize,
     dataset_arrays,
     fractal_kernel,
     init_surrogate,
@@ -136,6 +139,60 @@ def test_surrogate_training_is_deterministic():
         np.testing.assert_array_equal(wa, wb)
     for ba, bb in zip(net_a.biases, net_b.biases):
         np.testing.assert_array_equal(ba, bb)
+
+
+def reference_train_surrogate(curves, epochs, learning_rate, seed):
+    """Full-batch Adam with one update per parameter array, no shared buffer."""
+    inputs_raw, targets = dataset_arrays(curves)
+    x_range = (float(inputs_raw[:, 0].min()), float(inputs_raw[:, 0].max()))
+    t_range = (float(inputs_raw[:, 1].min()), float(inputs_raw[:, 1].max()))
+    net = init_surrogate(seed, x_range, t_range)
+    inputs = np.column_stack([_normalize(inputs_raw[:, 0], *x_range),
+                              _normalize(inputs_raw[:, 1], *t_range)])
+    y = targets[:, None]
+    n = inputs.shape[0]
+    params = [w.copy() for w in net.weights] + [b.copy() for b in net.biases]
+    n_layers = len(net.weights)
+    moment1 = [np.zeros_like(p) for p in params]
+    moment2 = [np.zeros_like(p) for p in params]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    for step in range(1, epochs + 1):
+        weights = params[:n_layers]
+        out, z_out, activations = _forward(weights, params[n_layers:], inputs)
+        delta = (2.0 / n) * (out - y) * expit(z_out)
+        grads_w = [None] * n_layers
+        grads_b = [None] * n_layers
+        grads_w[-1] = activations[-1].T @ delta
+        grads_b[-1] = delta.sum(axis=0)
+        back = delta @ weights[-1].T
+        for layer in range(n_layers - 2, -1, -1):
+            back = back * (1.0 - activations[layer + 1] ** 2)
+            grads_w[layer] = activations[layer].T @ back
+            grads_b[layer] = back.sum(axis=0)
+            if layer:
+                back = back @ weights[layer].T
+        for i, g in enumerate(grads_w + grads_b):
+            moment1[i] = beta1 * moment1[i] + (1 - beta1) * g
+            moment2[i] = beta2 * moment2[i] + (1 - beta2) * g ** 2
+            m_hat = moment1[i] / (1 - beta1 ** step)
+            v_hat = moment2[i] / (1 - beta2 ** step)
+            params[i] = params[i] - learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    return params[:n_layers], params[n_layers:]
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_flat_adam_matches_per_array_reference(seed):
+    times = np.arange(1, 41) * 0.3
+    rng = np.random.default_rng(seed)
+    data = [BreakthroughCurve(location=x, times=times,
+                              values=rng.uniform(0, 1, times.size))
+            for x in (0.5, 1.1, 2.0)]
+    net = train_surrogate(data, epochs=300, learning_rate=1e-2, seed=seed)
+    weights, biases = reference_train_surrogate(data, 300, 1e-2, seed)
+    assert len(net.weights) == len(weights)
+    for got, want in zip(net.weights + net.biases, weights + biases):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
 
 
 def test_surrogate_json_round_trip(tmp_path):

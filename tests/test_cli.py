@@ -1,14 +1,16 @@
 """End-to-end command-line runs on a miniature experiment."""
 
 import json
+import multiprocessing
+import os
 import shutil
 
 import pytest
 import yaml
 
-from nonlocal_transport import cli
-from nonlocal_transport.config import SCHEMA_ID
-from nonlocal_transport.errors import NumericalError
+from nonlocal_transport import cli, experiment
+from nonlocal_transport.config import SCHEMA_ID, load_config
+from nonlocal_transport.errors import ConfigurationError, NumericalError
 
 
 def tiny_config(out_dir):
@@ -118,7 +120,8 @@ def test_rerun_is_byte_identical(pipeline, tmp_path):
     path, out = pipeline
     before = {name: (out / name).read_bytes()
               for name in ("dataset.csv", "msd_fine.csv", "mse_table.csv",
-                           "fit_nonlocal.json")}
+                           "fit_nonlocal.json", "fit_classical.json",
+                           "fit_mlp.json")}
     for command in ("generate", "learn", "predict"):
         assert cli.main([command, "--config", str(path)]) == 0
     for name, blob in before.items():
@@ -154,6 +157,130 @@ def test_model_override_restricts(pipeline, tmp_path):
                      "--out", str(target), "--model", "classical"]) == 0
     assert (target / "fit_classical.json").exists()
     assert not (target / "fit_nonlocal.json").exists()
+
+
+def fresh_dataset(out, target):
+    """Copy the generated dataset of ``out`` into ``target``, without fits."""
+    target.mkdir()
+    for name in ("dataset.csv", "dataset.csv.json"):
+        shutil.copy(out / name, target / name)
+
+
+def fit_files(directory):
+    return {p.name: p.read_bytes()
+            for p in sorted(directory.glob("fit_*.json"))}
+
+
+def record_pids(monkeypatch, log):
+    """Log which process runs each MLP training and each PDE fit."""
+    train_surrogate, fit = experiment.train_surrogate, experiment.fit
+
+    def logged(label, func):
+        def wrapper(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{label} {os.getpid()}\n")
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(experiment, "train_surrogate",
+                        logged("mlp", train_surrogate))
+    monkeypatch.setattr(experiment, "fit", logged("pde", fit))
+
+
+def pids_by_label(log):
+    pids = {}
+    for line in log.read_text().splitlines():
+        label, pid = line.split()
+        pids.setdefault(label, set()).add(int(pid))
+    return pids
+
+
+def test_two_process_learn_equals_one_process_learn(pipeline, tmp_path):
+    path, out = pipeline
+    target = tmp_path / "split"
+    fresh_dataset(out, target)
+    assert cli.main(["learn", "--config", str(path),
+                     "--out", str(target)]) == 0
+    split = fit_files(target)
+    assert set(split) == {"fit_nonlocal.json", "fit_classical.json",
+                          "fit_mlp.json"}
+    for name in split:
+        (target / name).unlink()
+    experiment.run_learn(load_config(path, {"out": str(target)}))
+    assert fit_files(target) == split
+
+
+def test_learn_trains_mlp_in_a_second_process(pipeline, tmp_path,
+                                              monkeypatch):
+    path, out = pipeline
+    target = tmp_path / "pids"
+    fresh_dataset(out, target)
+    log = tmp_path / "pids.log"
+    record_pids(monkeypatch, log)
+    assert cli.main(["learn", "--config", str(path),
+                     "--out", str(target)]) == 0
+    pids = pids_by_label(log)
+    assert pids["pde"] == {os.getpid()}
+    assert len(pids["mlp"]) == 1 and os.getpid() not in pids["mlp"]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("model", ["mlp", "classical"])
+def test_single_group_learn_starts_no_worker(pipeline, tmp_path, monkeypatch,
+                                             model):
+    path, out = pipeline
+    target = tmp_path / model
+    fresh_dataset(out, target)
+    log = tmp_path / "pids.log"
+    record_pids(monkeypatch, log)
+    assert cli.main(["learn", "--config", str(path), "--out", str(target),
+                     "--model", model]) == 0
+    assert set(fit_files(target)) == {f"fit_{model}.json"}
+    assert set().union(*pids_by_label(log).values()) == {os.getpid()}
+
+
+def test_run_learn_rejects_unconfigured_model(pipeline, tmp_path):
+    path, out = pipeline
+    target = tmp_path / "subset"
+    fresh_dataset(out, target)
+    cfg = load_config(path, {"out": str(target)})
+    with pytest.raises(ConfigurationError, match="fractal"):
+        experiment.run_learn(cfg, models=("classical", "fractal"))
+    assert fit_files(target) == {}
+    experiment.run_learn(cfg, models=("classical",))
+    assert set(fit_files(target)) == {"fit_classical.json"}
+
+
+def test_mlp_worker_error_exits_3(pipeline, tmp_path, monkeypatch, capsys):
+    path, out = pipeline
+    target = tmp_path / "mlp_error"
+    fresh_dataset(out, target)
+
+    def boom(*args, **kwargs):
+        raise NumericalError("synthetic MLP failure")
+
+    monkeypatch.setattr(experiment, "train_surrogate", boom)
+    assert cli.main(["learn", "--config", str(path),
+                     "--out", str(target)]) == 3
+    err = capsys.readouterr().err
+    assert "learn[mlp]" in err and "synthetic MLP failure" in err
+    assert multiprocessing.active_children() == []
+
+
+def test_pde_fit_error_exits_3(pipeline, tmp_path, monkeypatch, capsys):
+    path, out = pipeline
+    target = tmp_path / "pde_error"
+    fresh_dataset(out, target)
+
+    def boom(*args, **kwargs):
+        raise NumericalError("synthetic fit failure")
+
+    monkeypatch.setattr(experiment, "fit", boom)
+    assert cli.main(["learn", "--config", str(path),
+                     "--out", str(target)]) == 3
+    err = capsys.readouterr().err
+    assert "learn[nonlocal]" in err and "synthetic fit failure" in err
+    assert multiprocessing.active_children() == []
 
 
 def test_missing_config_exits_2(capsys):
