@@ -27,7 +27,7 @@ from .coarsen import (
     write_table,
 )
 from .config import ExperimentConfig, load_config
-from .darcy import solve_medium, solve_unit_cell
+from .darcy import max_relative_divergence, solve_medium, solve_unit_cell
 from .errors import ArtifactError, ConfigurationError, NumericalError
 from .learning import LearningProblem, fit, warm_start_raw
 from .nonlocal_diffusion import (
@@ -38,6 +38,10 @@ from .tracking import (
 )
 
 PDE_MODELS = ("nonlocal", "fractal", "classical")
+
+#: Largest per-cell Darcy divergence, relative to the mean face flux, that
+#: ``generate`` accepts.
+MAX_RELATIVE_DIVERGENCE = 1e-9
 
 
 @contextmanager
@@ -61,6 +65,42 @@ def _write_json(path: Path, cfg: ExperimentConfig, record: dict) -> None:
 # --- generate -------------------------------------------------------------
 
 
+def _check_status(ensemble, stats, num_particles: int) -> None:
+    """Active, exited and stagnant particles add up at every snapshot.
+
+    Active particles are counted on their own here, not as the remainder
+    ``status_counts`` takes, so a particle with a NaN time fails the sum.
+    """
+    settled = np.minimum(ensemble.exit_time, ensemble.stagnant_time)
+    n_active = np.array([np.count_nonzero(settled > t) for t in stats.times])
+    total = n_active + stats.n_exited + stats.n_stagnant
+    bad = np.flatnonzero(total != num_particles)
+    if bad.size:
+        j = bad[0]
+        raise NumericalError(
+            f"{total[j]} active, exited and stagnant particles at "
+            f"t = {stats.times[j]:g}, not {num_particles}")
+
+
+def _check_coarse(coarse, spec) -> None:
+    """Nonnegative density and no more than the injected unit mass.
+
+    Windows starting at cells 0, m, 2m, ... tile the domain (the last one
+    clipped at the outlet), so their masses add up to the in-domain mass.
+    """
+    if not coarse.values.min() >= 0.0:
+        raise NumericalError(
+            f"coarse density has negative value {coarse.values.min():.3g}")
+    starts = np.arange(0, coarse.num_cells, coarse.smoothing_cells)
+    widths = np.minimum(coarse.smoothing_cells, coarse.num_cells - starts)
+    mass = ((coarse.values[starts] * widths[:, None]).sum(axis=0)
+            * spec.cell_width * spec.layer_height)
+    if not mass.max() <= 1.0 + 1e-12:
+        raise NumericalError(
+            f"coarse density retains mass {mass.max():.17g}, above the "
+            "injected unit mass")
+
+
 def run_generate(cfg: ExperimentConfig) -> Path:
     """Flow solve, particle tracking and coarse-graining; writes the dataset."""
     out = cfg.output_dir
@@ -72,15 +112,22 @@ def run_generate(cfg: ExperimentConfig) -> Path:
         cell_flow = solve_unit_cell(
             spec, cfg.grid_nx // spec.num_cells, cfg.grid_ny)
         adv = effective_advection(spec, cell_flow)
+        divergence = max_relative_divergence(flow)
+        if not divergence <= MAX_RELATIVE_DIVERGENCE:
+            raise NumericalError(
+                f"Darcy flow has relative divergence {divergence:.3g}, above "
+                f"{MAX_RELATIVE_DIVERGENCE:g}")
 
     with _stage("tracking"):
         tracking_cfg = cfg.tracking_config()
         positions = inject(flow, tracking_cfg, spec.num_cells)
         ensemble = track(flow, positions, tracking_cfg)
         stats = displacement_stats(ensemble)
+        _check_status(ensemble, stats, cfg.num_particles)
 
     with _stage("coarsening"):
         coarse = coarse_from_ensemble(ensemble, spec, cfg.window_cells)
+        _check_coarse(coarse, spec)
         v_measured = linear_slope(stats.times, stats.mean_x)
         v_bar = {"measured": v_measured,
                  "homogenized": adv.v_bar_rescaled,

@@ -9,12 +9,15 @@ recorded, never how the trajectory is integrated.
 
 from __future__ import annotations
 
+import mmap
+import os
 from dataclasses import dataclass
+from multiprocessing import get_context
 
 import numpy as np
 
 from .darcy import FlowField
-from .errors import ConfigurationError, InjectionError
+from .errors import ConfigurationError, InjectionError, NumericalError
 
 #: Fraction of the mean face speed below which a particle is considered
 #: motionless along an axis; protects the exit-time formulas from division
@@ -219,17 +222,75 @@ def track(flow: FlowField, positions, cfg: TrackingConfig) -> ParticleEnsemble:
     positions bit for bit at shared times.  Particles reaching the outlet
     plane x = length_x are frozen there; particles entering a cell whose face
     speeds all sit below the stagnation floor are frozen where they are.
+
+    The ensemble is cut into one contiguous block of particles per CPU this
+    process may run on.  This process tracks the first block and a forked
+    worker tracks each other one, all writing into one shared anonymous
+    mapping that backs the returned arrays, so no result is copied.  Every
+    operation of the tracker is elementwise per particle (batch-wide tests
+    only choose a code path), so a block gives the same bits as the whole
+    ensemble would.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise ConfigurationError("positions must have shape (n, 2)")
+    if np.any((pos[:, 0] < 0) | (pos[:, 0] > flow.length_x)
+              | (pos[:, 1] < 0) | (pos[:, 1] > flow.length_y)):
+        raise ConfigurationError("initial positions outside the flow domain")
+
+    n = pos.shape[0]
+    times = cfg.snapshot_times
+    size = len(times) * n * 2
+    count = size + 2 * n
+    shared = np.frombuffer(mmap.mmap(-1, 8 * max(count, 1)), dtype=float,
+                           count=count)
+    out = shared[:size].reshape(len(times), n, 2)
+    exit_time, stagnant_time = shared[size:].reshape(2, n)
+    # a particle no block tracked keeps NaN times and fails the status count
+    shared[size:] = np.nan
+    k = max(1, min(len(os.sched_getaffinity(0)), n))
+    bounds = [n * b // k for b in range(k + 1)]
+    blocks = [(flow, pos[lo:hi], times, out[:, lo:hi], exit_time[lo:hi],
+               stagnant_time[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    workers = [get_context("fork").Process(target=_track_block, args=block)
+               for block in blocks[1:]]
+    started = []
+    try:
+        for worker in workers:
+            worker.start()
+            started.append(worker)
+        _track_block(*blocks[0])
+    except BaseException:
+        for worker in started:
+            worker.terminate()
+        raise
+    finally:
+        for worker in started:
+            worker.join()
+    for b, worker in enumerate(workers, start=2):
+        if worker.exitcode != 0:
+            raise NumericalError(
+                f"tracking block {b} of {k} (particles {bounds[b - 1]} to "
+                f"{bounds[b] - 1}) exited with code {worker.exitcode}")
+
+    return ParticleEnsemble(
+        snapshot_times=times, positions=out,
+        exit_time=exit_time, stagnant_time=stagnant_time,
+        length_x=flow.length_x, length_y=flow.length_y,
+    )
+
+
+def _track_block(flow: FlowField, pos, times, out, exit_time,
+                 stagnant_time) -> None:
+    """Track the particles starting at ``pos`` into the given output views.
+
+    ``out`` is (snapshots x particles x 2); row 0 is the injected positions
+    themselves, not re-evaluated from a cell origin.
+    """
     n = pos.shape[0]
     nx, ny = flow.grid_nx, flow.grid_ny
     dx, dy = flow.dx, flow.dy
-    length_x, length_y = flow.length_x, flow.length_y
-    if np.any((pos[:, 0] < 0) | (pos[:, 0] > length_x)
-              | (pos[:, 1] < 0) | (pos[:, 1] > length_y)):
-        raise ConfigurationError("initial positions outside the flow domain")
+    length_x = flow.length_x
 
     fvx, fvy = flow.face_velocity_x, flow.face_velocity_y
     mean_speed = 0.5 * (np.mean(np.abs(fvx)) + np.mean(np.abs(fvy)))
@@ -255,8 +316,8 @@ def track(flow: FlowField, positions, cfg: TrackingConfig) -> ParticleEnsemble:
     # particles that left the outlet or stalled keep these positions
     active = np.ones(n, dtype=bool)
     frozen = np.empty((n, 2))
-    exit_time = np.full(n, np.inf)
-    stagnant_time = np.full(n, np.inf)
+    exit_time.fill(np.inf)
+    stagnant_time.fill(np.inf)
 
     def freeze(idx, x, y):
         active[idx] = False
@@ -319,8 +380,6 @@ def track(flow: FlowField, positions, cfg: TrackingConfig) -> ParticleEnsemble:
     compute_transit(np.arange(n), pos[:, 0].copy(), pos[:, 1].copy(),
                     np.zeros(n), start_ix, start_iy)
 
-    times = cfg.snapshot_times
-    out = np.empty((len(times), n, 2))
     for j, ts in enumerate(times):
         due = np.flatnonzero(t_seg_end <= ts)
         while due.size:
@@ -354,12 +413,7 @@ def track(flow: FlowField, positions, cfg: TrackingConfig) -> ParticleEnsemble:
         yr += seg_oy[live]
         out[j, live, 0] = xr
         out[j, live, 1] = yr
-
-    return ParticleEnsemble(
-        snapshot_times=times, positions=out,
-        exit_time=exit_time, stagnant_time=stagnant_time,
-        length_x=length_x, length_y=length_y,
-    )
+    out[0] = pos
 
 
 def displacement_stats(ensemble: ParticleEnsemble) -> DisplacementStats:

@@ -1,6 +1,8 @@
 """End-to-end command-line runs on a miniature experiment."""
 
+import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import shutil
@@ -8,7 +10,7 @@ import shutil
 import pytest
 import yaml
 
-from nonlocal_transport import cli, experiment
+from nonlocal_transport import cli, experiment, tracking
 from nonlocal_transport.config import SCHEMA_ID, load_config
 from nonlocal_transport.errors import ConfigurationError, NumericalError
 
@@ -281,6 +283,66 @@ def test_pde_fit_error_exits_3(pipeline, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "learn[nonlocal]" in err and "synthetic fit failure" in err
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("worker_block, message", [
+    (lambda *args: os._exit(1), "block 2 of 2"),
+    (lambda *args: None, "not 800"),    # leaves its particles' times NaN
+], ids=["worker-exits-1", "worker-writes-nothing"])
+def test_tracking_worker_failure_exits_3(pipeline, tmp_path, monkeypatch,
+                                         capsys, worker_block, message):
+    path, _ = pipeline
+    target = tmp_path / "tracking_error"
+    parent, track_block = os.getpid(), tracking._track_block
+
+    def block(*args):
+        if os.getpid() == parent:
+            return track_block(*args)
+        return worker_block(*args)
+
+    monkeypatch.setattr(tracking, "_track_block", block)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert cli.main(["generate", "--config", str(path),
+                     "--out", str(target)]) == 3
+    err = capsys.readouterr().err
+    assert "stage 'tracking'" in err and message in err
+    assert not (target / "dataset.csv").exists()
+    assert multiprocessing.active_children() == []
+
+
+def negate_coarse(coarse):
+    return dataclasses.replace(coarse, values=-coarse.values)
+
+
+def double_coarse(coarse):
+    return dataclasses.replace(coarse, values=2.0 * coarse.values)
+
+
+def nan_exit_time(ensemble):
+    ensemble.exit_time[0] = math.nan
+    return ensemble
+
+
+@pytest.mark.parametrize("target, corrupt, stage, message", [
+    ("max_relative_divergence", lambda _: 2e-9, "flow",
+     "relative divergence 2e-09"),
+    ("track", nan_exit_time, "tracking",
+     "active, exited and stagnant particles"),
+    ("coarse_from_ensemble", negate_coarse, "coarsening", "negative value"),
+    ("coarse_from_ensemble", double_coarse, "coarsening", "retains mass"),
+], ids=["divergence", "status", "negative", "mass"])
+def test_generate_checks_invariants(pipeline, tmp_path, monkeypatch, capsys,
+                                    target, corrupt, stage, message):
+    path, _ = pipeline
+    out = tmp_path / "checked"
+    func = getattr(experiment, target)
+    monkeypatch.setattr(experiment, target,
+                        lambda *args: corrupt(func(*args)))
+    assert cli.main(["generate", "--config", str(path),
+                     "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"stage '{stage}'" in err and message in err
+    assert sorted(out.iterdir()) == []
 
 
 def test_missing_config_exits_2(capsys):

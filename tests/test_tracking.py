@@ -1,6 +1,9 @@
 """Tests for semi-analytical particle tracking and ensemble statistics."""
 
 import math
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -8,8 +11,11 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 from nonlocal_transport.coarsen import coarse_from_ensemble, read_table, write_table
+from nonlocal_transport import tracking
 from nonlocal_transport.darcy import FlowField, solve_medium
-from nonlocal_transport.errors import ConfigurationError, InjectionError
+from nonlocal_transport.errors import (
+    ConfigurationError, InjectionError, NumericalError,
+)
 from nonlocal_transport.medium import MediumSpec, inclusion_mask
 from nonlocal_transport.tracking import (
     DisplacementStats,
@@ -199,12 +205,15 @@ def random_flow(nx=6, ny=5, dx=0.3, dy=0.2, seed=0):
                      head=np.zeros((nx, ny)))
 
 
-def assert_matches_reference(flow, start, cfg):
+def assert_matches_reference(flow, start, cfg, from_row=0):
+    """Bit-for-bit agreement with the oracle from snapshot ``from_row`` on."""
     ens = track(flow, start, cfg)
     ref = reference_track(flow, start, cfg)
     np.testing.assert_array_equal(ens.snapshot_times, ref.snapshot_times)
     for name in ("positions", "exit_time", "stagnant_time"):
         got, want = getattr(ens, name), getattr(ref, name)
+        if name == "positions":
+            got, want = got[from_row:], want[from_row:]
         np.testing.assert_array_equal(got, want)
         assert got.tobytes() == want.tobytes(), name   # signed zeros too
     return ens
@@ -250,27 +259,170 @@ def test_track_matches_reference_from_faces(small_hetero):
     start[:, 1] = np.minimum(start[:, 1], flow.length_y)
     cfg = TrackingConfig(injection_cell=1, num_particles=len(start), dt=0.5,
                          t_end=15.0, rng_seed=0)
-    ens = assert_matches_reference(flow, start, cfg)
-    # particles moving away from their face cross it at t = 0 and are
-    # recorded from the neighbouring cell, which moves them by rounding
-    assert 0 < np.any(ens.positions[0] != start, axis=1).sum() < len(start) // 10
+    ens = assert_matches_reference(flow, start, cfg, from_row=1)
+    # t = 0 is the injected array itself, while the oracle evaluates it
+    # from the cell a particle moves into at t = 0, which moves particles
+    # leaving their face by rounding
+    assert ens.positions[0].tobytes() == start.tobytes()
+    oracle_start = reference_track(flow, start, cfg).positions[0]
+    assert 0 < np.any(oracle_start != start, axis=1).sum() < len(start) // 10
+
+
+def random_start(flow, n, seed):
+    """Uniform starts in the domain, the first 20 on x-faces, the next 20
+    on y-faces."""
+    rng = np.random.default_rng(seed)
+    start = np.column_stack([rng.uniform(0.0, flow.length_x, n),
+                             rng.uniform(0.0, flow.length_y, n)])
+    start[:20, 0] = np.arange(20) % (flow.grid_nx + 1) * flow.dx   # on x-faces
+    start[20:40, 1] = np.arange(20) % (flow.grid_ny + 1) * flow.dy
+    return np.minimum(start, [flow.length_x, flow.length_y])
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_track_matches_reference_in_random_field(seed):
     flow = random_flow(seed=seed)
     n = 300
-    rng = np.random.default_rng(seed)
-    start = np.column_stack([rng.uniform(0.0, flow.length_x, n),
-                             rng.uniform(0.0, flow.length_y, n)])
-    start[:20, 0] = np.arange(20) % (flow.grid_nx + 1) * flow.dx   # on x-faces
-    start[20:40, 1] = np.arange(20) % (flow.grid_ny + 1) * flow.dy
-    start = np.minimum(start, [flow.length_x, flow.length_y])
+    start = random_start(flow, n, seed)
     cfg = TrackingConfig(injection_cell=1, num_particles=n, dt=0.05, t_end=3.0,
                          rng_seed=0)
     ens = assert_matches_reference(flow, start, cfg)
     assert np.isfinite(ens.stagnant_time).any()
     assert np.isfinite(ens.exit_time).any()
+
+
+def separable_case(name, small_hetero):
+    """(flow, start, cfg) with exits, stalls or face starts."""
+    if name == "hetero":
+        spec, flow = small_hetero
+        cfg = TrackingConfig(injection_cell=1, num_particles=300, dt=0.5,
+                             t_end=30.0, rng_seed=23)
+        return flow, inject(flow, cfg, spec.num_cells), cfg
+    if name == "stagnant":
+        start = np.array([[0.0, 0.5], [0.2, 0.1], [0.69, 0.9], [0.35, 0.0]])
+        cfg = TrackingConfig(injection_cell=1, num_particles=4, dt=0.1,
+                             t_end=1.0, rng_seed=0)
+        return single_cell_flow(1.0, 0.0), start, cfg
+    seed = int(name.removeprefix("random"))
+    flow = random_flow(seed=seed)
+    cfg = TrackingConfig(injection_cell=1, num_particles=200, dt=0.05,
+                         t_end=3.0, rng_seed=0)
+    return flow, random_start(flow, 200, seed), cfg
+
+
+@pytest.mark.parametrize("case", ["hetero", "stagnant", "random0", "random1",
+                                  "random3"])
+def test_track_is_separable(case, small_hetero):
+    # the property that lets track split the ensemble into blocks: any
+    # prefix and suffix, tracked apart, give the whole ensemble's bits
+    flow, start, cfg = separable_case(case, small_hetero)
+    whole = track(flow, start, cfg)
+    assert (np.isfinite(whole.exit_time).any()
+            or np.isfinite(whole.stagnant_time).any())
+    n = len(start)
+    for k in sorted({1, n // 3, n // 2 + 1, n - 1}):
+        head, tail = track(flow, start[:k], cfg), track(flow, start[k:], cfg)
+        for name, axis in (("positions", 1), ("exit_time", 0),
+                           ("stagnant_time", 0)):
+            joined = np.concatenate([getattr(head, name), getattr(tail, name)],
+                                    axis=axis)
+            assert joined.tobytes() == getattr(whole, name).tobytes(), (name, k)
+
+
+def log_blocks(monkeypatch, log):
+    """Log the process and particle count of every tracked block."""
+    track_block = tracking._track_block
+
+    def logged(flow, pos, *args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {len(pos)}\n")
+        return track_block(flow, pos, *args)
+
+    monkeypatch.setattr(tracking, "_track_block", logged)
+
+
+def logged_blocks(log):
+    return [tuple(map(int, line.split()))
+            for line in log.read_text().splitlines()]
+
+
+def set_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+@pytest.mark.parametrize("cpus", [None, 3], ids=["this-host", "3-cpus"])
+def test_track_runs_one_block_per_cpu(small_hetero, tmp_path, monkeypatch,
+                                      cpus):
+    spec, flow = small_hetero
+    cfg = TrackingConfig(injection_cell=1, num_particles=200, dt=0.5,
+                         t_end=10.0, rng_seed=5)
+    start = inject(flow, cfg, spec.num_cells)
+    cpus = cpus or len(os.sched_getaffinity(0))
+    set_cpus(monkeypatch, 1)
+    alone = track(flow, start, cfg)
+    set_cpus(monkeypatch, cpus)
+    log = tmp_path / "blocks.log"
+    log_blocks(monkeypatch, log)
+    ens = track(flow, start, cfg)
+    blocks = logged_blocks(log)
+    assert len({pid for pid, _ in blocks}) == len(blocks) == min(cpus, 200)
+    assert os.getpid() in {pid for pid, _ in blocks}
+    sizes = sorted(size for _, size in blocks)
+    assert sum(sizes) == 200 and sizes[-1] - sizes[0] <= 1
+    for name in ("positions", "exit_time", "stagnant_time"):
+        assert getattr(ens, name).tobytes() == getattr(alone, name).tobytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_single_particle_starts_no_worker(small_hetero, tmp_path, monkeypatch):
+    _, flow = small_hetero
+    cfg = TrackingConfig(injection_cell=1, num_particles=1, dt=0.5, t_end=5.0,
+                         rng_seed=0)
+    log = tmp_path / "blocks.log"
+    log_blocks(monkeypatch, log)
+    track(flow, np.array([[0.1, 0.5]]), cfg)
+    assert logged_blocks(log) == [(os.getpid(), 1)]
+    assert multiprocessing.active_children() == []
+
+
+def test_failed_worker_raises_numerical_error(small_hetero, monkeypatch):
+    spec, flow = small_hetero
+    cfg = TrackingConfig(injection_cell=1, num_particles=50, dt=0.5, t_end=5.0,
+                         rng_seed=0)
+    start = inject(flow, cfg, spec.num_cells)
+    parent, track_block = os.getpid(), tracking._track_block
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return track_block(*args)
+
+    monkeypatch.setattr(tracking, "_track_block", dying)
+    set_cpus(monkeypatch, 2)
+    with pytest.raises(NumericalError, match="block 2 of 2.*code 1"):
+        track(flow, start, cfg)
+    assert multiprocessing.active_children() == []
+
+
+def test_failed_own_block_stops_the_workers(small_hetero, monkeypatch):
+    spec, flow = small_hetero
+    cfg = TrackingConfig(injection_cell=1, num_particles=50, dt=0.5, t_end=5.0,
+                         rng_seed=0)
+    start = inject(flow, cfg, spec.num_cells)
+    parent = os.getpid()
+
+    def stuck_or_failing(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise NumericalError("synthetic block failure")
+
+    monkeypatch.setattr(tracking, "_track_block", stuck_or_failing)
+    set_cpus(monkeypatch, 2)
+    began = time.perf_counter()
+    with pytest.raises(NumericalError, match="synthetic block failure"):
+        track(flow, start, cfg)
+    assert time.perf_counter() - began < 30.0
+    assert multiprocessing.active_children() == []
 
 
 def test_tracking_deterministic(small_hetero):
