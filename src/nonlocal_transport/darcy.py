@@ -65,14 +65,16 @@ def _harmonic_face_transmissibility(
 def solve_darcy(
     conductivity: NDArray[np.float64],
     spec: MediumSpec,
-    direct_max_unknowns: int = DIRECT_SOLVER_MAX_UNKNOWNS,
+    direct_max_unknowns: int | None = None,
 ) -> FlowField:
     """Solve div(kappa grad h) = 0 and return heads and face velocities.
 
     Boundary conditions: h = ``spec.head_left`` on the left boundary,
     h = 0 on the right, no flow through top and bottom.  Dirichlet faces
     use half-cell transmissibilities, so a homogeneous medium reproduces
-    the linear head profile exactly.
+    the linear head profile exactly.  Grids of more than
+    ``direct_max_unknowns`` cells (default ``DIRECT_SOLVER_MAX_UNKNOWNS``,
+    read at call time) are solved by CG instead of a direct factorization.
 
     Raises
     ------
@@ -136,6 +138,8 @@ def solve_darcy(
     b[0, :] = t_left * h_left
     b = b.ravel()
 
+    if direct_max_unknowns is None:
+        direct_max_unknowns = DIRECT_SOLVER_MAX_UNKNOWNS
     if n <= direct_max_unknowns:
         h = spla.spsolve(A.tocsc(), b)
     else:

@@ -226,10 +226,11 @@ def track(flow: FlowField, positions, cfg: TrackingConfig) -> ParticleEnsemble:
     The ensemble is cut into one contiguous block of particles per CPU this
     process may run on.  This process tracks the first block and a forked
     worker tracks each other one, all writing into one shared anonymous
-    mapping that backs the returned arrays, so no result is copied.  Every
-    operation of the tracker is elementwise per particle (batch-wide tests
-    only choose a code path), so a block gives the same bits as the whole
-    ensemble would.
+    mapping that backs the returned arrays, so no result is copied.  The
+    per-cell velocity tables are built once before the fork and shared
+    copy-on-write.  Every operation of the tracker is elementwise per
+    particle (batch-wide tests only choose a code path), so a block gives the
+    same bits as the whole ensemble would.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 2:
@@ -239,6 +240,7 @@ def track(flow: FlowField, positions, cfg: TrackingConfig) -> ParticleEnsemble:
         raise ConfigurationError("initial positions outside the flow domain")
 
     n = pos.shape[0]
+    cells = _CellTables.of(flow)
     times = cfg.snapshot_times
     size = len(times) * n * 2
     count = size + 2 * n
@@ -248,9 +250,9 @@ def track(flow: FlowField, positions, cfg: TrackingConfig) -> ParticleEnsemble:
     exit_time, stagnant_time = shared[size:].reshape(2, n)
     # a particle no block tracked keeps NaN times and fails the status count
     shared[size:] = np.nan
-    k = max(1, min(len(os.sched_getaffinity(0)), n))
+    k = max(1, min(_usable_cpus(), n))
     bounds = [n * b // k for b in range(k + 1)]
-    blocks = [(flow, pos[lo:hi], times, out[:, lo:hi], exit_time[lo:hi],
+    blocks = [(cells, pos[lo:hi], times, out[:, lo:hi], exit_time[lo:hi],
                stagnant_time[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     workers = [get_context("fork").Process(target=_track_block, args=block)
                for block in blocks[1:]]
@@ -280,7 +282,39 @@ def track(flow: FlowField, positions, cfg: TrackingConfig) -> ParticleEnsemble:
     )
 
 
-def _track_block(flow: FlowField, pos, times, out, exit_time,
+def _usable_cpus() -> int:
+    """CPUs this process may run on; every CPU where affinity is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+@dataclass(frozen=True)
+class _CellTables:
+    """Per-cell face velocities and gradients, indexed by ix * ny + iy."""
+
+    flow: FlowField
+    v_floor: float
+    vx_lo: np.ndarray
+    vx_hi: np.ndarray
+    vy_lo: np.ndarray
+    vy_hi: np.ndarray
+    ax: np.ndarray
+    ay: np.ndarray
+
+    @classmethod
+    def of(cls, flow: FlowField) -> "_CellTables":
+        fvx, fvy = flow.face_velocity_x, flow.face_velocity_y
+        mean_speed = 0.5 * (np.mean(np.abs(fvx)) + np.mean(np.abs(fvy)))
+        vx_lo, vx_hi = fvx[:-1, :].ravel(), fvx[1:, :].ravel()
+        vy_lo, vy_hi = fvy[:, :-1].ravel(), fvy[:, 1:].ravel()
+        return cls(flow=flow, v_floor=STAGNATION_FLOOR_FRACTION * mean_speed,
+                   vx_lo=vx_lo, vx_hi=vx_hi, vy_lo=vy_lo, vy_hi=vy_hi,
+                   ax=(vx_hi - vx_lo) / flow.dx, ay=(vy_hi - vy_lo) / flow.dy)
+
+
+def _track_block(cells: _CellTables, pos, times, out, exit_time,
                  stagnant_time) -> None:
     """Track the particles starting at ``pos`` into the given output views.
 
@@ -288,18 +322,13 @@ def _track_block(flow: FlowField, pos, times, out, exit_time,
     themselves, not re-evaluated from a cell origin.
     """
     n = pos.shape[0]
+    flow = cells.flow
     nx, ny = flow.grid_nx, flow.grid_ny
     dx, dy = flow.dx, flow.dy
     length_x = flow.length_x
-
-    fvx, fvy = flow.face_velocity_x, flow.face_velocity_y
-    mean_speed = 0.5 * (np.mean(np.abs(fvx)) + np.mean(np.abs(fvy)))
-    v_floor = STAGNATION_FLOOR_FRACTION * mean_speed
-    # per-cell face velocities and gradients, indexed by ix * ny + iy
-    vx_lo, vx_hi = fvx[:-1, :].ravel(), fvx[1:, :].ravel()
-    vy_lo, vy_hi = fvy[:, :-1].ravel(), fvy[:, 1:].ravel()
-    ax_cell = (vx_hi - vx_lo) / dx
-    ay_cell = (vy_hi - vy_lo) / dy
+    v_floor = cells.v_floor
+    vx_lo, vx_hi, vy_lo, vy_hi = cells.vx_lo, cells.vx_hi, cells.vy_lo, cells.vy_hi
+    ax_cell, ay_cell = cells.ax, cells.ay
 
     # current transit of each particle: entry time, cell origin, entry
     # coordinates relative to it, entry velocity and velocity gradient

@@ -374,6 +374,42 @@ def test_track_runs_one_block_per_cpu(small_hetero, tmp_path, monkeypatch,
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("cpu_count, blocks", [(3, 3), (None, 1)])
+def test_track_without_affinity_counts_every_cpu(small_hetero, tmp_path,
+                                                 monkeypatch, cpu_count,
+                                                 blocks):
+    # hosts without sched_getaffinity use os.cpu_count(), which may be None
+    _, flow = small_hetero
+    cfg = TrackingConfig(injection_cell=1, num_particles=50, dt=0.5,
+                         t_end=5.0, rng_seed=0)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    log = tmp_path / "blocks.log"
+    log_blocks(monkeypatch, log)
+    track(flow, random_start(flow, 50, 0), cfg)
+    assert len(logged_blocks(log)) == blocks
+    assert multiprocessing.active_children() == []
+
+
+def test_cell_tables_built_once_before_the_fork(small_hetero, tmp_path,
+                                                monkeypatch):
+    _, flow = small_hetero
+    cfg = TrackingConfig(injection_cell=1, num_particles=50, dt=0.5,
+                         t_end=5.0, rng_seed=0)
+    log = tmp_path / "tables.log"
+    build = tracking._CellTables.of
+
+    def logged(flow):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return build(flow)
+
+    monkeypatch.setattr(tracking._CellTables, "of", logged)
+    set_cpus(monkeypatch, 3)
+    track(flow, random_start(flow, 50, 0), cfg)
+    assert log.read_text().split() == [str(os.getpid())]
+
+
 def test_single_particle_starts_no_worker(small_hetero, tmp_path, monkeypatch):
     _, flow = small_hetero
     cfg = TrackingConfig(injection_cell=1, num_particles=1, dt=0.5, t_end=5.0,
