@@ -181,24 +181,19 @@ def shift_frame(coarse: CoarseDensity, v_bar: float) -> CoarseDensity:
                          cell_width=coarse.cell_width)
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def write_table(path, header, rows, comments=()) -> None:
-    """Write ``#`` comment lines, a header and rows, every line ending in \\n."""
+    """Write ``#`` comment lines, a header and rows, every line ending in \\n.
+
+    Cells are written as the csv module writes them: floats (numpy's
+    included) in their shortest round-trip form, integers in decimal,
+    booleans as ``True``/``False``.
+    """
     with open(path, "w", newline="") as fh:
         for line in comments:
             fh.write(line + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_format_cell(v) for v in row] for row in rows)
+        writer.writerows(rows)
 
 
 def read_table(path) -> list[dict]:

@@ -105,9 +105,10 @@ def build_conductivity(
 ) -> NDArray[np.float64]:
     """Sample the conductivity field on a structured cell grid.
 
-    Each grid cell is classified by its center: inclusion conductivity if
-    the center lies inside the diamond, matrix conductivity otherwise.
-    The pattern repeats exactly every unit cell.
+    Each grid cell of the first unit cell is classified by its center:
+    inclusion conductivity if the center lies inside the diamond, matrix
+    conductivity otherwise.  The field is that unit cell tiled
+    ``num_cells`` times, so it repeats exactly every unit cell.
 
     Parameters
     ----------
@@ -127,12 +128,13 @@ def build_conductivity(
     if grid_ny < 2:
         raise ConfigurationError("grid_ny must be at least 2")
 
+    per_cell = grid_nx // spec.num_cells
     dx = spec.domain_length / grid_nx
     dy = spec.layer_height / grid_ny
-    xc = (np.arange(grid_nx) + 0.5) * dx
+    xc = (np.arange(per_cell) + 0.5) * dx
     yc = (np.arange(grid_ny) + 0.5) * dy
     xg, yg = np.meshgrid(xc, yc, indexing="ij")
 
-    cond = np.full((grid_nx, grid_ny), spec.kappa_matrix, dtype=float)
-    cond[inclusion_mask(spec, xg, yg)] = spec.kappa_inclusion
-    return cond
+    cell = np.full((per_cell, grid_ny), spec.kappa_matrix, dtype=float)
+    cell[inclusion_mask(spec, xg, yg)] = spec.kappa_inclusion
+    return np.tile(cell, (spec.num_cells, 1))

@@ -345,24 +345,26 @@ def test_generate_checks_invariants(pipeline, tmp_path, monkeypatch, capsys,
     assert sorted(out.iterdir()) == []
 
 
-def test_generate_accepts_a_cg_flow(pipeline, tmp_path, monkeypatch):
-    # CG stops on the residual norm and leaves a per-cell divergence above
-    # the direct path's 1e-9 bound (8.6e-9 on this grid); generate must
-    # still run, relying on solve_darcy's residual check
-    path, _ = pipeline
-    out = tmp_path / "cg"
-    monkeypatch.setattr(darcy, "DIRECT_SOLVER_MAX_UNKNOWNS", 0)
+def test_generate_gates_divergence_above_the_direct_solver_limit(
+        tmp_path, monkeypatch):
+    # 420k Darcy unknowns, more than the global direct solve takes (400k):
+    # the flow must still meet the run-time divergence bound
+    data = tiny_config(tmp_path / "out")
+    data["grid"] = {"nx": 4200, "ny": 100}
+    data["tracking"]["num_particles"] = 40
+    path = write_config(tmp_path, data)
     seen = []
 
     def divergence(flow):
-        seen.append(darcy.max_relative_divergence(flow))
-        return seen[-1]
+        seen.append((flow.head.size, darcy.max_relative_divergence(flow)))
+        return seen[-1][1]
 
     monkeypatch.setattr(experiment, "max_relative_divergence", divergence)
-    assert cli.main(["generate", "--config", str(path),
-                     "--out", str(out)]) == 0
-    assert seen[0] > experiment.MAX_RELATIVE_DIVERGENCE
-    assert (out / "dataset.csv").exists()
+    assert cli.main(["generate", "--config", str(path)]) == 0
+    [(unknowns, value)] = seen
+    assert unknowns > 400_000
+    assert value <= experiment.MAX_RELATIVE_DIVERGENCE
+    assert (tmp_path / "out" / "dataset.csv").exists()
 
 
 def test_missing_config_exits_2(capsys):

@@ -14,6 +14,7 @@ from nonlocal_transport.coarsen import (
     load_btc_dataset,
     save_btc_dataset,
     shift_frame,
+    write_table,
 )
 from nonlocal_transport.darcy import solve_medium, solve_unit_cell
 from nonlocal_transport.errors import (
@@ -365,3 +366,29 @@ def test_btc_dataset_missing_sidecar(tmp_path):
     path.write_text("location,t,value\n1.0,0.1,0.5\n")
     with pytest.raises(ArtifactError):
         load_btc_dataset(path)
+
+
+def format_cell(value) -> str:
+    """The table cell text the pipeline has always written."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def test_write_table_cells_keep_their_text(tmp_path):
+    cells = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 0.1,
+             np.float64(0.1), np.float64(-0.0), np.float64(1e16),
+             np.float64(5e-324), np.float64(math.nan), np.float64(1.0 / 3.0),
+             np.int64(7), np.int64(-3), np.bool_(True), np.bool_(False),
+             True, False, 12, "probe"]
+    header = [f"c{k}" for k in range(len(cells))]
+    path = tmp_path / "cells.csv"
+    write_table(path, header, [cells, cells[::-1]], ["# comment"])
+    expected = "\n".join(["# comment", ",".join(header),
+                          ",".join(map(format_cell, cells)),
+                          ",".join(map(format_cell, cells[::-1]))]) + "\n"
+    assert path.read_text() == expected

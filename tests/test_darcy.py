@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from nonlocal_transport.darcy import (
+    _harmonic_face_transmissibility,
+    _periodic_solver,
+    _strip_matrix,
     cell_center_velocity,
     max_relative_divergence,
     solve_darcy,
@@ -151,3 +155,55 @@ def test_cg_path_matches_direct():
     direct = solve_darcy(cond, spec)
     iterative = solve_darcy(cond, spec, direct_max_unknowns=10)
     assert np.max(np.abs(direct.head - iterative.head)) < 1e-7 * spec.head_left
+
+
+@pytest.mark.parametrize("num_cells", [1, 2, 3, 8])
+@pytest.mark.parametrize("per_cell", [1, 2, 5])
+@pytest.mark.parametrize("grid_ny", [2, 12])
+@pytest.mark.parametrize("inclusion_fraction", [0.8, 1.0])
+def test_substructured_solve_matches_global_solve(
+        num_cells, per_cell, grid_ny, inclusion_fraction):
+    spec = hetero_spec(num_cells=num_cells,
+                       inclusion_fraction=inclusion_fraction)
+    nx = num_cells * per_cell
+    flow = solve_medium(spec, nx, grid_ny)
+    reference = solve_darcy(build_conductivity(spec, nx, grid_ny), spec)
+    assert (np.max(np.abs(flow.head - reference.head))
+            <= 1e-9 * np.max(np.abs(reference.head)))
+    assert max_relative_divergence(flow) <= 1e-9
+
+
+def test_substructured_solve_above_the_direct_solver_limit():
+    # 420k unknowns: more than the global direct solve takes (400k), so
+    # solve_darcy would run CG here
+    spec = hetero_spec(num_cells=210)
+    flow = solve_medium(spec, grid_nx=4200, grid_ny=100)
+    assert flow.head.size > 400_000
+    assert max_relative_divergence(flow) <= 1e-9
+    assert flow.head.min() >= -1e-10
+    assert flow.head.max() <= spec.head_left + 1e-10
+
+
+@pytest.mark.parametrize("num_cells", [1, 2, 3, 5])
+@pytest.mark.parametrize("per_cell", [1, 2, 4])
+@pytest.mark.parametrize("grid_ny", [2, 7])
+def test_periodic_solver_solves_any_right_hand_side(
+        num_cells, per_cell, grid_ny):
+    # the refinement step hands the solver a residual that is nonzero in
+    # every block and cut, unlike the Dirichlet right-hand side
+    spec = hetero_spec(num_cells=num_cells, inclusion_fraction=0.8)
+    nx = num_cells * per_cell
+    cond = build_conductivity(spec, nx, grid_ny)
+    dx, dy = spec.domain_length / nx, spec.layer_height / grid_ny
+    t_left = 2.0 * cond[0] * dy / dx
+    t_right = 2.0 * cond[-1] * dy / dx
+    tx, ty = _harmonic_face_transmissibility(
+        np.concatenate([cond[:per_cell], cond[:1]]), dx, dy)
+    solve = _periodic_solver(tx, ty[:per_cell], t_left, t_right, num_cells)
+    rhs = np.random.default_rng(num_cells * per_cell).standard_normal(
+        (nx, grid_ny))
+    matrix = _strip_matrix(*_harmonic_face_transmissibility(cond, dx, dy),
+                           t_left, t_right)
+    expected = spla.spsolve(matrix.tocsc(), rhs.ravel()).reshape(nx, grid_ny)
+    np.testing.assert_allclose(solve(rhs), expected, rtol=0,
+                               atol=1e-10 * np.abs(expected).max())

@@ -91,3 +91,29 @@ def test_inclusion_mask_periodic(frac, x, y):
 def test_spec_dict_round_trip():
     spec = diamond_spec(inclusion_fraction=0.8)
     assert MediumSpec.from_dict(spec.to_dict()) == spec
+
+
+def classify_every_center(spec, grid_nx, grid_ny):
+    """The field as classified cell centre by cell centre over the whole grid."""
+    dx = spec.domain_length / grid_nx
+    dy = spec.layer_height / grid_ny
+    xg, yg = np.meshgrid((np.arange(grid_nx) + 0.5) * dx,
+                         (np.arange(grid_ny) + 0.5) * dy, indexing="ij")
+    cond = np.full((grid_nx, grid_ny), spec.kappa_matrix, dtype=float)
+    cond[inclusion_mask(spec, xg, yg)] = spec.kappa_inclusion
+    return cond
+
+
+@pytest.mark.parametrize("num_cells, grid_nx, grid_ny, head_left", [
+    (60, 600, 40, 13.0),        # configs/desk.yaml
+    (120, 2400, 80, 26.0),      # the transport-wide benchmark medium
+    (220, 22000, 200, 60.0),    # configs/full_scale.yaml
+], ids=["desk", "transport-wide", "full-scale"])
+def test_tiled_unit_cell_equals_per_center_classification(
+        num_cells, grid_nx, grid_ny, head_left):
+    spec = MediumSpec(kappa_matrix=1.0, kappa_inclusion=0.01, cell_width=L1,
+                      layer_height=1.0, num_cells=num_cells,
+                      head_left=head_left)
+    np.testing.assert_array_equal(
+        build_conductivity(spec, grid_nx, grid_ny),
+        classify_every_center(spec, grid_nx, grid_ny))
