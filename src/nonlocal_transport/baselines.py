@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigurationError
 from .nonlocal_diffusion import DynamicKernel, NonlocalSolution, solve
@@ -175,6 +174,8 @@ def train_surrogate(curves, *, epochs: int = 20_000, learning_rate: float = 1e-3
     and the gradients in a second one, so each Adam update is one pass of
     elementwise operations over every parameter.
     """
+    from scipy.special import expit
+
     inputs_raw, targets = dataset_arrays(curves)
     x_range = (float(inputs_raw[:, 0].min()), float(inputs_raw[:, 0].max()))
     t_range = (float(inputs_raw[:, 1].min()), float(inputs_raw[:, 1].max()))

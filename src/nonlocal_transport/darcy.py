@@ -18,11 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from numpy.typing import NDArray
-from scipy.linalg.lapack import dgetrs
 
 from .errors import SolverError
 from .medium import MediumSpec, build_conductivity, unit_cell_spec
@@ -88,7 +84,8 @@ def _one_blas_thread():
     which on a loaded two-core host can cost a scheduler slice per call and
     spins on after the last one, into the forked tracking workers.  numpy
     and scipy each load their own OpenBLAS; both are found through
-    ``/proc/self/maps``.  Where none is found this does nothing.
+    ``/proc/self/maps``, so a library first loaded inside the block runs
+    at its own thread count.  Where none is found this does nothing.
     """
     try:
         with open("/proc/self/maps") as fh:
@@ -119,15 +116,18 @@ def _one_blas_thread():
 def _strip_matrix(
     tx: NDArray[np.float64], ty: NDArray[np.float64],
     t_first: NDArray[np.float64], t_last: NDArray[np.float64],
-) -> sp.csr_matrix:
+):
     """TPFA matrix of consecutive whole grid columns, unknowns column-major.
 
     ``tx`` (m-1, ny) holds the faces between the m columns and ``ty``
     (m, ny-1) the faces inside each column.  ``t_first`` and ``t_last`` are
     the faces left of the first and right of the last column: they add to
     the diagonal only, whether they lead to a Dirichlet boundary or to a
-    neighbouring column that is eliminated elsewhere.
+    neighbouring column that is eliminated elsewhere.  Returns a
+    ``scipy.sparse.csr_matrix``.
     """
+    import scipy.sparse as sp
+
     m, ny = ty.shape[0], ty.shape[1] + 1
     idx = np.arange(m * ny).reshape(m, ny)
     diag = np.zeros((m, ny))
@@ -197,6 +197,8 @@ def solve_darcy(
     SolverError
         If the linear solve fails or leaves a non-negligible residual.
     """
+    import scipy.sparse.linalg as spla
+
     cond = np.asarray(conductivity, dtype=float)
     if np.any(cond <= 0) or not np.all(np.isfinite(cond)):
         raise SolverError("conductivity must be strictly positive and finite")
@@ -251,6 +253,10 @@ def _periodic_solver(
     blocks leaves a block-tridiagonal Schur complement on the cuts, with
     dense ny × ny blocks, which a block Thomas sweep factors once.
     """
+    import scipy.linalg as sla
+    import scipy.sparse.linalg as spla
+    from scipy.linalg.lapack import dgetrs
+
     p, ny = ty.shape[0], ty.shape[1] + 1
     k_cuts = num_cells - 1
     wrap, inner = tx[-1], tx[0]  # the faces left and right of a cut
@@ -372,6 +378,9 @@ def solve_medium(spec: MediumSpec, grid_nx: int, grid_ny: int) -> FlowField:
              spec.head_left, dx, dy)
     b = np.zeros((grid_nx, grid_ny))
     b[0, :] = t_left * spec.head_left
+    # map scipy's OpenBLAS, so that the guard finds it
+    import scipy.linalg  # noqa: F401
+
     with _one_blas_thread():
         solve = _periodic_solver(tx, ty, t_left, t_right, spec.num_cells)
         flow = _flow_field(solve(b), *faces)

@@ -10,6 +10,7 @@ seed reproduces every file byte for byte.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from itertools import repeat
@@ -263,7 +264,7 @@ def run_learn(cfg: ExperimentConfig, dataset_dir=None, models=None) -> Path:
     The fits run one after another in this process: tests, sweep workers
     and traced runs call this function directly, and a pool inside it would
     nest in the sweep's workers and hide the fits from an in-process tracer.
-    :func:`run_learn_split` is the two-process form the CLI uses.
+    :func:`run_learn_split` is the pooled form the CLI uses.
     """
     models = cfg.models if models is None else tuple(models)
     unknown = [m for m in models if m not in cfg.models]
@@ -318,22 +319,27 @@ def run_learn(cfg: ExperimentConfig, dataset_dir=None, models=None) -> Path:
 
 
 def run_learn_split(cfg: ExperimentConfig) -> Path:
-    """:func:`run_learn` with the MLP trained in a second process.
+    """:func:`run_learn` with independent fit groups on a pool of workers.
 
-    The MLP shares nothing with the PDE fits, so one worker trains it while
-    this process fits the PDE models, each writing its own fit file from the
-    same ``cfg``.  With only one of the two groups configured no worker
-    starts.  The worker is forked, so it inherits the imported package
+    The groups share nothing: classical then nonlocal (one task, so the
+    nonlocal warm start reuses the classical fit), the MLP, and fractal,
+    queued in that order.  ``min(usable CPUs, groups)`` forked workers take
+    them as they come free, each writing its own fit files from the same
+    ``cfg``, while this process only waits.  With one group or one CPU the
+    fits run in this process.  Forked workers inherit the imported package
     instead of importing it again.
     """
-    pde = tuple(m for m in cfg.models if m != "mlp")
-    if not pde or "mlp" not in cfg.models:
+    chain = tuple(m for m in cfg.models if m in ("classical", "nonlocal"))
+    groups = [chain] if chain else []
+    groups += [(m,) for m in ("mlp", "fractal") if m in cfg.models]
+    workers = min(len(os.sched_getaffinity(0)), len(groups))
+    if workers < 2:
         return run_learn(cfg)
-    with ProcessPoolExecutor(max_workers=1,
+    with ProcessPoolExecutor(max_workers=workers,
                              mp_context=get_context("fork")) as pool:
-        mlp = pool.submit(run_learn, cfg, None, ("mlp",))
-        run_learn(cfg, models=pde)
-        mlp.result()
+        tasks = [pool.submit(run_learn, cfg, None, group) for group in groups]
+        for task in tasks:
+            task.result()
     return cfg.output_dir
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .baselines import ClassicalParams, FractalParams
 from .errors import ConfigurationError, SolverError
@@ -133,6 +132,8 @@ class LearningProblem:
 
 
 def _map_parameters(problem: LearningProblem, raw: np.ndarray):
+    from scipy.special import expit
+
     raw = np.asarray(raw, dtype=float)
     if raw.shape != (problem.n_parameters(),):
         raise ConfigurationError(

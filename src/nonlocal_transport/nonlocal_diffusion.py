@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .coarsen import BreakthroughCurve, cell_traces
 from .errors import ConfigurationError, SolverError
@@ -151,6 +150,8 @@ def march(band: np.ndarray, theta: np.ndarray, dt: float, initial: np.ndarray):
     ``solve_step(rhs)`` solves the same system for further right-hand sides
     (tangents) by reusing the factors.
     """
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+
     nd = (band.shape[0] - 1) // 2
     with np.errstate(over="ignore", invalid="ignore"):
         scale = dt * np.max(np.abs(band)) * np.max(theta)

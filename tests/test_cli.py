@@ -6,10 +6,14 @@ import math
 import multiprocessing
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import nonlocal_transport
 from nonlocal_transport import cli, darcy, experiment, tracking
 from nonlocal_transport.config import SCHEMA_ID, load_config
 from nonlocal_transport.errors import ConfigurationError, NumericalError
@@ -174,19 +178,20 @@ def fit_files(directory):
 
 
 def record_pids(monkeypatch, log):
-    """Log which process runs each MLP training and each PDE fit."""
+    """Log which process runs the MLP training and each PDE model's fit."""
     train_surrogate, fit = experiment.train_surrogate, experiment.fit
 
     def logged(label, func):
         def wrapper(*args, **kwargs):
             with open(log, "a") as fh:
-                fh.write(f"{label} {os.getpid()}\n")
+                fh.write(f"{label(*args)} {os.getpid()}\n")
             return func(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(experiment, "train_surrogate",
-                        logged("mlp", train_surrogate))
-    monkeypatch.setattr(experiment, "fit", logged("pde", fit))
+                        logged(lambda *args: "mlp", train_surrogate))
+    monkeypatch.setattr(experiment, "fit",
+                        logged(lambda problem, *args: problem.model, fit))
 
 
 def pids_by_label(log):
@@ -219,12 +224,55 @@ def test_learn_trains_mlp_in_a_second_process(pipeline, tmp_path,
     fresh_dataset(out, target)
     log = tmp_path / "pids.log"
     record_pids(monkeypatch, log)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert cli.main(["learn", "--config", str(path),
                      "--out", str(target)]) == 0
     pids = pids_by_label(log)
-    assert pids["pde"] == {os.getpid()}
-    assert len(pids["mlp"]) == 1 and os.getpid() not in pids["mlp"]
+    assert set(pids) == {"classical", "nonlocal", "mlp"}
+    workers = set().union(*pids.values())
+    assert os.getpid() not in workers and len(workers) <= 2
+    assert len(pids["nonlocal"]) == 1 and pids["classical"] == pids["nonlocal"]
+    assert len(pids["mlp"]) == 1
     assert multiprocessing.active_children() == []
+
+
+def test_learn_on_one_cpu_starts_no_worker(pipeline, tmp_path, monkeypatch):
+    path, out = pipeline
+    target = tmp_path / "one_cpu"
+    fresh_dataset(out, target)
+    log = tmp_path / "pids.log"
+    record_pids(monkeypatch, log)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert cli.main(["learn", "--config", str(path),
+                     "--out", str(target)]) == 0
+    assert set(fit_files(target)) == {"fit_nonlocal.json",
+                                      "fit_classical.json", "fit_mlp.json"}
+    assert set().union(*pids_by_label(log).values()) == {os.getpid()}
+
+
+def test_pooled_learn_without_mlp_equals_one_process_learn(
+        pipeline, tmp_path, monkeypatch):
+    # nonlocal (with classical) and fractal run as two groups on two workers
+    _, out = pipeline
+    target = tmp_path / "no_mlp"
+    fresh_dataset(out, target)
+    data = tiny_config(target)
+    data["learning"]["models"] = ["nonlocal", "fractal", "classical"]
+    path = write_config(tmp_path, data)
+    log = tmp_path / "pids.log"
+    record_pids(monkeypatch, log)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert cli.main(["learn", "--config", str(path)]) == 0
+    split = fit_files(target)
+    assert set(split) == {"fit_nonlocal.json", "fit_fractal.json",
+                          "fit_classical.json"}
+    pids = pids_by_label(log)
+    assert os.getpid() not in set().union(*pids.values())
+    assert len(pids["nonlocal"]) == 1 and pids["classical"] == pids["nonlocal"]
+    for name in split:
+        (target / name).unlink()
+    experiment.run_learn(load_config(path))
+    assert fit_files(target) == split
 
 
 @pytest.mark.parametrize("model", ["mlp", "classical"])
@@ -365,6 +413,43 @@ def test_generate_gates_divergence_above_the_direct_solver_limit(
     assert unknowns > 400_000
     assert value <= experiment.MAX_RELATIVE_DIVERGENCE
     assert (tmp_path / "out" / "dataset.csv").exists()
+
+
+#: Runs the CLI with the arguments after ``-c``, then prints its exit code
+#: and the scipy modules it left loaded.
+SCIPY_FOOTPRINT = """
+import json, sys
+from nonlocal_transport import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
+
+
+def scipy_modules_after(*argv):
+    """The scipy modules one CLI command loads in a fresh interpreter."""
+    src = str(Path(nonlocal_transport.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", SCIPY_FOOTPRINT, *argv],
+                          capture_output=True, text=True, env=env, check=True)
+    code, modules = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0, done.stderr
+    return modules
+
+
+def test_commands_load_only_the_scipy_they_call(pipeline, tmp_path):
+    path, out = pipeline
+    target = tmp_path / "footprint"
+    shutil.copytree(out, target)
+    config = ["--config", str(path), "--out", str(target)]
+    assert scipy_modules_after("report", *config) == []
+    predict = scipy_modules_after("predict", *config)
+    assert "scipy.linalg" in predict
+    assert not [m for m in predict
+                if m.startswith(("scipy.sparse", "scipy.special"))]
+    generate = scipy_modules_after("generate", "--config", str(path),
+                                   "--out", str(tmp_path / "generated"))
+    assert not [m for m in generate if m.startswith("scipy.special")]
 
 
 def test_missing_config_exits_2(capsys):

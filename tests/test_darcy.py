@@ -1,7 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import nonlocal_transport
 from nonlocal_transport.darcy import (
     _harmonic_face_transmissibility,
     _periodic_solver,
@@ -207,3 +214,58 @@ def test_periodic_solver_solves_any_right_hand_side(
     expected = spla.spsolve(matrix.tocsc(), rhs.ravel()).reshape(nx, grid_ny)
     np.testing.assert_allclose(solve(rhs), expected, rtol=0,
                                atol=1e-10 * np.abs(expected).max())
+
+
+#: Solves a periodic medium in an interpreter that has not loaded scipy yet
+#: and prints the thread count of every OpenBLAS mapped into the process,
+#: once inside the solve (right after the Schur complement is factored) and
+#: once after it.
+BLAS_PROBE = """
+import ctypes, json, sys
+from nonlocal_transport import darcy
+from nonlocal_transport.medium import MediumSpec
+
+def openblas_threads():
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    threads = {}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for get, _ in darcy._OPENBLAS_THREAD_FUNCTIONS:
+            if hasattr(lib, get):
+                get = getattr(lib, get)
+                get.argtypes, get.restype = [], ctypes.c_int
+                threads[path] = get()
+                break
+    return threads
+
+assert not [m for m in sys.modules if m.startswith("scipy")]
+inside = []
+periodic_solver = darcy._periodic_solver
+
+def probed(*args):
+    solve = periodic_solver(*args)
+    inside.append(openblas_threads())
+    return solve
+
+darcy._periodic_solver = probed
+spec = MediumSpec(kappa_matrix=1.0, kappa_inclusion=0.01, cell_width=0.5,
+                  layer_height=1.0, num_cells=4, head_left=8.0)
+darcy.solve_medium(spec, 40, 8)
+print(json.dumps({"inside": inside[0], "after": openblas_threads()}))
+"""
+
+
+def test_blas_guard_covers_scipy_first_loaded_by_the_solve():
+    src = str(Path(nonlocal_transport.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", BLAS_PROBE],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    threads = json.loads(done.stdout.splitlines()[-1])
+    assert threads["inside"], "no OpenBLAS found during the solve"
+    # every OpenBLAS the solve maps, scipy's included, was held at one thread
+    assert set(threads["inside"]) == set(threads["after"])
+    assert set(threads["inside"].values()) == {1}
