@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import jsonschema
 import yaml
 
 from . import __version__
@@ -132,6 +131,66 @@ CONFIG_SCHEMA = {
         },
     },
 }
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: ((isinstance(v, int) and not isinstance(v, bool))
+                          or (isinstance(v, float) and v.is_integer())),
+}
+
+
+def _schema_error(schema: dict, value, path: tuple = ()):
+    """The first way ``value`` breaks ``schema``, as (path, message), or None.
+
+    A JSON Schema checker for the keywords ``CONFIG_SCHEMA`` uses, with
+    JSON Schema's semantics (a bool is not a number, 3.0 is an integer,
+    each bound applies only to values of its type).  A node's own keywords
+    are checked before its children.
+    """
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        return path, f"{value!r} is not of type {kind!r}"
+    if "const" in schema and value != schema["const"]:
+        return path, f"{schema['const']!r} was expected"
+    if "enum" in schema and value not in schema["enum"]:
+        return path, f"{value!r} is not one of {schema['enum']!r}"
+    if _TYPES["number"](value):
+        if "minimum" in schema and value < schema["minimum"]:
+            return path, f"{value!r} is less than the minimum of {schema['minimum']!r}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            return path, (f"{value!r} is less than or equal to the minimum of "
+                          f"{schema['exclusiveMinimum']!r}")
+        if "maximum" in schema and value > schema["maximum"]:
+            return path, f"{value!r} is greater than the maximum of {schema['maximum']!r}"
+    if isinstance(value, str) and len(value) < schema.get("minLength", 0):
+        return path, f"{value!r} is too short"
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return path, f"{value!r} is too short"
+        for index, item in enumerate(value if "items" in schema else ()):
+            error = _schema_error(schema["items"], item, path + (index,))
+            if error:
+                return error
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                return path, f"{key!r} is a required property"
+        properties = schema.get("properties", {})
+        if schema.get("additionalProperties") is False:
+            extra = [key for key in value if key not in properties]
+            if extra:
+                return path, ("Additional properties are not allowed "
+                              f"({', '.join(map(repr, extra))} unexpected)")
+        for key, child in properties.items():
+            if key in value:
+                error = _schema_error(child, value[key], path + (key,))
+                if error:
+                    return error
+    return None
+
 
 _MLP_DEFAULTS = {"epochs": 20000, "learning_rate": 1e-3,
                  "hidden_layers": 3, "width": 4}
@@ -269,13 +328,12 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigurationError(f"config root must be a mapping: {path}")
     data = _apply_overrides(data, overrides or {})
-    try:
-        jsonschema.validate(data, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+    error = _schema_error(CONFIG_SCHEMA, data)
+    if error:
+        location, message = error
+        where = "/".join(str(p) for p in location) or "<root>"
         raise ConfigurationError(
-            f"config does not match schema {SCHEMA_ID} at {where}: "
-            f"{exc.message}") from exc
+            f"config does not match schema {SCHEMA_ID} at {where}: {message}")
 
     med = data["medium"]
     medium = MediumSpec(

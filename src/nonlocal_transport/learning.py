@@ -32,6 +32,10 @@ from .nonlocal_diffusion import (
 )
 
 _MODELS = ("nonlocal", "fractal", "classical")
+# Steps whose tangent right-hand-side terms are formed at once: enough to
+# amortize the whole-array calls, few enough to keep the terms in cache and
+# their memory independent of the number of steps.
+_TANGENT_BLOCK = 64
 
 
 def softplus(z):
@@ -185,44 +189,63 @@ def initial_raw(problem: LearningProblem) -> np.ndarray:
 # --- forward model and tangents ------------------------------------------
 
 
-def _forward(problem: LearningProblem, phi, p, d_phi=None, d_p=None):
-    """Step the model and, when Jacobians are given, its parameter tangents.
+def _march(problem: LearningProblem, phi, p):
+    """State pass: march the model with weights ``phi`` and exponent ``p``.
 
-    Returns (btc, btc_tangent): the modelled curve matrix with shape
-    (n_curves, n_steps) and, if requested, its derivative with respect to
-    each raw parameter with shape (n_curves, n_steps, n_par).
+    Returns what :func:`march` returns, (states, factors, pivots).
     """
     if p <= -1.0:
         raise SolverError("time exponent must exceed -1")
+    theta, _ = theta_schedule(p, problem.time_grid)
+    kernel = DynamicKernel(phi=phi, p=p, horizon_cells=problem.horizon_cells,
+                           cell_width=problem.cell_width)
     n = problem.num_cells
+    return march(assemble_operator(kernel, n), theta, problem.dt,
+                 unit_spike(n, problem.injection_cell))
+
+
+def _forward(problem: LearningProblem, phi, p, d_phi=None, d_p=None,
+             marched=None):
+    """The modelled curves and, when Jacobians are given, their tangents.
+
+    Returns (btc, btc_tangent): the modelled curve matrix with shape
+    (n_curves, n_steps) and, if requested, its derivative with respect to
+    each raw parameter with shape (n_curves, n_steps, n_par).  ``marched``
+    is the state pass at (phi, p), marched here if omitted; the tangents
+    reuse its factors, one solve per step.
+    """
+    states, factors, pivots = (_march(problem, phi, p) if marched is None
+                               else marched)
+    probes = problem.probe_cells
+    # C order, since the order in which np.sum adds follows the layout
+    btc = np.ascontiguousarray(states[:, probes].T)
+    if d_phi is None:
+        return btc, None
+
+    from scipy.linalg.lapack import dgbtrs
+
     nd = problem.horizon_cells
     dt = problem.dt
-    probes = problem.probe_cells
-    with_tangents = d_phi is not None
+    n_par = d_phi.shape[1]
     theta, d_theta = theta_schedule(p, problem.time_grid)
-    kernel = DynamicKernel(phi=phi, p=p, horizon_cells=nd,
-                           cell_width=problem.cell_width)
-
-    btc = np.empty((len(probes), problem.n_steps))
-    btc_tan = None
-    if with_tangents:
-        n_par = d_phi.shape[1]
-        tangents = np.zeros((n, n_par))
-        btc_tan = np.empty((len(probes), problem.n_steps, n_par))
-
-    for step, c, solve_step in march(assemble_operator(kernel, n), theta, dt,
-                                     unit_spike(n, problem.injection_cell)):
-        btc[:, step] = c[probes]
-        if with_tangents:
-            diffs = exchange_differences(c, nd)
-            a_c = diffs @ phi
-            # (I - dt*theta*A) cdot_{n+1} = cdot_n
-            #                             + dt*(theta_dot*A + theta*A_dot) c_{n+1}
-            rhs = (tangents
-                   + dt * np.outer(a_c, d_theta[step] * d_p)
-                   + dt * theta[step] * (diffs @ d_phi))
-            tangents = solve_step(rhs)
+    rate = d_theta[:, None] * d_p
+    tangents = np.zeros((problem.num_cells, n_par))
+    btc_tan = np.empty((len(probes), problem.n_steps, n_par))
+    # (I - dt*theta*A) cdot_{n+1} = cdot_n + dt*(theta_dot*A + theta*A_dot) c_{n+1}
+    # with A c = diffs @ phi and A_dot c = diffs @ d_phi, a block of steps at once
+    for start in range(0, problem.n_steps, _TANGENT_BLOCK):
+        block = slice(start, start + _TANGENT_BLOCK)
+        diffs = exchange_differences(states[block], nd)
+        y_terms = diffs @ d_phi
+        y_terms *= (dt * theta[block])[:, None, None]
+        x_terms = (diffs @ phi)[:, :, None] * rate[block, None, :]
+        x_terms *= dt
+        for step, x, y in zip(range(start, problem.n_steps), x_terms, y_terms):
+            tangents = dgbtrs(factors[step].T, nd, nd, tangents + x + y,
+                              pivots[step])[0]
             btc_tan[:, step, :] = tangents[probes]
+    if not np.isfinite(btc_tan).all():
+        raise SolverError("implicit step produced non-finite tangents")
     return btc, btc_tan
 
 
@@ -235,18 +258,23 @@ def _penalty_terms(problem, phi, d_phi=None):
     return penalty, 2.0 * first_moment * (offsets @ d_phi)
 
 
-def evaluate_loss(problem: LearningProblem, raw) -> tuple[float, float, float]:
-    """Return (loss, misfit, penalty) with loss = misfit + beta * penalty."""
+def evaluate_loss(problem: LearningProblem, raw,
+                  marched=None) -> tuple[float, float, float]:
+    """Return (loss, misfit, penalty) with loss = misfit + beta * penalty.
+
+    ``marched`` is the state pass at ``raw`` if already marched.
+    """
     phi, p, _, _ = _map_parameters(problem, raw)
-    btc, _ = _forward(problem, phi, p)
+    btc, _ = _forward(problem, phi, p, marched=marched)
     misfit = float(np.sum((btc - problem.targets) ** 2))
     penalty, _ = _penalty_terms(problem, phi)
     return misfit + problem.beta * penalty, misfit, penalty
 
 
-def loss_and_gradient(problem: LearningProblem, raw):
+def loss_and_gradient(problem: LearningProblem, raw, marched=None):
+    """Return (loss, gradient); ``marched`` as for :func:`evaluate_loss`."""
     phi, p, d_phi, d_p = _map_parameters(problem, raw)
-    btc, btc_tan = _forward(problem, phi, p, d_phi, d_p)
+    btc, btc_tan = _forward(problem, phi, p, d_phi, d_p, marched)
     residual = btc - problem.targets
     misfit = float(np.sum(residual ** 2))
     grad = 2.0 * np.einsum("ct,ctk->k", residual, btc_tan)
@@ -301,9 +329,10 @@ class FitResult:
         }
 
 
-def _package_result(problem: LearningProblem, opt: OptimizeResult) -> FitResult:
+def _package_result(problem: LearningProblem, opt: OptimizeResult,
+                    marched) -> FitResult:
     phi, p, _, _ = _map_parameters(problem, opt.x)
-    loss, misfit, penalty = evaluate_loss(problem, opt.x)
+    loss, misfit, penalty = evaluate_loss(problem, opt.x, marched)
     result = FitResult(
         model=problem.model,
         raw_parameters=np.asarray(opt.x, dtype=float),
@@ -361,16 +390,29 @@ def fit(problem: LearningProblem, raw0=None) -> FitResult:
     else:
         x0 = np.asarray(raw0, float)
 
+    # The state pass of the last two raw vectors marched, by their bytes.
+    # The line search accepts its last candidate, or the one before when a
+    # doubling fails, so the gradient at the accepted step marches nothing.
+    recent = {}
+
+    def state_pass(x):
+        key = x.tobytes()
+        if key not in recent:
+            recent[key] = _march(problem, *_map_parameters(problem, x)[:2])
+            if len(recent) > 2:
+                del recent[next(iter(recent))]
+        return recent[key]
+
     def fg(x):
-        return loss_and_gradient(problem, x)
+        return loss_and_gradient(problem, x, state_pass(x))
 
     def f_only(x):
         try:
-            return evaluate_loss(problem, x)[0]
+            return evaluate_loss(problem, x, state_pass(x))[0]
         except SolverError:
             return np.inf
 
     opt = minimize(fg, x0, fun_only=f_only, history=problem.history,
                    max_iterations=problem.max_iterations,
                    gradient_tolerance=problem.gradient_tolerance)
-    return _package_result(problem, opt)
+    return _package_result(problem, opt, state_pass(opt.x))

@@ -7,7 +7,9 @@ separates into cell-integrated spatial weights phi_j and a temporal factor
 t^p; time stepping is first-order implicit with the temporal factor evaluated
 at the new level, except across the singular first step from t = 0 where its
 step average is used so that exponents down to (but not including) -1 remain
-usable.  Fitting marches the same stepper, carrying parameter tangents.
+usable.  ``march`` is the only time loop: it factors every step matrix once
+and returns the states with the factors, so fitting solves the parameter
+tangents of each step with the factors of the march that produced the state.
 """
 
 from __future__ import annotations
@@ -146,9 +148,12 @@ def assemble_operator(kernel: DynamicKernel, num_cells: int) -> np.ndarray:
 def march(band: np.ndarray, theta: np.ndarray, dt: float, initial: np.ndarray):
     """Step (I - dt*theta_n*A) c_{n+1} = c_n once per entry of ``theta``.
 
-    Each system is LU-factored once.  Yields (n, c_{n+1}, solve_step) where
-    ``solve_step(rhs)`` solves the same system for further right-hand sides
-    (tangents) by reusing the factors.
+    Every step matrix is filled at once, in LAPACK band storage, into an
+    (n_steps, N, 3*Nd+1) array; each ``systems[n].T`` is Fortran-ordered and
+    LU-factored in place, once.  Returns (states, factors, pivots): c_1 ..
+    c_{n_steps} as rows of an (n_steps, N) array, and the factored systems
+    and pivots, so further right-hand sides of step n (tangents) solve with
+    ``dgbtrs(factors[n].T, Nd, Nd, rhs, pivots[n])``.
     """
     from scipy.linalg.lapack import dgbtrf, dgbtrs
 
@@ -157,39 +162,39 @@ def march(band: np.ndarray, theta: np.ndarray, dt: float, initial: np.ndarray):
         scale = dt * np.max(np.abs(band)) * np.max(theta)
     if not np.isfinite(scale):
         raise SolverError("exchange weights overflow the implicit system")
+    n_steps, n = len(theta), band.shape[1]
+    # nd rows of fill-in above the diagonals
+    systems = np.zeros((n_steps, n, 3 * nd + 1))
+    np.multiply((-dt * theta)[:, None, None], band.T, out=systems[:, :, nd:])
+    systems[:, :, 2 * nd] += 1.0
+    pivots = np.empty((n_steps, n), dtype=np.int32)
+    states = np.empty((n_steps, n))
     c = initial
-    for step, weight in enumerate(theta):
-        # LAPACK band storage: nd rows of fill-in above the diagonals
-        system = np.zeros((3 * nd + 1, band.shape[1]), order="F")
-        system[nd:] = -dt * weight * band
-        system[2 * nd] += 1.0
-        lu, piv, info = dgbtrf(system, nd, nd, overwrite_ab=True)
+    for step in range(n_steps):
+        _, pivots[step], info = dgbtrf(systems[step].T, nd, nd,
+                                       overwrite_ab=True)
         if info != 0:   # not reachable for nonnegative kernels
             raise SolverError(f"implicit step factorization failed (info={info})")
-
-        def solve_step(rhs, lu=lu, piv=piv):
-            x, info = dgbtrs(lu, nd, nd, rhs, piv)
-            if info != 0 or not np.isfinite(x).all():
-                raise SolverError("implicit step produced non-finite values")
-            return x
-
-        c = solve_step(c)
-        yield step, c, solve_step
+        c = states[step] = dgbtrs(systems[step].T, nd, nd, c, pivots[step])[0]
+    if not np.isfinite(states).all():
+        raise SolverError("implicit step produced non-finite values")
+    return states, systems, pivots
 
 
 def exchange_differences(c: np.ndarray, horizon_cells: int) -> np.ndarray:
     """Neighbor differences c_{i+j} - c_i, one column per offset j.
 
-    Returns the (N, 2*horizon_cells + 1) matrix whose column
-    horizon_cells + j holds the offset-j differences, with out-of-range
-    neighbors zero, so ``exchange_differences(c, Nd) @ phi`` applies the
-    exchange operator to ``c``.
+    For a state ``c`` of N cells, returns the (N, 2*horizon_cells + 1)
+    matrix whose column horizon_cells + j holds the offset-j differences,
+    with out-of-range neighbors zero, so ``exchange_differences(c, Nd) @
+    phi`` applies the exchange operator to ``c``.  A stack of states
+    (..., N) gives one such matrix per state, (..., N, 2*horizon_cells + 1).
     """
-    n = c.shape[0]
-    padded = np.zeros(n + 2 * horizon_cells)
-    padded[horizon_cells:horizon_cells + n] = c
-    return padded[np.arange(n)[:, None]
-                  + np.arange(2 * horizon_cells + 1)] - c[:, None]
+    n = c.shape[-1]
+    padded = np.zeros(c.shape[:-1] + (n + 2 * horizon_cells,))
+    padded[..., horizon_cells:horizon_cells + n] = c
+    return padded[..., np.arange(n)[:, None]
+                  + np.arange(2 * horizon_cells + 1)] - c[..., None]
 
 
 def solve(kernel: DynamicKernel, initial: np.ndarray, times: np.ndarray) -> NonlocalSolution:
@@ -206,9 +211,8 @@ def solve(kernel: DynamicKernel, initial: np.ndarray, times: np.ndarray) -> Nonl
     theta, _ = theta_schedule(kernel.p, times)
     values = np.empty((c0.shape[0], len(times)))
     values[:, 0] = c0
-    band = assemble_operator(kernel, c0.shape[0])
-    for step, c, _ in march(band, theta, dt, c0):
-        values[:, step + 1] = c
+    states, _, _ = march(assemble_operator(kernel, c0.shape[0]), theta, dt, c0)
+    values[:, 1:] = states.T
     return NonlocalSolution(values=values, times=times.copy(),
                             initial_condition=c0.copy(),
                             cell_width=kernel.cell_width)

@@ -1,11 +1,14 @@
 """Config loading: schema validation, overrides, consistency checks."""
 
 import copy
+import subprocess
+import sys
 
 import pytest
 import yaml
 
-from nonlocal_transport.config import SCHEMA_ID, load_config
+from nonlocal_transport import config
+from nonlocal_transport.config import CONFIG_SCHEMA, SCHEMA_ID, load_config
 from nonlocal_transport.errors import ConfigurationError
 
 BASE = {
@@ -103,19 +106,64 @@ def test_malformed_yaml(tmp_path):
         load_config(path)
 
 
-@pytest.mark.parametrize("updates, fragment", [
+SCHEMA_VIOLATIONS = [
     ({"schema": "nonlocal-transport/config/v2"}, "schema"),
     ({"medium.num_cells": None}, "medium"),
     ({"medium.kappa_matrix": -1.0}, "medium/kappa_matrix"),
     ({"learning.models": ["guess"]}, "learning/models"),
     ({"tracking.num_particles": 0}, "tracking/num_particles"),
     ({"coarse.frame_speed": "galilean"}, "coarse/frame_speed"),
-])
+]
+
+
+@pytest.mark.parametrize("updates, fragment", SCHEMA_VIOLATIONS)
 def test_schema_violations_name_the_location(tmp_path, updates, fragment):
     path = write_config(tmp_path, variant(**updates))
     with pytest.raises(ConfigurationError, match="does not match schema") as err:
         load_config(path)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("updates", [u for u, _ in SCHEMA_VIOLATIONS] + [
+    {},
+    {"seed": True},                            # a bool is not an integer
+    {"grid.nx": False},
+    {"medium.cell_width": True},               # nor a number
+    {"grid.ny": 8.0},                          # 8.0 is an integer
+    {"seed": 3.5},
+    {"medium.porosity": 0.3},                  # unknown nested key
+    {"learning.mlp": {"epochs": 10, "depth": 2}},
+    {"extra_section": {"x": 1}},
+    {"seed": -1},
+    {"medium.cell_width": 0},
+    {"medium.head_left": "6.0"},
+    {"medium.inclusion_fraction": 1.5},
+    {"medium.inclusion_fraction": 1},
+    {"medium": [1, 2]},
+    {"output_dir": ""},
+    {"output_dir": 5},
+    {"coarse.train_locations": []},
+    {"coarse.train_locations": 3.0},
+    {"coarse.test_locations": [5.0, -1.0]},
+    {"coarse.test_locations": [5.0, None]},
+    {"learning.models": ["nonlocal", 4]},
+    {"learning.models": []},
+    {"learning.mlp": {"learning_rate": 0.0}},
+    {"sweep": {"tt_values": [1.0]}},
+    {"sweep": {"tt_values": [1.0], "models": ["mlp"], "max_workers": 0}},
+    {"schema": None},
+    {"grid": None},
+])
+def test_schema_checker_agrees_with_jsonschema(updates):
+    jsonschema = pytest.importorskip("jsonschema")
+    data = variant(**updates)
+    try:
+        jsonschema.validate(data, CONFIG_SCHEMA)
+        expected = None
+    except jsonschema.ValidationError as exc:
+        expected = tuple(exc.absolute_path)
+    error = config._schema_error(CONFIG_SCHEMA, data)
+    assert (error and error[0]) == expected
 
 
 @pytest.mark.parametrize("updates, fragment", [
@@ -150,3 +198,13 @@ def test_model_injection_override(tmp_path):
     cfg = load_config(write_config(tmp_path, data))
     assert cfg.model_injection_cell == 9
     assert cfg.injection_cell == 4
+
+
+def test_loading_a_config_imports_no_jsonschema(tmp_path):
+    path = write_config(tmp_path, BASE)
+    code = ("import sys; from nonlocal_transport import cli, config; "
+            f"config.load_config({str(path)!r}); "
+            "print(sorted(m for m in sys.modules if m.startswith('jsonschema')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -1,9 +1,13 @@
 import json
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nonlocal_transport.errors import ConfigurationError
+from nonlocal_transport import learning
+from nonlocal_transport.coarsen import BreakthroughCurve
+from nonlocal_transport.errors import ConfigurationError, SolverError
 from nonlocal_transport.learning import (
     LearningProblem, _forward, evaluate_loss, fit, initial_raw,
     loss_and_gradient, softplus, softplus_inverse,
@@ -188,6 +192,108 @@ def test_drift_penalty_weight_shrinks_kernel_first_moment():
     for lighter, heavier in zip(moments, moments[1:]):
         assert heavier <= lighter + 1e-12
     assert moments[-1] < 0.1 * moments[0]
+
+
+# --- one march per candidate ---------------------------------------------
+
+
+@pytest.mark.parametrize("model, raw", [
+    ("nonlocal", [-2.2, -1.5, -2.8, -1.1, 0.1]),
+    ("fractal", [-1.5, 0.4]),
+    ("classical", [-1.5]),
+])
+def test_passed_march_gives_the_self_marching_loss_and_gradient(model, raw):
+    problem, _ = make_problem([0.05, 0.3, 0.0, 0.2, 0.1], 0.4, model=model)
+    raw = np.array(raw)
+    phi, p, _, _ = learning._map_parameters(problem, raw)
+    marched = learning._march(problem, phi, p)
+    loss, grad = loss_and_gradient(problem, raw, marched)
+    own_loss, own_grad = loss_and_gradient(problem, raw)
+    assert np.float64(loss).tobytes() == np.float64(own_loss).tobytes()
+    assert grad.tobytes() == own_grad.tobytes()
+    assert evaluate_loss(problem, raw, marched) == evaluate_loss(problem, raw)
+
+
+def test_fit_marches_each_raw_vector_once(monkeypatch):
+    # desk sizes: 60 cells, 360 steps, a horizon of 4 cells
+    phi_star = [0.01, 0.02, 0.05, 0.3, 0.0, 0.2, 0.05, 0.02, 0.01]
+    problem, _ = make_problem(
+        phi_star, 0.3, horizon_cells=4, num_cells=60, injection_cell=7,
+        n_steps=360, locations=[9.5, 12.5, 15.5], max_iterations=12)
+    marches = []
+    real_march = learning.march
+
+    def counting_march(*args):
+        marches.append(1)
+        return real_march(*args)
+
+    raws, gradient_marches = [], []
+    real_minimize = learning.minimize
+
+    def watching_minimize(fun_and_grad, x0, *, fun_only, **kwargs):
+        def fg(x):
+            before = len(marches)
+            raws.append(x.tobytes())
+            value = fun_and_grad(x)
+            gradient_marches.append(len(marches) - before)
+            return value
+
+        def f_only(x):
+            raws.append(x.tobytes())
+            return fun_only(x)
+
+        return real_minimize(fg, x0, fun_only=f_only, **kwargs)
+
+    monkeypatch.setattr(learning, "march", counting_march)
+    monkeypatch.setattr(learning, "minimize", watching_minimize)
+    # a start from which no line-search candidate reads inf, so every
+    # value call marches
+    raw0 = np.append(softplus_inverse(1.5 * np.delete(phi_star, 4)), 0.1)
+    result = fit(problem, raw0)
+    assert result.iterations == 12 and np.isfinite(result.loss)
+    n_value_calls = len(raws) - len(gradient_marches)
+    assert len(marches) == n_value_calls + 1 == len(set(raws))
+    assert gradient_marches[0] == 1
+    assert not any(gradient_marches[1:])
+
+
+def test_line_search_candidates_reading_inf_keep_the_accepted_march(monkeypatch):
+    # Targets a thousand times the model's scale make the first gradient
+    # step send the exponent to about 4400, where t**p overflows, so the
+    # line search reads inf until it has backtracked below p = 512.
+    problem, _ = make_problem([0.05, 0.3, 0.0, 0.2, 0.1], 0.4, max_iterations=8)
+    problem = replace(problem, curves=tuple(
+        BreakthroughCurve(location=c.location, times=c.times,
+                          values=1000.0 * c.values) for c in problem.curves))
+    raw0 = learning.initial_raw(problem)
+    failed = []
+    real_march = learning._march
+
+    def recording_march(problem, phi, p):
+        try:
+            return real_march(problem, phi, p)
+        except SolverError:
+            failed.append(p)
+            raise
+
+    monkeypatch.setattr(learning, "_march", recording_march)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = fit(problem, raw0)
+    assert any(p > 512 for p in failed)
+    assert result.iterations == 8 and np.isfinite(result.loss)
+
+    # the same fit with every loss and gradient marching its own state
+    real_loss_and_gradient = learning.loss_and_gradient
+    real_evaluate_loss = learning.evaluate_loss
+    monkeypatch.setattr(learning, "loss_and_gradient",
+                        lambda problem, raw, marched=None:
+                        real_loss_and_gradient(problem, raw))
+    monkeypatch.setattr(learning, "evaluate_loss",
+                        lambda problem, raw, marched=None:
+                        real_evaluate_loss(problem, raw))
+    reference = fit(problem, raw0)
+    assert json.dumps(result.to_json()) == json.dumps(reference.to_json())
 
 
 # --- plumbing -------------------------------------------------------------

@@ -8,6 +8,9 @@ import pytest
 from scipy.linalg import expm
 
 from nonlocal_transport.errors import ConfigurationError, SolverError
+from nonlocal_transport.learning import (
+    LearningProblem, evaluate_loss, loss_and_gradient,
+)
 from nonlocal_transport.nonlocal_diffusion import (
     DynamicKernel,
     assemble_operator,
@@ -78,6 +81,17 @@ def test_apply_operator_matches_dense():
         np.testing.assert_allclose(
             exchange_differences(stack[:, col], kernel.horizon_cells) @ kernel.phi,
             dense @ stack[:, col], rtol=1e-13, atol=1e-15)
+
+
+def test_exchange_differences_of_a_stack_equal_each_state():
+    # the tangent pass gathers every step's differences in one call
+    rng = np.random.default_rng(4)
+    stack = rng.normal(size=(2, 5, 15))
+    stacked = exchange_differences(stack, 3)
+    assert stacked.shape == (2, 5, 15, 7)
+    for index in np.ndindex(2, 5):
+        assert (stacked[index].tobytes()
+                == exchange_differences(stack[index], 3).tobytes())
 
 
 def test_interior_row_sums_vanish():
@@ -230,8 +244,22 @@ def test_solve_validates_time_grid():
 def test_overflowing_kernel_is_a_solver_error(weight):
     kernel = DynamicKernel(phi=np.array([weight, 0.0, weight]), p=0.0,
                            horizon_cells=1, cell_width=L1)
+    times = np.arange(4) * 0.1
     with pytest.raises(SolverError):
-        solve(kernel, unit_spike(8, 4), np.arange(4) * 0.1)
+        solve(kernel, unit_spike(8, 4), times)
+    # the fit marches the same stepper: softplus maps these raw weights to
+    # themselves, so a gradient or a line-search candidate at them meets
+    # the same overflow
+    benign = DynamicKernel(phi=np.array([0.1, 0.0, 0.1]), p=0.0,
+                           horizon_cells=1, cell_width=L1)
+    curves = tuple(model_btc(solve(benign, unit_spike(8, 4), times), [2.0]))
+    problem = LearningProblem(curves=curves, horizon_cells=1, cell_width=L1,
+                              num_cells=8, injection_cell=4, dt=0.1, n_steps=3)
+    raw = np.array([weight, weight, 0.0])
+    with pytest.raises(SolverError):
+        loss_and_gradient(problem, raw)
+    with pytest.raises(SolverError):
+        evaluate_loss(problem, raw)
 
 
 def test_model_btc_traces_solution_rows():
