@@ -5,10 +5,11 @@ Dirichlet heads on the left/right boundaries, no-flow on top/bottom.
 The scheme is locally conservative, which is what the particle tracker
 downstream relies on: it consumes the face-normal velocities directly.
 
-:func:`solve_medium` solves the periodic medium exactly at any size by
-substructuring it into unit cells.  :func:`solve_darcy` solves any
-conductivity field with one global sparse factorization (CG on large
-grids) and is kept as its reference.
+:func:`solve_medium` solves one mirror-symmetric unit cell under a unit
+head drop by a block-tridiagonal sweep over its columns and tiles that
+flow, which is the periodic medium's exact flow at any size.
+:func:`solve_darcy` solves any conductivity field with one global sparse
+factorization (CG on large grids) and is kept as its reference.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import SolverError
-from .medium import MediumSpec, build_conductivity, unit_cell_spec
+from .medium import (MediumSpec, build_conductivity, columns_per_cell,
+                     unit_cell_spec)
 
 # Switch from sparse direct factorization to preconditioned CG above this
 # number of unknowns.
@@ -44,7 +46,8 @@ class FlowField:
     ``face_velocity_x`` has shape (nx+1, ny): column i holds the x-normal
     specific discharge on the faces between columns i-1 and i (columns 0
     and nx are the domain boundaries).  ``face_velocity_y`` has shape
-    (nx, ny+1) and is zero on rows 0 and ny (no-flow walls).
+    (nx, ny+1) and is zero on rows 0 and ny (no-flow walls).  The flows of
+    :func:`solve_medium` keep the unit cell they tile in ``unit_cell``.
     """
 
     grid_nx: int
@@ -54,6 +57,7 @@ class FlowField:
     face_velocity_x: NDArray[np.float64]
     face_velocity_y: NDArray[np.float64]
     head: NDArray[np.float64]
+    unit_cell: FlowField | None = None
 
     @property
     def length_x(self) -> float:
@@ -64,28 +68,26 @@ class FlowField:
         return self.grid_ny * self.dy
 
 
-def _harmonic_face_transmissibility(
-    cond: NDArray[np.float64], dx: float, dy: float
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Interior-face transmissibilities (x-faces, y-faces)."""
+def _face_transmissibilities(cond: NDArray[np.float64], dx: float, dy: float):
+    """Transmissibilities (tx, ty, t_left, t_right): harmonic on interior
+    faces, at half-cell distance on the left and right Dirichlet faces."""
     ka, kb = cond[:-1, :], cond[1:, :]
     tx = (dy / dx) * 2.0 * ka * kb / (ka + kb)
     ka, kb = cond[:, :-1], cond[:, 1:]
     ty = (dx / dy) * 2.0 * ka * kb / (ka + kb)
-    return tx, ty
+    return tx, ty, 2.0 * cond[0, :] * dy / dx, 2.0 * cond[-1, :] * dy / dx
 
 
 @contextmanager
 def _one_blas_thread():
     """Hold every OpenBLAS mapped into this process at one thread.
 
-    The substructured solve makes hundreds of small dense and
-    multi-right-hand-side calls.  OpenBLAS splits each over a worker thread,
-    which on a loaded two-core host can cost a scheduler slice per call and
-    spins on after the last one, into the forked tracking workers.  numpy
-    and scipy each load their own OpenBLAS; both are found through
-    ``/proc/self/maps``, so a library first loaded inside the block runs
-    at its own thread count.  Where none is found this does nothing.
+    The unit-cell sweep makes one small dense inversion and a few
+    matrix-vector products per grid column.  OpenBLAS splits each over a
+    worker thread, which on a loaded two-core host can cost a scheduler
+    slice per call and spins on after the last one, into the forked
+    tracking workers.  Every OpenBLAS mapped when the block starts is found
+    through ``/proc/self/maps``; where none is, this does nothing.
     """
     try:
         with open("/proc/self/maps") as fh:
@@ -121,10 +123,8 @@ def _strip_matrix(
 
     ``tx`` (m-1, ny) holds the faces between the m columns and ``ty``
     (m, ny-1) the faces inside each column.  ``t_first`` and ``t_last`` are
-    the faces left of the first and right of the last column: they add to
-    the diagonal only, whether they lead to a Dirichlet boundary or to a
-    neighbouring column that is eliminated elsewhere.  Returns a
-    ``scipy.sparse.csr_matrix``.
+    the Dirichlet faces left of the first and right of the last column:
+    they add to the diagonal only.  Returns a ``scipy.sparse.csr_matrix``.
     """
     import scipy.sparse as sp
 
@@ -207,11 +207,7 @@ def solve_darcy(
     dy = spec.layer_height / ny
     h_left = spec.head_left
 
-    tx, ty = _harmonic_face_transmissibility(cond, dx, dy)
-    # Dirichlet boundary faces: half-cell distance
-    t_left = 2.0 * cond[0, :] * dy / dx
-    t_right = 2.0 * cond[-1, :] * dy / dx
-
+    tx, ty, t_left, t_right = _face_transmissibilities(cond, dx, dy)
     n = nx * ny
     A = _strip_matrix(tx, ty, t_left, t_right)
     b = np.zeros((nx, ny))
@@ -235,165 +231,81 @@ def solve_darcy(
     return flow
 
 
-def _periodic_solver(
+def _column_sweep(
     tx: NDArray[np.float64], ty: NDArray[np.float64],
-    t_left: NDArray[np.float64], t_right: NDArray[np.float64], num_cells: int,
+    t_first: NDArray[np.float64], t_last: NDArray[np.float64],
 ):
-    """Direct solver of the TPFA system of ``num_cells`` copies of one cell.
+    """Direct solver of the :func:`_strip_matrix` of the same faces.
 
-    ``tx`` (p, ny) holds the faces right of the unit cell's p columns, the
-    last one leading into the next cell's first column, and ``ty``
-    (p, ny-1) the faces inside them.  Returns ``solve(rhs)`` for
-    right-hand sides of shape (p·num_cells, ny).
-
-    The grid is cut at the first column of every cell after the first.  A
-    block of p-1 columns lies between two cuts; the first block (p columns)
-    and the last hold the Dirichlet faces.  Every middle block has the same
-    matrix, so three factorizations serve all of them.  Eliminating the
-    blocks leaves a block-tridiagonal Schur complement on the cuts, with
-    dense ny × ny blocks, which a block Thomas sweep factors once.
+    That matrix is block tridiagonal over the m columns, so a block Thomas
+    sweep eliminates them left to right, keeping the inverse of every dense
+    ny × ny Schur block.  Returns ``solve(rhs)`` for rhs of shape (m, ny).
     """
-    import scipy.linalg as sla
-    import scipy.sparse.linalg as spla
-    from scipy.linalg.lapack import dgetrs
-
-    p, ny = ty.shape[0], ty.shape[1] + 1
-    k_cuts = num_cells - 1
-    wrap, inner = tx[-1], tx[0]  # the faces left and right of a cut
-
-    def factor(t_first, t_last, first_column=1):
-        return spla.splu(_strip_matrix(
-            tx[first_column:-1], ty[first_column:], t_first, t_last).tocsc())
-
-    def exchange(lu, sides):
-        """The Schur terms that eliminating one block adds between its cuts.
-
-        ``sides`` lists (first row, face transmissibilities) of each of the
-        block's end columns that borders a cut; the result couples those
-        cuts through the block's inverse, ny rows and columns per side.
-        """
-        unit = np.zeros((lu.shape[0], ny * len(sides)))
-        for k, (row, face) in enumerate(sides):
-            unit[row + np.arange(ny), k * ny + np.arange(ny)] = face
-        z = lu.solve(unit)
-        return np.vstack([face[:, None] * z[row:row + ny] for row, face in sides])
-
-    first = factor(t_left, wrap if k_cuts else t_right, first_column=0)
-    if not k_cuts:
-        return lambda rhs: first.solve(rhs.ravel()).reshape(rhs.shape)
-    cut = _strip_matrix(tx[:0], ty[:1], wrap, inner).toarray()
-    from_first = exchange(first, [((p - 1) * ny, wrap)])
-    if p > 1:
-        last = factor(inner, t_right)
-        middle = factor(inner, wrap) if k_cuts > 1 else None
-        from_last = exchange(last, [(0, inner)])
-        if middle is not None:
-            through = exchange(middle, [(0, inner), ((p - 2) * ny, wrap)])
-            upper = -through[:ny, ny:]
-            diagonal = ([cut - from_first - through[:ny, :ny]]
-                        + [cut - through[:ny, :ny] - through[ny:, ny:]]
-                        * (k_cuts - 2)
-                        + [cut - through[ny:, ny:] - from_last])
-        else:
-            diagonal = [cut - from_first - from_last]
-    else:
-        # the cuts are adjacent columns and the last one has the outlet face
-        upper = -np.diag(wrap)
-        diagonal = [cut] * (k_cuts - 1) + [
-            _strip_matrix(tx[:0], ty[:1], wrap, t_right).toarray()]
-        diagonal[0] = diagonal[0] - from_first
-
-    factors = [sla.lu_factor(diagonal[0], check_finite=False)]
-    for block in diagonal[1:]:
-        coupled = upper.T @ sla.lu_solve(factors[-1], upper, check_finite=False)
-        factors.append(sla.lu_factor(block - coupled, check_finite=False))
-
-    def thomas(g):
-        x = np.empty_like(g)
-        x[0] = dgetrs(*factors[0], g[0])[0]
-        for k in range(1, k_cuts):
-            x[k] = dgetrs(*factors[k], g[k] - upper.T @ x[k - 1])[0]
-        for k in range(k_cuts - 2, -1, -1):
-            x[k] -= dgetrs(*factors[k], upper @ x[k + 1])[0]
-        return x
-
-    def solve_blocks(rhs):
-        """Solve every block right of a cut; ``rhs`` is (k_cuts, p-1, ny)."""
-        out = np.zeros_like(rhs)
-        if not rhs.any():
-            return out
-        if middle is not None:
-            out[:-1] = middle.solve(rhs[:-1].reshape(k_cuts - 1, -1).T).T.reshape(
-                rhs[:-1].shape)
-        out[-1] = last.solve(rhs[-1].ravel()).reshape(rhs[-1].shape)
-        return out
+    m, ny = ty.shape[0], ty.shape[1] + 1
+    rows = np.arange(ny)
+    x_faces = np.concatenate([t_first[None], tx, t_last[None]])
+    inverses = np.zeros((m, ny, ny))
+    inverses[:, rows, rows] = x_faces[:-1] + x_faces[1:]
+    inverses[:, rows[:-1], rows[:-1]] += ty
+    inverses[:, rows[1:], rows[1:]] += ty
+    inverses[:, rows[:-1], rows[1:]] = -ty
+    inverses[:, rows[1:], rows[:-1]] = -ty
+    inverses[0] = np.linalg.inv(inverses[0])
+    for k in range(1, m):
+        coupled = tx[k - 1][:, None] * inverses[k - 1] * tx[k - 1]
+        inverses[k] = np.linalg.inv(inverses[k] - coupled)
 
     def solve(rhs):
-        head = np.empty_like(rhs)
-        cells = head[p:].reshape(k_cuts, p, ny)  # a view: cut, then block
-        head[:p] = first.solve(rhs[:p].ravel()).reshape(p, ny)
-        g = rhs[p::p].copy()
-        g[0] += wrap * head[p - 1]
-        if p > 1:
-            cells[:, 1:] = solve_blocks(rhs[p:].reshape(k_cuts, p, ny)[:, 1:])
-            g += inner * cells[:, 1]
-            g[1:] += wrap * cells[:-1, -1]
-        cells[:, 0] = thomas(g)
-        # the blocks again, now with the cut heads on their faces
-        first_rhs = rhs[:p].copy()
-        first_rhs[-1] += wrap * cells[0, 0]
-        head[:p] = first.solve(first_rhs.ravel()).reshape(p, ny)
-        if p > 1:
-            block_rhs = rhs[p:].reshape(k_cuts, p, ny)[:, 1:].copy()
-            block_rhs[:, 0] += inner * cells[:, 0]
-            block_rhs[:-1, -1] += wrap * cells[1:, 0]
-            cells[:, 1:] = solve_blocks(block_rhs)
-        return head
+        x = np.empty_like(rhs)
+        x[0] = inverses[0] @ rhs[0]
+        for k in range(1, m):
+            x[k] = inverses[k] @ (rhs[k] + tx[k - 1] * x[k - 1])
+        for k in range(m - 2, -1, -1):
+            x[k] += inverses[k] @ (tx[k] * x[k + 1])
+        return x
 
     return solve
 
 
 def solve_medium(spec: MediumSpec, grid_nx: int, grid_ny: int) -> FlowField:
-    """Build the conductivity field for ``spec`` and solve the flow exactly.
+    """Solve the flow through the periodic medium exactly, at any size.
 
-    The field repeats every unit cell, so every matrix the solve factors is
-    assembled from one unit cell (see :func:`_periodic_solver`); no global
-    matrix is built.  One step of iterative refinement with the same
-    factors, on the residual ``cell_divergence`` reads off the face fluxes,
-    brings the per-cell divergence to roundoff at every grid size.  The heads
-    solve the same system as :func:`solve_darcy` on this field.
+    :func:`build_conductivity` makes the unit cell mirror-symmetric in x,
+    so its flow under a unit head drop between Dirichlet faces holds every
+    boundary between cells at a uniform head.  That cell is solved by
+    :func:`_column_sweep` and one refinement step on the residual that
+    ``cell_divergence`` reads off the face fluxes, then tiled: face
+    velocities scaled by the per-cell drop ``head_left / num_cells``, heads
+    offset by it per cell.  This solves :func:`solve_darcy`'s system.
     """
-    cond = build_conductivity(spec, grid_nx, grid_ny)
-    p = grid_nx // spec.num_cells
+    per_cell = columns_per_cell(spec, grid_nx)
     dx = spec.domain_length / grid_nx
     dy = spec.layer_height / grid_ny
-    # one unit cell and the first column of the next
-    tx, ty = _harmonic_face_transmissibility(
-        np.concatenate([cond[:p], cond[:1]]), dx, dy)
-    ty = ty[:p]
-    t_left = 2.0 * cond[0, :] * dy / dx
-    t_right = 2.0 * cond[-1, :] * dy / dx
-    faces = (np.tile(tx, (spec.num_cells, 1))[:grid_nx - 1],
-             np.tile(ty, (spec.num_cells, 1)), t_left, t_right,
-             spec.head_left, dx, dy)
-    b = np.zeros((grid_nx, grid_ny))
-    b[0, :] = t_left * spec.head_left
-    # map scipy's OpenBLAS, so that the guard finds it
-    import scipy.linalg  # noqa: F401
-
+    cond = build_conductivity(unit_cell_spec(spec), per_cell, grid_ny)
+    tx, ty, t_left, t_right = _face_transmissibilities(cond, dx, dy)
+    faces = (tx, ty, t_left, t_right, 1.0, dx, dy)
+    b = np.zeros(cond.shape)
+    b[0, :] = t_left
     with _one_blas_thread():
-        solve = _periodic_solver(tx, ty, t_left, t_right, spec.num_cells)
-        flow = _flow_field(solve(b), *faces)
-        flow = _flow_field(flow.head - solve(cell_divergence(flow)), *faces)
-        _check_residual(flow, np.linalg.norm(b))
-    return flow
+        solve = _column_sweep(tx, ty, t_left, t_right)
+        cell = _flow_field(solve(b), *faces)
+        cell = _flow_field(cell.head - solve(cell_divergence(cell)), *faces)
+    _check_residual(cell, np.linalg.norm(b))
+
+    n, drop = spec.num_cells, spec.head_left / spec.num_cells
+    fvx = np.empty((grid_nx + 1, grid_ny))
+    fvx[:-1].reshape(n, per_cell, grid_ny)[:] = drop * cell.face_velocity_x[:-1]
+    fvx[-1] = drop * cell.face_velocity_x[-1]
+    head = drop * (cell.head + np.arange(n - 1, -1, -1)[:, None, None])
+    return FlowField(
+        grid_nx=grid_nx, grid_ny=grid_ny, dx=dx, dy=dy, face_velocity_x=fvx,
+        face_velocity_y=np.tile(drop * cell.face_velocity_y, (n, 1)),
+        head=head.reshape(grid_nx, grid_ny), unit_cell=cell,
+    )
 
 
 def solve_unit_cell(spec: MediumSpec, grid_nx: int, grid_ny: int) -> FlowField:
-    """Flow through one unit cell under a unit head drop.
-
-    Used to compute the homogenized advection speed of the periodic medium.
-    """
+    """Flow through one unit cell under a unit head drop."""
     return solve_medium(unit_cell_spec(spec), grid_nx, grid_ny)
 
 

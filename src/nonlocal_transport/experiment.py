@@ -29,7 +29,7 @@ from .coarsen import (
     write_table,
 )
 from .config import ExperimentConfig, load_config
-from .darcy import max_relative_divergence, solve_medium, solve_unit_cell
+from .darcy import max_relative_divergence, solve_medium
 from .errors import ArtifactError, ConfigurationError, NumericalError
 from .learning import LearningProblem, fit, warm_start_raw
 from .nonlocal_diffusion import (
@@ -113,9 +113,7 @@ def run_generate(cfg: ExperimentConfig) -> Path:
 
     with _stage("flow"):
         flow = solve_medium(spec, cfg.grid_nx, cfg.grid_ny)
-        cell_flow = solve_unit_cell(
-            spec, cfg.grid_nx // spec.num_cells, cfg.grid_ny)
-        adv = effective_advection(spec, cell_flow)
+        adv = effective_advection(spec, flow.unit_cell)
         divergence = max_relative_divergence(flow)
         if not divergence <= MAX_RELATIVE_DIVERGENCE:
             raise NumericalError(

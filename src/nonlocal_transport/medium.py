@@ -100,15 +100,27 @@ def inclusion_mask(
     return np.abs(x_loc) / a + np.abs(y_loc) / b <= 1.0
 
 
+def columns_per_cell(spec: MediumSpec, grid_nx: int) -> int:
+    """Grid columns per unit cell; raises unless they are a whole number."""
+    if grid_nx % spec.num_cells != 0:
+        raise ConfigurationError(
+            f"grid_nx={grid_nx} is not divisible by num_cells={spec.num_cells}"
+        )
+    return grid_nx // spec.num_cells
+
+
 def build_conductivity(
     spec: MediumSpec, grid_nx: int, grid_ny: int
 ) -> NDArray[np.float64]:
     """Sample the conductivity field on a structured cell grid.
 
-    Each grid cell of the first unit cell is classified by its center:
+    Each grid cell of the left half of one unit cell (its middle column
+    included) is classified by its center, spaced ``cell_width / columns``:
     inclusion conductivity if the center lies inside the diamond, matrix
-    conductivity otherwise.  The field is that unit cell tiled
-    ``num_cells`` times, so it repeats exactly every unit cell.
+    conductivity otherwise.  The right half mirrors it, so the cell is
+    mirror-symmetric in x even where a center on the diamond's edge would
+    round differently on each side.  The field is that cell tiled
+    ``num_cells`` times.
 
     Parameters
     ----------
@@ -121,20 +133,17 @@ def build_conductivity(
     -------
     ndarray, shape (grid_nx, grid_ny)
     """
-    if grid_nx % spec.num_cells != 0:
-        raise ConfigurationError(
-            f"grid_nx={grid_nx} is not divisible by num_cells={spec.num_cells}"
-        )
+    per_cell = columns_per_cell(spec, grid_nx)
     if grid_ny < 2:
         raise ConfigurationError("grid_ny must be at least 2")
 
-    per_cell = grid_nx // spec.num_cells
-    dx = spec.domain_length / grid_nx
+    dx = spec.cell_width / per_cell
     dy = spec.layer_height / grid_ny
-    xc = (np.arange(per_cell) + 0.5) * dx
+    xc = (np.arange((per_cell + 1) // 2) + 0.5) * dx
     yc = (np.arange(grid_ny) + 0.5) * dy
     xg, yg = np.meshgrid(xc, yc, indexing="ij")
 
-    cell = np.full((per_cell, grid_ny), spec.kappa_matrix, dtype=float)
-    cell[inclusion_mask(spec, xg, yg)] = spec.kappa_inclusion
+    left = np.full(xg.shape, spec.kappa_matrix, dtype=float)
+    left[inclusion_mask(spec, xg, yg)] = spec.kappa_inclusion
+    cell = np.concatenate([left, left[:per_cell // 2][::-1]])
     return np.tile(cell, (spec.num_cells, 1))

@@ -150,12 +150,12 @@ def march(band: np.ndarray, theta: np.ndarray, dt: float, initial: np.ndarray):
 
     Every step matrix is filled at once, in LAPACK band storage, into an
     (n_steps, N, 3*Nd+1) array; each ``systems[n].T`` is Fortran-ordered and
-    LU-factored in place, once.  Returns (states, factors, pivots): c_1 ..
-    c_{n_steps} as rows of an (n_steps, N) array, and the factored systems
-    and pivots, so further right-hand sides of step n (tangents) solve with
-    ``dgbtrs(factors[n].T, Nd, Nd, rhs, pivots[n])``.
+    LU-factored in place by the ``dgbsv`` that solves its step.  Returns
+    (states, factors, pivots): c_1 .. c_{n_steps} as rows of an (n_steps, N)
+    array and the factored systems and pivots, so more right-hand sides of
+    step n (tangents) solve with ``dgbtrs(factors[n].T, Nd, Nd, rhs, pivots[n])``.
     """
-    from scipy.linalg.lapack import dgbtrf, dgbtrs
+    from scipy.linalg.lapack import dgbsv
 
     nd = (band.shape[0] - 1) // 2
     with np.errstate(over="ignore", invalid="ignore"):
@@ -171,11 +171,11 @@ def march(band: np.ndarray, theta: np.ndarray, dt: float, initial: np.ndarray):
     states = np.empty((n_steps, n))
     c = initial
     for step in range(n_steps):
-        _, pivots[step], info = dgbtrf(systems[step].T, nd, nd,
-                                       overwrite_ab=True)
+        _, pivots[step], c, info = dgbsv(nd, nd, systems[step].T, c,
+                                         overwrite_ab=True)
         if info != 0:   # not reachable for nonnegative kernels
             raise SolverError(f"implicit step factorization failed (info={info})")
-        c = states[step] = dgbtrs(systems[step].T, nd, nd, c, pivots[step])[0]
+        states[step] = c
     if not np.isfinite(states).all():
         raise SolverError("implicit step produced non-finite values")
     return states, systems, pivots

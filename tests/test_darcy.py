@@ -10,8 +10,8 @@ import scipy.sparse.linalg as spla
 
 import nonlocal_transport
 from nonlocal_transport.darcy import (
-    _harmonic_face_transmissibility,
-    _periodic_solver,
+    _column_sweep,
+    _face_transmissibilities,
     _strip_matrix,
     cell_center_velocity,
     max_relative_divergence,
@@ -165,8 +165,8 @@ def test_cg_path_matches_direct():
 
 
 @pytest.mark.parametrize("num_cells", [1, 2, 3, 8])
-@pytest.mark.parametrize("per_cell", [1, 2, 5])
-@pytest.mark.parametrize("grid_ny", [2, 12])
+@pytest.mark.parametrize("per_cell", [1, 2, 5, 10, 20])
+@pytest.mark.parametrize("grid_ny", [2, 4, 10, 12])
 @pytest.mark.parametrize("inclusion_fraction", [0.8, 1.0])
 def test_substructured_solve_matches_global_solve(
         num_cells, per_cell, grid_ny, inclusion_fraction):
@@ -196,30 +196,27 @@ def test_substructured_solve_above_the_direct_solver_limit():
 @pytest.mark.parametrize("grid_ny", [2, 7])
 def test_periodic_solver_solves_any_right_hand_side(
         num_cells, per_cell, grid_ny):
-    # the refinement step hands the solver a residual that is nonzero in
-    # every block and cut, unlike the Dirichlet right-hand side
+    # the refinement step hands the column sweep a residual that is nonzero
+    # in every column, unlike the Dirichlet right-hand side; here it solves
+    # the whole periodic medium's matrix
     spec = hetero_spec(num_cells=num_cells, inclusion_fraction=0.8)
     nx = num_cells * per_cell
     cond = build_conductivity(spec, nx, grid_ny)
-    dx, dy = spec.domain_length / nx, spec.layer_height / grid_ny
-    t_left = 2.0 * cond[0] * dy / dx
-    t_right = 2.0 * cond[-1] * dy / dx
-    tx, ty = _harmonic_face_transmissibility(
-        np.concatenate([cond[:per_cell], cond[:1]]), dx, dy)
-    solve = _periodic_solver(tx, ty[:per_cell], t_left, t_right, num_cells)
+    faces = _face_transmissibilities(
+        cond, spec.domain_length / nx, spec.layer_height / grid_ny)
+    solve = _column_sweep(*faces)
     rhs = np.random.default_rng(num_cells * per_cell).standard_normal(
         (nx, grid_ny))
-    matrix = _strip_matrix(*_harmonic_face_transmissibility(cond, dx, dy),
-                           t_left, t_right)
+    matrix = _strip_matrix(*faces)
     expected = spla.spsolve(matrix.tocsc(), rhs.ravel()).reshape(nx, grid_ny)
     np.testing.assert_allclose(solve(rhs), expected, rtol=0,
                                atol=1e-10 * np.abs(expected).max())
 
 
-#: Solves a periodic medium in an interpreter that has not loaded scipy yet
+#: Solves a periodic medium in an interpreter that has not loaded scipy
 #: and prints the thread count of every OpenBLAS mapped into the process,
-#: once inside the solve (right after the Schur complement is factored) and
-#: once after it.
+#: once inside the solve (right after the column sweep has inverted its
+#: Schur blocks) and once after it.
 BLAS_PROBE = """
 import ctypes, json, sys
 from nonlocal_transport import darcy
@@ -241,14 +238,14 @@ def openblas_threads():
 
 assert not [m for m in sys.modules if m.startswith("scipy")]
 inside = []
-periodic_solver = darcy._periodic_solver
+column_sweep = darcy._column_sweep
 
 def probed(*args):
-    solve = periodic_solver(*args)
+    solve = column_sweep(*args)
     inside.append(openblas_threads())
     return solve
 
-darcy._periodic_solver = probed
+darcy._column_sweep = probed
 spec = MediumSpec(kappa_matrix=1.0, kappa_inclusion=0.01, cell_width=0.5,
                   layer_height=1.0, num_cells=4, head_left=8.0)
 darcy.solve_medium(spec, 40, 8)
@@ -256,7 +253,7 @@ print(json.dumps({"inside": inside[0], "after": openblas_threads()}))
 """
 
 
-def test_blas_guard_covers_scipy_first_loaded_by_the_solve():
+def test_blas_guard_holds_every_openblas_during_the_solve():
     src = str(Path(nonlocal_transport.__file__).parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
            "PYTHONPATH": os.pathsep.join(
@@ -266,6 +263,7 @@ def test_blas_guard_covers_scipy_first_loaded_by_the_solve():
     assert done.returncode == 0, done.stderr
     threads = json.loads(done.stdout.splitlines()[-1])
     assert threads["inside"], "no OpenBLAS found during the solve"
-    # every OpenBLAS the solve maps, scipy's included, was held at one thread
+    # every OpenBLAS mapped during the solve was held at one thread
     assert set(threads["inside"]) == set(threads["after"])
     assert set(threads["inside"].values()) == {1}
+    assert set(threads["after"].values()) == {2}

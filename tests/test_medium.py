@@ -117,3 +117,13 @@ def test_tiled_unit_cell_equals_per_center_classification(
     np.testing.assert_array_equal(
         build_conductivity(spec, grid_nx, grid_ny),
         classify_every_center(spec, grid_nx, grid_ny))
+
+
+@pytest.mark.parametrize("inclusion_fraction", [0.8, 1.0])
+@pytest.mark.parametrize("grid_ny", [2, 4, 10, 12, 40])
+def test_unit_cell_is_mirror_symmetric(grid_ny, inclusion_fraction):
+    # the tiled Darcy solve is exact only for a cell that equals its mirror
+    spec = diamond_spec(num_cells=3, inclusion_fraction=inclusion_fraction)
+    for per_cell in range(2, 41):
+        cell = build_conductivity(spec, 3 * per_cell, grid_ny)[:per_cell]
+        np.testing.assert_array_equal(cell, cell[::-1], err_msg=f"{per_cell}")
