@@ -74,12 +74,13 @@ class EffectiveAdvection:
 def coarse_from_ensemble(ensemble, spec: MediumSpec, m: int) -> CoarseDensity:
     """Average the particle mass over forward windows of ``m`` unit cells.
 
-    Particles are binned straight into unit cells by their x position, each
-    carrying mass 1/num_particles; those that have exited by a snapshot are
-    left out of it, stagnant ones count where they stalled.  The value at
-    cell i is the mass in cells i..i+m-1 divided by the window volume
-    m*l1*l2; windows extending past the last cell are clipped and the
-    volume adjusted accordingly.
+    The ensemble's snapshots were binned into the unit cells of ``spec`` by
+    x position as they were tracked, each particle carrying mass
+    1/num_particles; those that have exited by a snapshot are left out of
+    it, stagnant ones count where they stalled.  The value at cell i is the
+    mass in cells i..i+m-1 divided by the window volume m*l1*l2; windows
+    extending past the last cell are clipped and the volume adjusted
+    accordingly.
     """
     if m < 1:
         raise ConfigurationError("smoothing window must cover at least one cell")
@@ -89,15 +90,8 @@ def coarse_from_ensemble(ensemble, spec: MediumSpec, m: int) -> CoarseDensity:
             f"smoothing window m={m} exceeds the {n_cells}-cell domain")
     if abs(ensemble.length_x - spec.domain_length) > 1e-9 * spec.domain_length:
         raise ConfigurationError("ensemble does not cover the medium domain")
-    n_snap = len(ensemble.snapshot_times)
-    n_particles = ensemble.num_particles
-    cell_mass = np.zeros((n_snap, n_cells))
-    for j, t in enumerate(ensemble.snapshot_times):
-        inside = ~(ensemble.exit_time <= t)
-        cells = np.clip(
-            (ensemble.positions[j, inside, 0] / spec.cell_width).astype(int),
-            0, n_cells - 1)
-        cell_mass[j] = np.bincount(cells, minlength=n_cells) / n_particles
+    cell_mass = ensemble.unit_cell_mass(spec)
+    n_snap = cell_mass.shape[0]
     cum = np.concatenate(
         [np.zeros((n_snap, 1)), np.cumsum(cell_mass, axis=1)], axis=1)
     idx = np.arange(n_cells)

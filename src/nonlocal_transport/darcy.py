@@ -317,13 +317,22 @@ def cell_divergence(flow: FlowField) -> NDArray[np.float64]:
 
 
 def max_relative_divergence(flow: FlowField) -> float:
-    """Largest per-cell divergence relative to the mean face flux magnitude."""
-    fx = np.abs(flow.face_velocity_x * flow.dy)
-    fy = np.abs(flow.face_velocity_y * flow.dx)
-    mean_flux = (fx.sum() + fy.sum()) / (fx.size + fy.size)
+    """Largest per-cell divergence relative to the mean face flux magnitude.
+
+    The face fluxes are formed once: the divergence is summed from them as
+    :func:`cell_divergence` sums it, then their magnitudes are taken in
+    place for the mean.
+    """
+    fx = flow.face_velocity_x * flow.dy
+    fy = flow.face_velocity_y * flow.dx
+    div = fx[1:, :] - fx[:-1, :]
+    div += fy[:, 1:] - fy[:, :-1]
+    peak = np.abs(div, out=div).max()
+    mean_flux = ((np.abs(fx, out=fx).sum() + np.abs(fy, out=fy).sum())
+                 / (fx.size + fy.size))
     if mean_flux == 0.0:
         return 0.0
-    return float(np.abs(cell_divergence(flow)).max() / mean_flux)
+    return float(peak / mean_flux)
 
 
 def cell_center_velocity(

@@ -10,7 +10,6 @@ seed reproduces every file byte for byte.
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from itertools import repeat
@@ -37,6 +36,7 @@ from .nonlocal_diffusion import (
 )
 from .tracking import (
     displacement_stats, inject, linear_slope, log_log_slope, track,
+    usable_cpus,
 )
 
 PDE_MODELS = ("nonlocal", "fractal", "classical")
@@ -123,7 +123,7 @@ def run_generate(cfg: ExperimentConfig) -> Path:
     with _stage("tracking"):
         tracking_cfg = cfg.tracking_config()
         positions = inject(flow, tracking_cfg, spec.num_cells)
-        ensemble = track(flow, positions, tracking_cfg)
+        ensemble = track(flow, positions, tracking_cfg, spec)
         stats = displacement_stats(ensemble)
         _check_status(ensemble, stats, cfg.num_particles)
 
@@ -330,7 +330,7 @@ def run_learn_split(cfg: ExperimentConfig) -> Path:
     chain = tuple(m for m in cfg.models if m in ("classical", "nonlocal"))
     groups = [chain] if chain else []
     groups += [(m,) for m in ("mlp", "fractal") if m in cfg.models]
-    workers = min(len(os.sched_getaffinity(0)), len(groups))
+    workers = min(usable_cpus(), len(groups))
     if workers < 2:
         return run_learn(cfg)
     with ProcessPoolExecutor(max_workers=workers,

@@ -21,6 +21,9 @@ import numpy as np
 from .coarsen import BreakthroughCurve, cell_traces
 from .errors import ConfigurationError, SolverError
 
+#: Steps per ``march`` call in :func:`solve`.
+SOLVE_BLOCK_STEPS = 64
+
 
 @dataclass(frozen=True)
 class DynamicKernel:
@@ -198,7 +201,12 @@ def exchange_differences(c: np.ndarray, horizon_cells: int) -> np.ndarray:
 
 
 def solve(kernel: DynamicKernel, initial: np.ndarray, times: np.ndarray) -> NonlocalSolution:
-    """March the implicit scheme over a uniform grid starting at t = 0."""
+    """March the implicit scheme over a uniform grid starting at t = 0.
+
+    ``march`` runs on blocks of ``SOLVE_BLOCK_STEPS`` steps, each starting
+    from the last state of the one before, so only one block's factors are
+    held at a time; no caller of ``solve`` needs them.
+    """
     c0 = np.asarray(initial, dtype=float)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 2:
@@ -209,10 +217,13 @@ def solve(kernel: DynamicKernel, initial: np.ndarray, times: np.ndarray) -> Nonl
     if dt <= 0 or not np.allclose(np.diff(times), dt, rtol=1e-9, atol=0):
         raise ConfigurationError("the time grid must be uniform and increasing")
     theta, _ = theta_schedule(kernel.p, times)
+    band = assemble_operator(kernel, c0.shape[0])
     values = np.empty((c0.shape[0], len(times)))
     values[:, 0] = c0
-    states, _, _ = march(assemble_operator(kernel, c0.shape[0]), theta, dt, c0)
-    values[:, 1:] = states.T
+    for start in range(0, len(theta), SOLVE_BLOCK_STEPS):
+        stop = min(start + SOLVE_BLOCK_STEPS, len(theta))
+        states, _, _ = march(band, theta[start:stop], dt, values[:, start])
+        values[:, start + 1:stop + 1] = states.T
     return NonlocalSolution(values=values, times=times.copy(),
                             initial_condition=c0.copy(),
                             cell_width=kernel.cell_width)

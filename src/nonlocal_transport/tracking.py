@@ -4,7 +4,9 @@ Within each grid cell the velocity components are interpolated linearly
 between opposing faces, so every trajectory segment has a closed form
 (exponential in time) and cell-transit times are exact.  Tracking is
 event-driven: the snapshot interval only selects when positions are
-recorded, never how the trajectory is integrated.
+recorded, never how the trajectory is integrated.  Recorded snapshots are
+streamed through a small ring and reduced as they complete, so no
+(snapshots x particles) array is ever held.
 """
 
 from __future__ import annotations
@@ -12,17 +14,23 @@ from __future__ import annotations
 import mmap
 import os
 from dataclasses import dataclass
-from multiprocessing import get_context
+from multiprocessing import get_context, parent_process
+from multiprocessing.connection import wait
 
 import numpy as np
 
 from .darcy import FlowField
 from .errors import ConfigurationError, InjectionError, NumericalError
+from .medium import MediumSpec
 
 #: Fraction of the mean face speed below which a particle is considered
 #: motionless along an axis; protects the exit-time formulas from division
 #: by velocities that are zero to rounding.
 STAGNATION_FLOOR_FRACTION = 1e-14
+
+#: Snapshot rows held by the shared ring that tracking blocks write into:
+#: how far a worker may run ahead of the rows already reduced.
+RING_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -54,16 +62,52 @@ class TrackingConfig:
         return np.arange(n_steps + 1) * self.dt
 
 
+class SnapshotReducer:
+    """Per-snapshot statistics of a tracked ensemble, fed one row at a time.
+
+    :meth:`add` takes snapshot row j, the (n, 2) positions, with exit times
+    that hold every exit up to that snapshot (later ones may still be +inf).
+    It records the mean x and the MSD of the particles not yet exited, and
+    the mass, 1/num_particles each, of those particles in every unit cell of
+    width ``cell_width``, binned by x and clipped to the ``num_cells`` cells.
+    """
+
+    def __init__(self, times, num_particles: int, cell_width: float,
+                 num_cells: int):
+        self.times = np.asarray(times, dtype=float)
+        self.num_particles = num_particles
+        self.cell_width = cell_width
+        self.mean_x = np.full(len(self.times), np.nan)
+        self.msd = np.full(len(self.times), np.nan)
+        self.cell_mass = np.zeros((len(self.times), num_cells))
+
+    def add(self, j: int, row, exit_time) -> None:
+        t = self.times[j]
+        x = row[:, 0]
+        keep = exit_time > t
+        n_in = np.count_nonzero(keep)
+        if n_in:
+            self.mean_x[j] = np.where(keep, x, 0.0).sum() / n_in
+            dev = np.where(keep, x - self.mean_x[j], 0.0)
+            self.msd[j] = (dev ** 2).sum() / n_in
+        num_cells = self.cell_mass.shape[1]
+        cells = np.clip((x[~(exit_time <= t)] / self.cell_width).astype(int),
+                        0, num_cells - 1)
+        self.cell_mass[j] = (np.bincount(cells, minlength=num_cells)
+                             / self.num_particles)
+
+
 @dataclass(frozen=True)
 class ParticleEnsemble:
-    """Recorded trajectories of one tracked ensemble.
+    """What tracking an ensemble leaves: its final state and reduced snapshots.
 
-    ``positions`` holds one (x, y) row per particle per snapshot.  Particles
-    that reach the outlet are frozen at x = length_x and flagged via a finite
-    ``exit_time``; particles stalled in a (numerically) stagnant cell are
-    frozen where they stalled and flagged via ``stagnant_time``.  Both times
-    are +inf for particles that never reach the corresponding state, and the
-    two states are mutually exclusive.
+    ``positions`` holds the (x, y) row of every particle at the last
+    snapshot, and ``snapshots`` the reduction of every recorded row.
+    Particles that reach the outlet are frozen at x = length_x and flagged
+    via a finite ``exit_time``; particles stalled in a (numerically)
+    stagnant cell are frozen where they stalled and flagged via
+    ``stagnant_time``.  Both times are +inf for particles that never reach
+    the corresponding state, and the two states are mutually exclusive.
     """
 
     snapshot_times: np.ndarray
@@ -72,10 +116,11 @@ class ParticleEnsemble:
     stagnant_time: np.ndarray
     length_x: float
     length_y: float
+    snapshots: SnapshotReducer
 
     @property
     def num_particles(self) -> int:
-        return self.positions.shape[1]
+        return len(self.exit_time)
 
     def status_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-snapshot (n_active, n_exited, n_stagnant)."""
@@ -88,6 +133,21 @@ class ParticleEnsemble:
                       - count_by(np.maximum(self.stagnant_time, self.exit_time)))
         n_active = self.num_particles - n_exited - n_stagnant
         return n_active, n_exited, n_stagnant
+
+    def unit_cell_mass(self, spec: MediumSpec) -> np.ndarray:
+        """(snapshots x cells) mass of the non-exited particles per unit cell.
+
+        Raises ConfigurationError unless the snapshots were binned on the
+        unit cells of ``spec``.
+        """
+        mass = self.snapshots.cell_mass
+        if (self.snapshots.cell_width != spec.cell_width
+                or mass.shape[1] != spec.num_cells):
+            raise ConfigurationError(
+                f"ensemble was binned on {mass.shape[1]} cells of width "
+                f"{self.snapshots.cell_width!r}, not the medium's "
+                f"{spec.num_cells} of width {spec.cell_width!r}")
+        return mass
 
 
 @dataclass(frozen=True)
@@ -213,8 +273,9 @@ def _coord_at(loc, vp, a, tau):
     return growth
 
 
-def track(flow: FlowField, positions, cfg: TrackingConfig) -> ParticleEnsemble:
-    """Advance particles through the flow, recording every ``cfg.dt``.
+def track(flow: FlowField, positions, cfg: TrackingConfig,
+          spec: MediumSpec) -> ParticleEnsemble:
+    """Advance particles through the flow, reducing every ``cfg.dt``.
 
     Each particle is advanced cell transit by cell transit using the exact
     per-cell solution; positions at snapshot instants are evaluated from the
@@ -223,66 +284,157 @@ def track(flow: FlowField, positions, cfg: TrackingConfig) -> ParticleEnsemble:
     plane x = length_x are frozen there; particles entering a cell whose face
     speeds all sit below the stagnation floor are frozen where they are.
 
+    Every snapshot row goes through a :class:`SnapshotReducer` on the unit
+    cells of the medium ``spec`` as :func:`stream` hands it on; only the last
+    row's positions are kept.
+    """
+    pos = _checked_positions(flow, positions)
+    reducer = SnapshotReducer(cfg.snapshot_times, pos.shape[0],
+                              spec.cell_width, spec.num_cells)
+    final, exit_time, stagnant_time = stream(flow, pos, cfg, reducer.add)
+    return ParticleEnsemble(
+        snapshot_times=reducer.times, positions=final,
+        exit_time=exit_time, stagnant_time=stagnant_time,
+        length_x=flow.length_x, length_y=flow.length_y, snapshots=reducer,
+    )
+
+
+def stream(flow: FlowField, positions, cfg: TrackingConfig, consume):
+    """Track particles, handing every snapshot row to ``consume`` in order.
+
+    ``consume(j, row, exit_time)`` receives snapshot j's (n, 2) positions
+    and the exit times recorded so far, which hold every exit up to that
+    snapshot; both are only valid during the call.  Returns the final
+    positions and the exit and stagnation times.
+
     The ensemble is cut into one contiguous block of particles per CPU this
     process may run on.  This process tracks the first block and a forked
-    worker tracks each other one, all writing into one shared anonymous
-    mapping that backs the returned arrays, so no result is copied.  The
-    per-cell velocity tables are built once before the fork and shared
-    copy-on-write.  Every operation of the tracker is elementwise per
-    particle (batch-wide tests only choose a code path), so a block gives the
-    same bits as the whole ensemble would.
+    worker tracks each other one.  Every block writes snapshot j into its
+    particle slice of slot j mod ``RING_ROWS`` of one shared anonymous
+    mapping.  Once every block has written row j, this process hands it to
+    ``consume`` and frees its slot for row j + ``RING_ROWS``; workers wait
+    for that before they overwrite it.  A worker that dies raises
+    NumericalError as soon as its row is awaited.  The per-cell velocity
+    tables are built once before the fork and shared copy-on-write.  Every
+    operation of the tracker is elementwise per particle (batch-wide tests
+    only choose a code path), so a block gives the same bits as the whole
+    ensemble would.
     """
+    pos = _checked_positions(flow, positions)
+    n = pos.shape[0]
+    cells = _CellTables.of(flow)
+    times = cfg.snapshot_times
+    slots = min(RING_ROWS, len(times))
+    size = slots * n * 2
+    count = size + 2 * n
+    shared = np.frombuffer(mmap.mmap(-1, 8 * max(count, 1)), dtype=float,
+                           count=count)
+    ring = shared[:size].reshape(slots, n, 2)
+    exit_time, stagnant_time = shared[size:].reshape(2, n)
+    # a particle no block tracked keeps NaN times and fails the status count
+    shared[size:] = np.nan
+    k = max(1, min(usable_cpus(), n))
+    bounds = [n * b // k for b in range(k + 1)]
+    blocks = [(cells, pos[lo:hi], times, ring[:, lo:hi], exit_time[lo:hi],
+               stagnant_time[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    context = get_context("fork")
+    # per worker: its process, the pipe it announces each written row on,
+    # and the pipe this process frees its ring slots on
+    workers, rows, frees = [], [], []
+    writing = []
+
+    def emit(j):
+        for w in list(writing):
+            if _next_row(rows[w], workers[w]):
+                continue
+            workers[w].join()
+            if workers[w].exitcode != 0:
+                raise _worker_error(w + 2, k, bounds, workers[w].exitcode)
+            writing.remove(w)
+        consume(j, ring[j % slots], exit_time)
+        if j + slots < len(times):
+            for w in writing:
+                try:
+                    frees[w].send_bytes(b"")
+                except BrokenPipeError:
+                    pass    # a dead worker is reported at its next row
+
+    try:
+        for block in blocks[1:]:
+            row_r, row_w = context.Pipe(duplex=False)
+            free_r, free_w = context.Pipe(duplex=False)
+            worker = context.Process(target=_block_worker,
+                                     args=(block, row_w, free_r))
+            worker.start()
+            writing.append(len(workers))
+            workers.append(worker)
+            rows.append(row_r)
+            frees.append(free_w)
+            row_w.close()
+            free_r.close()
+        _track_block(*blocks[0], emit)
+    except BaseException:
+        for worker in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker in workers:
+            worker.join()
+        for conn in rows + frees:
+            conn.close()
+    for b, worker in enumerate(workers, start=2):
+        if worker.exitcode != 0:
+            raise _worker_error(b, k, bounds, worker.exitcode)
+    return (ring[(len(times) - 1) % slots].copy(), exit_time.copy(),
+            stagnant_time.copy())
+
+
+def _checked_positions(flow: FlowField, positions) -> np.ndarray:
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise ConfigurationError("positions must have shape (n, 2)")
     if np.any((pos[:, 0] < 0) | (pos[:, 0] > flow.length_x)
               | (pos[:, 1] < 0) | (pos[:, 1] > flow.length_y)):
         raise ConfigurationError("initial positions outside the flow domain")
+    return pos
 
-    n = pos.shape[0]
-    cells = _CellTables.of(flow)
-    times = cfg.snapshot_times
-    size = len(times) * n * 2
-    count = size + 2 * n
-    shared = np.frombuffer(mmap.mmap(-1, 8 * max(count, 1)), dtype=float,
-                           count=count)
-    out = shared[:size].reshape(len(times), n, 2)
-    exit_time, stagnant_time = shared[size:].reshape(2, n)
-    # a particle no block tracked keeps NaN times and fails the status count
-    shared[size:] = np.nan
-    k = max(1, min(_usable_cpus(), n))
-    bounds = [n * b // k for b in range(k + 1)]
-    blocks = [(cells, pos[lo:hi], times, out[:, lo:hi], exit_time[lo:hi],
-               stagnant_time[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    workers = [get_context("fork").Process(target=_track_block, args=block)
-               for block in blocks[1:]]
-    started = []
+
+def _next_row(rows, worker) -> bool:
+    """Take the worker's token for its next row; False if it ended first."""
+    if not rows.poll():
+        wait([rows, worker.sentinel])
     try:
-        for worker in workers:
-            worker.start()
-            started.append(worker)
-        _track_block(*blocks[0])
-    except BaseException:
-        for worker in started:
-            worker.terminate()
-        raise
-    finally:
-        for worker in started:
-            worker.join()
-    for b, worker in enumerate(workers, start=2):
-        if worker.exitcode != 0:
-            raise NumericalError(
-                f"tracking block {b} of {k} (particles {bounds[b - 1]} to "
-                f"{bounds[b] - 1}) exited with code {worker.exitcode}")
-
-    return ParticleEnsemble(
-        snapshot_times=times, positions=out,
-        exit_time=exit_time, stagnant_time=stagnant_time,
-        length_x=flow.length_x, length_y=flow.length_y,
-    )
+        if rows.poll():
+            rows.recv_bytes()
+            return True
+    except EOFError:
+        pass
+    return False
 
 
-def _usable_cpus() -> int:
+def _worker_error(b: int, k: int, bounds, exitcode) -> NumericalError:
+    return NumericalError(
+        f"tracking block {b} of {k} (particles {bounds[b - 1]} to "
+        f"{bounds[b] - 1}) exited with code {exitcode}")
+
+
+def _block_worker(block, rows, frees) -> None:
+    """Track ``block`` in a forked worker, sending a token on ``rows`` per
+    written row and taking one from ``frees`` before reusing a ring slot."""
+    times, ring = block[2], block[3]
+    parent = parent_process().sentinel
+
+    def emit(j):
+        rows.send_bytes(b"")
+        if len(ring) <= j + 1 < len(times):
+            if frees not in wait([frees, parent]):
+                raise SystemExit("tracking: the calling process has ended")
+            frees.recv_bytes()
+
+    _track_block(*block, emit)
+
+
+def usable_cpus() -> int:
     """CPUs this process may run on; every CPU where affinity is unknown."""
     try:
         return len(os.sched_getaffinity(0))
@@ -314,12 +466,14 @@ class _CellTables:
                    ax=(vx_hi - vx_lo) / flow.dx, ay=(vy_hi - vy_lo) / flow.dy)
 
 
-def _track_block(cells: _CellTables, pos, times, out, exit_time,
-                 stagnant_time) -> None:
+def _track_block(cells: _CellTables, pos, times, ring, exit_time,
+                 stagnant_time, emit) -> None:
     """Track the particles starting at ``pos`` into the given output views.
 
-    ``out`` is (snapshots x particles x 2); row 0 is the injected positions
-    themselves, not re-evaluated from a cell origin.
+    Snapshot row j goes into ``ring[j % len(ring)]``, (particles x 2), and
+    ``emit(j)`` follows it; once that returns, the slot of row j + 1 must be
+    free.  Row 0 is the injected positions themselves, not re-evaluated from
+    a cell origin.
     """
     n = pos.shape[0]
     flow = cells.flow
@@ -327,6 +481,7 @@ def _track_block(cells: _CellTables, pos, times, out, exit_time,
     dx, dy = flow.dx, flow.dy
     length_x = flow.length_x
     v_floor = cells.v_floor
+    slots = len(ring)
     vx_lo, vx_hi, vy_lo, vy_hi = cells.vx_lo, cells.vx_hi, cells.vy_lo, cells.vy_hi
     ax_cell, ay_cell = cells.ax, cells.ay
 
@@ -430,42 +585,32 @@ def _track_block(cells: _CellTables, pos, times, out, exit_time,
                 cix, ciy = cix[keep], ciy[keep]
             compute_transit(due, x, y, t, cix, ciy)
             due = due.compress(t_seg_end[due] <= ts)
+        row = ring[j % slots]
         if active.all():
             live = slice(None)
         else:
-            out[j] = frozen
+            row[:] = frozen
             live = np.flatnonzero(active)
         tau = ts - t0[live]
         xr = _coord_at(seg_locx[live], seg_vxp[live], seg_ax[live], tau)
         xr += seg_ox[live]
         yr = _coord_at(seg_locy[live], seg_vyp[live], seg_ay[live], tau)
         yr += seg_oy[live]
-        out[j, live, 0] = xr
-        out[j, live, 1] = yr
-    out[0] = pos
+        row[live, 0] = xr
+        row[live, 1] = yr
+        if j == 0:
+            row[:] = pos
+        emit(j)
 
 
 def displacement_stats(ensemble: ParticleEnsemble) -> DisplacementStats:
-    """Mean displacement and MSD of the non-exited particles per snapshot.
-
-    Reduces one snapshot at a time, so no (snapshots x particles)
-    temporary is ever built.
-    """
-    times = ensemble.snapshot_times
-    mean_x = np.full(len(times), np.nan)
-    msd = np.full(len(times), np.nan)
-    for j, t in enumerate(times):
-        keep = ensemble.exit_time > t
-        n_in = np.count_nonzero(keep)
-        if n_in == 0:
-            continue
-        x = ensemble.positions[j, :, 0]
-        mean_x[j] = np.where(keep, x, 0.0).sum() / n_in
-        dev = np.where(keep, x - mean_x[j], 0.0)
-        msd[j] = (dev ** 2).sum() / n_in
+    """Mean displacement and MSD of the non-exited particles per snapshot,
+    as the ensemble's :class:`SnapshotReducer` recorded them."""
     n_active, n_exited, n_stagnant = ensemble.status_counts()
     return DisplacementStats(
-        times=times.copy(), mean_x=mean_x, msd=msd,
+        times=ensemble.snapshot_times.copy(),
+        mean_x=ensemble.snapshots.mean_x.copy(),
+        msd=ensemble.snapshots.msd.copy(),
         n_active=n_active, n_exited=n_exited, n_stagnant=n_stagnant,
     )
 

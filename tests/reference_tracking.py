@@ -9,10 +9,8 @@ times bit for bit.
 import numpy as np
 
 from nonlocal_transport.errors import ConfigurationError
-from nonlocal_transport.tracking import (
-    STAGNATION_FLOOR_FRACTION,
-    ParticleEnsemble,
-)
+from nonlocal_transport.tracking import STAGNATION_FLOOR_FRACTION
+from trajectories import Trajectories, trajectories
 
 STATUS_ACTIVE = 0
 STATUS_EXITED = 1
@@ -53,7 +51,7 @@ def _coord_at(loc, vp, a, tau):
     return loc + vp * growth
 
 
-def reference_track(flow, positions, cfg) -> ParticleEnsemble:
+def reference_track(flow, positions, cfg) -> Trajectories:
     """Advance particles through the flow, recording every ``cfg.dt``.
 
     Each particle is advanced cell transit by cell transit using the exact
@@ -180,8 +178,5 @@ def reference_track(flow, positions, cfg) -> ParticleEnsemble:
         out[j, :, 0] = rec_x
         out[j, :, 1] = rec_y
 
-    return ParticleEnsemble(
-        snapshot_times=times, positions=out,
-        exit_time=exit_time, stagnant_time=stagnant_time,
-        length_x=length_x, length_y=length_y,
-    )
+    return trajectories(times, out, exit_time, stagnant_time, length_x,
+                        length_y)

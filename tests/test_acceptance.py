@@ -29,8 +29,9 @@ from nonlocal_transport.nonlocal_diffusion import (
     unit_spike,
 )
 from nonlocal_transport.tracking import (
-    FlowField, TrackingConfig, linear_slope, log_log_slope, track,
+    FlowField, TrackingConfig, linear_slope, log_log_slope,
 )
+from trajectories import track
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.yaml"
 

@@ -250,6 +250,33 @@ def test_learn_on_one_cpu_starts_no_worker(pipeline, tmp_path, monkeypatch):
     assert set().union(*pids_by_label(log).values()) == {os.getpid()}
 
 
+def test_learn_without_affinity_counts_every_cpu(pipeline, tmp_path,
+                                                monkeypatch):
+    # hosts without sched_getaffinity use os.cpu_count(), which may be None
+    path, out = pipeline
+    target = tmp_path / "no_affinity"
+    fresh_dataset(out, target)
+    log = tmp_path / "pids.log"
+    record_pids(monkeypatch, log)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert cli.main(["learn", "--config", str(path),
+                     "--out", str(target)]) == 0
+    pooled = fit_files(target)
+    assert set(pooled) == {"fit_nonlocal.json", "fit_classical.json",
+                           "fit_mlp.json"}
+    assert os.getpid() not in set().union(*pids_by_label(log).values())
+    assert multiprocessing.active_children() == []
+    for name in pooled:
+        (target / name).unlink()
+    log.unlink()
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli.main(["learn", "--config", str(path),
+                     "--out", str(target)]) == 0
+    assert fit_files(target) == pooled
+    assert set().union(*pids_by_label(log).values()) == {os.getpid()}
+
+
 def test_pooled_learn_without_mlp_equals_one_process_learn(
         pipeline, tmp_path, monkeypatch):
     # nonlocal (with classical) and fractal run as two groups on two workers
@@ -449,6 +476,58 @@ def test_commands_load_only_the_scipy_they_call(pipeline, tmp_path):
                 if m.startswith(("scipy.sparse", "scipy.special"))]
     assert scipy_modules_after("generate", "--config", str(path),
                                "--out", str(tmp_path / "generated")) == []
+
+
+#: Runs ``generate`` with the arguments after ``-c`` on as many usable CPUs
+#: as the first one says, then prints its exit code and its peak RSS in KiB.
+GENERATE_FOOTPRINT = """
+import os, resource, sys
+cpus = int(sys.argv[1])
+os.sched_getaffinity = lambda pid: set(range(cpus))
+from nonlocal_transport import cli
+code = cli.main(["generate", *sys.argv[2:]])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def generate_in_child(path, cpus):
+    """Peak RSS in bytes of ``generate`` run in a fresh interpreter."""
+    src = str(Path(nonlocal_transport.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run(
+        [sys.executable, "-c", GENERATE_FOOTPRINT, str(cpus), "--config",
+         str(path)], capture_output=True, text=True, env=env, check=True)
+    code, maxrss = map(int, done.stdout.splitlines()[-1].split())
+    assert code == 0, done.stderr
+    return 1024 * maxrss
+
+
+def output_files(directory):
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def test_generate_memory_does_not_grow_with_snapshots(tmp_path):
+    # a stored (snapshots x particles x 2) array would add n * (T/dt) * 16
+    # bytes from t_end = T to 2T; the streamed snapshots add next to nothing
+    n, dt, t_end = 20_000, 0.1, 10.0
+    paths = {}
+    for span in (t_end, 2 * t_end):
+        data = tiny_config(tmp_path / f"out_{span:g}")
+        data["tracking"].update(num_particles=n, dt=dt, t_end=span)
+        paths[span] = write_config(tmp_path, data, f"cfg_{span:g}.yaml")
+    growth = (generate_in_child(paths[2 * t_end], 2)
+              - generate_in_child(paths[t_end], 2))
+    assert growth < 0.25 * n * (t_end / dt) * 16
+    # the reduced outputs do not depend on how the particles are split
+    out = tmp_path / f"out_{2 * t_end:g}"
+    first = output_files(out)
+    assert len(first) == 8
+    for cpus in (1, 3):
+        shutil.rmtree(out)
+        generate_in_child(paths[2 * t_end], cpus)
+        assert output_files(out) == first, cpus
 
 
 def test_missing_config_exits_2(capsys):

@@ -22,12 +22,11 @@ from nonlocal_transport.errors import (
 )
 from nonlocal_transport.medium import MediumSpec, build_conductivity
 from nonlocal_transport.tracking import (
-    ParticleEnsemble,
     TrackingConfig,
     displacement_stats,
     inject,
-    track,
 )
+from trajectories import track, trajectories
 
 L1 = math.sqrt(3.0) / 3.0
 
@@ -48,13 +47,12 @@ def ensemble(spec, x, times=(0.0,), exit_time=None, stagnant_time=None,
     rng = np.random.default_rng(0)
     positions = np.stack(
         [x, rng.uniform(0.0, spec.layer_height, size=x.shape)], axis=-1)
-    return ParticleEnsemble(
-        snapshot_times=np.asarray(times, dtype=float), positions=positions,
-        exit_time=np.full(n, np.inf) if exit_time is None else exit_time,
-        stagnant_time=(np.full(n, np.inf) if stagnant_time is None
-                       else stagnant_time),
-        length_x=spec.domain_length if length_x is None else length_x,
-        length_y=spec.layer_height)
+    return trajectories(
+        times, positions,
+        np.full(n, np.inf) if exit_time is None else exit_time,
+        np.full(n, np.inf) if stagnant_time is None else stagnant_time,
+        spec.domain_length if length_x is None else length_x,
+        spec.layer_height)
 
 
 def synthetic_ensemble(spec, n=200, n_snap=4, seed=0):

@@ -10,10 +10,12 @@ import scipy.sparse.linalg as spla
 
 import nonlocal_transport
 from nonlocal_transport.darcy import (
+    FlowField,
     _column_sweep,
     _face_transmissibilities,
     _strip_matrix,
     cell_center_velocity,
+    cell_divergence,
     max_relative_divergence,
     solve_darcy,
     solve_medium,
@@ -65,6 +67,44 @@ def test_homogeneous_linear_head_and_uniform_velocity():
 def test_divergence_free_heterogeneous():
     flow = solve_medium(hetero_spec(), grid_nx=80, grid_ny=24)
     assert max_relative_divergence(flow) < 1e-10
+
+
+def reference_max_relative_divergence(flow):
+    """The divergence gate's plain formula, one temporary per step."""
+    fx = np.abs(flow.face_velocity_x * flow.dy)
+    fy = np.abs(flow.face_velocity_y * flow.dx)
+    mean_flux = (fx.sum() + fy.sum()) / (fx.size + fy.size)
+    if mean_flux == 0.0:
+        return 0.0
+    return float(np.abs(cell_divergence(flow)).max() / mean_flux)
+
+
+def random_face_flow(seed, nx=30, ny=7):
+    """Face velocities of both signs and no conservation at all."""
+    rng = np.random.default_rng(seed)
+    return FlowField(grid_nx=nx, grid_ny=ny, dx=rng.uniform(0.1, 1.0),
+                     dy=rng.uniform(0.1, 1.0),
+                     face_velocity_x=rng.normal(0.3, 1.0, (nx + 1, ny)),
+                     face_velocity_y=rng.normal(0.0, 1.0, (nx, ny + 1)),
+                     head=np.zeros((nx, ny)))
+
+
+@pytest.mark.parametrize("field", ["desk", "transport-wide", "random0",
+                                   "random1", "random2", "still"])
+def test_max_relative_divergence_matches_reference(field):
+    if field == "desk":
+        flow = solve_medium(hetero_spec(num_cells=60, head_left=13.0), 600, 40)
+    elif field == "transport-wide":
+        flow = solve_medium(hetero_spec(num_cells=120, head_left=26.0),
+                            2400, 80)
+    elif field == "still":
+        flow = solve_medium(homog_spec(head_left=0.0), 60, 8)
+    else:
+        flow = random_face_flow(int(field.removeprefix("random")))
+    want = reference_max_relative_divergence(flow)
+    got = max_relative_divergence(flow)
+    assert type(got) is float
+    assert got.hex() == want.hex()
 
 
 def test_global_mass_balance():

@@ -7,18 +7,22 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from nonlocal_transport.baselines import FractalParams, fractal_kernel
 from nonlocal_transport.errors import ConfigurationError, SolverError
 from nonlocal_transport.learning import (
     LearningProblem, evaluate_loss, loss_and_gradient,
 )
 from nonlocal_transport.nonlocal_diffusion import (
+    SOLVE_BLOCK_STEPS,
     DynamicKernel,
     assemble_operator,
     exchange_differences,
     first_step_theta,
+    march,
     model_btc,
     solution_moments,
     solve,
+    theta_schedule,
     unit_spike,
 )
 from nonlocal_transport.tracking import linear_slope, log_log_slope
@@ -332,3 +336,26 @@ def test_unit_spike_validation():
         unit_spike(10, 0)
     with pytest.raises(ConfigurationError):
         unit_spike(10, 11)
+
+
+@pytest.mark.parametrize("model", ["nonlocal", "fractal", "classical"])
+@pytest.mark.parametrize("n_steps", [SOLVE_BLOCK_STEPS - 1, SOLVE_BLOCK_STEPS,
+                                     3 * SOLVE_BLOCK_STEPS + 7])
+def test_solve_in_blocks_matches_one_march(model, n_steps):
+    # solve marches blocks of steps from each block's last state; the
+    # states must be the bits of one march over every step
+    kernel = {
+        "nonlocal": DynamicKernel(
+            phi=np.array([0.01, 0.03, 0.2, 0.9, 0.0, 0.5, 0.1, 0.02, 0.004]),
+            p=0.45, horizon_cells=4, cell_width=L1),
+        "fractal": fractal_kernel(FractalParams(D_bar=0.04, q=0.35), L1),
+        "classical": fractal_kernel(FractalParams(D_bar=0.04, q=0.0), L1),
+    }[model]
+    c0 = unit_spike(40, 6)
+    times = np.arange(n_steps + 1) * 0.1
+    solution = solve(kernel, c0, times)
+    theta, _ = theta_schedule(kernel.p, times)
+    states, _, _ = march(assemble_operator(kernel, 40), theta,
+                         times[1] - times[0], c0)
+    assert solution.values[:, 0].tobytes() == c0.tobytes()
+    assert solution.values[:, 1:].T.tobytes() == states.tobytes()

@@ -24,10 +24,10 @@ from nonlocal_transport.tracking import (
     inject,
     linear_slope,
     log_log_slope,
-    track,
     velocity_at,
 )
 from reference_tracking import reference_track
+from trajectories import track
 
 L1 = math.sqrt(3.0) / 3.0
 
@@ -459,6 +459,117 @@ def test_failed_own_block_stops_the_workers(small_hetero, monkeypatch):
         track(flow, start, cfg)
     assert time.perf_counter() - began < 30.0
     assert multiprocessing.active_children() == []
+
+
+def test_worker_dying_mid_stream_raises_numerical_error(small_hetero,
+                                                       monkeypatch):
+    # the worker dies with rows of its block still owed, past the first
+    # trip round the ring
+    spec, flow = small_hetero
+    cfg = TrackingConfig(injection_cell=1, num_particles=50, dt=0.25,
+                         t_end=10.0, rng_seed=0)
+    start = inject(flow, cfg, spec.num_cells)
+    parent, track_block = os.getpid(), tracking._track_block
+
+    def dying_later(*args):
+        *block, emit = args
+        if os.getpid() == parent:
+            return track_block(*args)
+
+        def emit_then_die(j):
+            if j == tracking.RING_ROWS + 3:
+                os._exit(7)
+            emit(j)
+
+        return track_block(*block, emit_then_die)
+
+    monkeypatch.setattr(tracking, "_track_block", dying_later)
+    set_cpus(monkeypatch, 2)
+    began = time.perf_counter()
+    with pytest.raises(NumericalError, match="block 2 of 2.*code 7"):
+        tracking.track(flow, start, cfg, spec)
+    assert time.perf_counter() - began < 30.0
+    assert multiprocessing.active_children() == []
+
+
+def test_failed_consumer_stops_the_workers(small_hetero, monkeypatch):
+    # workers a whole ring ahead wait for a slot the consumer never frees
+    spec, flow = small_hetero
+    cfg = TrackingConfig(injection_cell=1, num_particles=60, dt=0.25,
+                         t_end=20.0, rng_seed=0)
+
+    def consume(j, row, exit_time):
+        if j == 2:
+            time.sleep(0.5)
+            raise NumericalError("synthetic reducer failure")
+
+    set_cpus(monkeypatch, 3)
+    began = time.perf_counter()
+    with pytest.raises(NumericalError, match="synthetic reducer failure"):
+        tracking.stream(flow, inject(flow, cfg, spec.num_cells), cfg, consume)
+    assert time.perf_counter() - began < 30.0
+    assert multiprocessing.active_children() == []
+
+
+def test_slow_consumer_gets_every_row_intact(small_hetero, monkeypatch):
+    # four blocks on this host's cores run a whole ring ahead of a slow
+    # consumer and wait for their slots; a slot overwritten before its row
+    # was consumed would show in the collected rows
+    spec, flow = small_hetero
+    cfg = TrackingConfig(injection_cell=1, num_particles=120, dt=0.25,
+                         t_end=20.0, rng_seed=4)
+    start = inject(flow, cfg, spec.num_cells)
+    set_cpus(monkeypatch, 1)
+    alone = track(flow, start, cfg)
+    rows = []
+
+    def consume(j, row, exit_time):
+        time.sleep(0.002)
+        rows.append((j, row.copy()))
+
+    set_cpus(monkeypatch, 4)
+    tracking.stream(flow, start, cfg, consume)
+    assert [j for j, _ in rows] == list(range(len(cfg.snapshot_times)))
+    assert len(rows) > 4 * tracking.RING_ROWS
+    assert (np.array([row for _, row in rows]).tobytes()
+            == alone.positions.tobytes())
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_track_reduces_every_streamed_row(small_hetero, monkeypatch, cpus):
+    # what track keeps equals the rows it streamed, reduced after the fact
+    spec, flow = small_hetero
+    cfg = TrackingConfig(injection_cell=1, num_particles=300, dt=0.5,
+                         t_end=30.0, rng_seed=23)
+    assert len(cfg.snapshot_times) > 2 * tracking.RING_ROWS
+    start = inject(flow, cfg, spec.num_cells)
+    whole = track(flow, start, cfg)
+    assert np.isfinite(whole.exit_time).any()
+    set_cpus(monkeypatch, cpus)
+    ens = tracking.track(flow, start, cfg, spec)
+    assert ens.positions.shape == (300, 2)
+    assert ens.positions.tobytes() == whole.positions[-1].tobytes()
+    for name in ("snapshot_times", "exit_time", "stagnant_time"):
+        assert getattr(ens, name).tobytes() == getattr(whole, name).tobytes()
+    assert (ens.unit_cell_mass(spec).tobytes()
+            == whole.unit_cell_mass(spec).tobytes())
+    got, want = displacement_stats(ens), displacement_stats(whole)
+    for name in ("mean_x", "msd", "n_active", "n_exited", "n_stagnant"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_coarsening_rejects_another_mediums_cells(small_hetero):
+    spec, flow = small_hetero
+    cfg = TrackingConfig(injection_cell=1, num_particles=20, dt=0.5,
+                         t_end=2.0, rng_seed=0)
+    ens = tracking.track(flow, inject(flow, cfg, spec.num_cells), cfg, spec)
+    halves = hetero_spec(num_cells=2 * spec.num_cells)
+    halves = MediumSpec(**{**halves.to_dict(), "cell_width": L1 / 2})
+    assert abs(halves.domain_length - spec.domain_length) < 1e-12
+    with pytest.raises(ConfigurationError, match="binned on 6 cells"):
+        coarse_from_ensemble(ens, halves, 1)
 
 
 def test_tracking_deterministic(small_hetero):
