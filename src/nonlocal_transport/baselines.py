@@ -71,10 +71,6 @@ def solve_classical(params: ClassicalParams, initial, times,
 # neural surrogate
 
 
-def _softplus(z):
-    return np.logaddexp(0.0, z)
-
-
 @dataclass(frozen=True)
 class SurrogateNet:
     """Fully-connected (x, t) -> value network with a softplus output.
@@ -121,7 +117,7 @@ def _forward(weights, biases, inputs: np.ndarray):
         a = np.tanh(a @ w + b)
         activations.append(a)
     z_out = a @ weights[-1] + biases[-1]
-    return _softplus(z_out), z_out, activations
+    return np.logaddexp(0.0, z_out), z_out, activations
 
 
 def surrogate_eval(net: SurrogateNet, x, t) -> np.ndarray:

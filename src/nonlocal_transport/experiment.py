@@ -39,8 +39,6 @@ from .tracking import (
     usable_cpus,
 )
 
-PDE_MODELS = ("nonlocal", "fractal", "classical")
-
 #: Largest per-cell Darcy divergence, relative to the mean face flux, that
 #: ``generate`` accepts from the flow.
 MAX_RELATIVE_DIVERGENCE = 1e-9

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import ClassicalParams, FractalParams
 from .errors import ConfigurationError, SolverError
 from .lbfgs import OptimizeResult, minimize
 from .nonlocal_diffusion import (
@@ -120,11 +119,9 @@ class LearningProblem:
         return np.stack([c.values for c in self.curves])
 
     def n_parameters(self):
-        if self.model == "nonlocal":
-            return 2 * self.horizon_cells + 1
-        if self.model == "fractal":
-            return 2
-        return 1
+        """Weights (2*Nd, or one for offsets -1 and +1), then p unless classical."""
+        weights = 2 * self.horizon_cells if self.model == "nonlocal" else 1
+        return weights + (self.model != "classical")
 
 
 # --- parameter maps -------------------------------------------------------
@@ -157,33 +154,26 @@ def _map_parameters(problem: LearningProblem, raw: np.ndarray):
         d_phi[slots, np.arange(n_par - 1)] = expit(raw[:-1])
         p = raw[-1]
         d_p[-1] = 1.0
-    elif problem.model == "fractal":
-        d_over = softplus(raw[0]) / problem.cell_width ** 2
-        phi[nd - 1] = phi[nd + 1] = d_over
-        d_phi[nd - 1, 0] = d_phi[nd + 1, 0] = (
-            expit(raw[0]) / problem.cell_width ** 2)
-        p = softplus(raw[1]) - 1.0
-        d_p[1] = expit(raw[1])
     else:
-        d_over = softplus(raw[0]) / problem.cell_width ** 2
-        phi[nd - 1] = phi[nd + 1] = d_over
+        # raw = (rho for D, then fractal's s with p = softplus(s) - 1)
+        phi[nd - 1] = phi[nd + 1] = softplus(raw[0]) / problem.cell_width ** 2
         d_phi[nd - 1, 0] = d_phi[nd + 1, 0] = (
             expit(raw[0]) / problem.cell_width ** 2)
         p = 0.0
+        if problem.model == "fractal":
+            p = softplus(raw[1]) - 1.0
+            d_p[1] = expit(raw[1])
     return phi, p, d_phi, d_p
 
 
 def initial_raw(problem: LearningProblem) -> np.ndarray:
     """Default starting point: every positive quantity at 0.1, exponent 0."""
-    base = float(softplus_inverse(0.1))
-    if problem.model == "nonlocal":
-        raw = np.full(problem.n_parameters(), base)
-        raw[-1] = 0.0
-        return raw
-    if problem.model == "fractal":
-        # D = 0.1, exponent p = 0 (softplus(s) = 1).
-        return np.array([base, float(softplus_inverse(1.0))])
-    return np.array([base])
+    raw = np.full(problem.n_parameters(), float(softplus_inverse(0.1)))
+    if problem.model != "classical":
+        # p itself for nonlocal; fractal's p = softplus(s) - 1 = 0
+        raw[-1] = (0.0 if problem.model == "nonlocal"
+                   else float(softplus_inverse(1.0)))
+    return raw
 
 
 # --- forward model and tangents ------------------------------------------
@@ -296,19 +286,16 @@ class FitResult:
     gradient_norm: float
     converged: bool
     message: str
+    kernel: DynamicKernel
     trace: list = field(default_factory=list)
-    kernel: DynamicKernel | None = None
-    fractal: FractalParams | None = None
-    classical: ClassicalParams | None = None
 
     def parameters_json(self):
         if self.model == "nonlocal":
             return {"model": "nonlocal", **self.kernel.record()}
+        d_bar = float(softplus(self.raw_parameters[0]))
         if self.model == "fractal":
-            return {"model": "fractal", "D_bar": float(self.fractal.D_bar),
-                    "q": float(self.fractal.q)}
-        return {"model": "classical",
-                "D0_bar": float(self.classical.D0_bar)}
+            return {"model": "fractal", "D_bar": d_bar, "q": -self.kernel.p}
+        return {"model": "classical", "D0_bar": d_bar}
 
     def to_json(self):
         return {
@@ -333,7 +320,7 @@ def _package_result(problem: LearningProblem, opt: OptimizeResult,
                     marched) -> FitResult:
     phi, p, _, _ = _map_parameters(problem, opt.x)
     loss, misfit, penalty = evaluate_loss(problem, opt.x, marched)
-    result = FitResult(
+    return FitResult(
         model=problem.model,
         raw_parameters=np.asarray(opt.x, dtype=float),
         loss=loss,
@@ -343,18 +330,11 @@ def _package_result(problem: LearningProblem, opt: OptimizeResult,
         gradient_norm=float(np.linalg.norm(opt.grad)),
         converged=opt.converged,
         message=opt.message,
+        kernel=DynamicKernel(phi=phi, p=float(p),
+                             horizon_cells=problem.horizon_cells,
+                             cell_width=problem.cell_width),
         trace=opt.trace,
     )
-    if problem.model == "nonlocal":
-        result.kernel = DynamicKernel(
-            phi=phi, p=float(p), horizon_cells=problem.horizon_cells,
-            cell_width=problem.cell_width)
-    elif problem.model == "fractal":
-        result.fractal = FractalParams(
-            D_bar=float(softplus(opt.x[0])), q=float(-p))
-    else:
-        result.classical = ClassicalParams(D0_bar=float(softplus(opt.x[0])))
-    return result
 
 
 def warm_start_raw(problem: LearningProblem,
@@ -371,7 +351,7 @@ def warm_start_raw(problem: LearningProblem,
     """
     if classical is None:
         classical = fit(replace(problem, model="classical"))
-    weight = classical.classical.D0_bar / problem.cell_width ** 2
+    weight = classical.kernel.phi[classical.kernel.horizon_cells + 1]
     base = float(softplus_inverse(weight))
     floor = float(softplus_inverse(min(1e-3, 0.01 * weight)))
     raw = np.full(problem.n_parameters(), floor)

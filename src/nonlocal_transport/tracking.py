@@ -288,10 +288,9 @@ def track(flow: FlowField, positions, cfg: TrackingConfig,
     cells of the medium ``spec`` as :func:`stream` hands it on; only the last
     row's positions are kept.
     """
-    pos = _checked_positions(flow, positions)
-    reducer = SnapshotReducer(cfg.snapshot_times, pos.shape[0],
+    reducer = SnapshotReducer(cfg.snapshot_times, len(positions),
                               spec.cell_width, spec.num_cells)
-    final, exit_time, stagnant_time = stream(flow, pos, cfg, reducer.add)
+    final, exit_time, stagnant_time = stream(flow, positions, cfg, reducer.add)
     return ParticleEnsemble(
         snapshot_times=reducer.times, positions=final,
         exit_time=exit_time, stagnant_time=stagnant_time,
@@ -313,12 +312,12 @@ def stream(flow: FlowField, positions, cfg: TrackingConfig, consume):
     particle slice of slot j mod ``RING_ROWS`` of one shared anonymous
     mapping.  Once every block has written row j, this process hands it to
     ``consume`` and frees its slot for row j + ``RING_ROWS``; workers wait
-    for that before they overwrite it.  A worker that dies raises
-    NumericalError as soon as its row is awaited.  The per-cell velocity
-    tables are built once before the fork and shared copy-on-write.  Every
-    operation of the tracker is elementwise per particle (batch-wide tests
-    only choose a code path), so a block gives the same bits as the whole
-    ensemble would.
+    for that before they overwrite it.  A worker that ends before writing a
+    row, whatever its exit code, raises NumericalError as soon as that row is
+    awaited.  The per-cell velocity tables are built once before the fork and
+    shared copy-on-write.  Every operation of the tracker is elementwise per
+    particle (batch-wide tests only choose a code path), so a block gives the
+    same bits as the whole ensemble would.
     """
     pos = _checked_positions(flow, positions)
     n = pos.shape[0]
@@ -341,21 +340,17 @@ def stream(flow: FlowField, positions, cfg: TrackingConfig, consume):
     # per worker: its process, the pipe it announces each written row on,
     # and the pipe this process frees its ring slots on
     workers, rows, frees = [], [], []
-    writing = []
 
     def emit(j):
-        for w in list(writing):
-            if _next_row(rows[w], workers[w]):
-                continue
-            workers[w].join()
-            if workers[w].exitcode != 0:
-                raise _worker_error(w + 2, k, bounds, workers[w].exitcode)
-            writing.remove(w)
+        for w, worker in enumerate(workers):
+            if not _next_row(rows[w], worker):
+                worker.join()
+                raise _worker_error(w + 2, k, bounds, worker.exitcode)
         consume(j, ring[j % slots], exit_time)
         if j + slots < len(times):
-            for w in writing:
+            for free in frees:
                 try:
-                    frees[w].send_bytes(b"")
+                    free.send_bytes(b"")
                 except BrokenPipeError:
                     pass    # a dead worker is reported at its next row
 
@@ -366,7 +361,6 @@ def stream(flow: FlowField, positions, cfg: TrackingConfig, consume):
             worker = context.Process(target=_block_worker,
                                      args=(block, row_w, free_r))
             worker.start()
-            writing.append(len(workers))
             workers.append(worker)
             rows.append(row_r)
             frees.append(free_w)

@@ -362,7 +362,7 @@ def test_pde_fit_error_exits_3(pipeline, tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("worker_block, message", [
     (lambda *args: os._exit(1), "block 2 of 2"),
-    (lambda *args: None, "not 800"),    # leaves its particles' times NaN
+    (lambda *args: None, "block 2 of 2 (particles 400 to 799) exited with code 0"),
 ], ids=["worker-exits-1", "worker-writes-nothing"])
 def test_tracking_worker_failure_exits_3(pipeline, tmp_path, monkeypatch,
                                          capsys, worker_block, message):

@@ -161,9 +161,9 @@ def test_recovers_fractal_parameters():
         [0.0, 0.15, 0.0, 0.15, 0.0], -0.35, model="fractal",
         num_cells=40, injection_cell=20, n_steps=120,
         locations=[17.5, 19.5, 22.5])
-    result = fit(problem)
-    assert result.fractal.D_bar == pytest.approx(0.15, rel=1e-2)
-    assert abs(result.fractal.q - 0.35) <= 0.02
+    params = fit(problem).parameters_json()
+    assert params["D_bar"] == pytest.approx(0.15, rel=1e-2)
+    assert abs(params["q"] - 0.35) <= 0.02
 
 
 def test_recovers_classical_diffusivity_to_a_tenth_percent():
@@ -173,7 +173,35 @@ def test_recovers_classical_diffusivity_to_a_tenth_percent():
         locations=[22.5, 24.5, 27.5])
     result = fit(problem)
     assert result.converged
-    assert result.classical.D0_bar == pytest.approx(0.08, rel=1e-3)
+    assert result.parameters_json()["D0_bar"] == pytest.approx(0.08, rel=1e-3)
+
+
+def record_oracle(problem, raw):
+    """Each PDE model's fit record, computed from its raw parameters."""
+    if problem.model == "nonlocal":
+        phi = np.insert(softplus(raw[:-1]), problem.horizon_cells, 0.0)
+        return {"model": "nonlocal", "phi": [float(v) for v in phi],
+                "p": float(raw[-1]), "N_delta": problem.horizon_cells,
+                "l1": float(problem.cell_width)}
+    if problem.model == "fractal":
+        return {"model": "fractal", "D_bar": float(softplus(raw[0])),
+                "q": float(-(softplus(raw[1]) - 1.0))}
+    return {"model": "classical", "D0_bar": float(softplus(raw[0]))}
+
+
+@pytest.mark.parametrize("model", ["nonlocal", "fractal", "classical"])
+def test_every_pde_fit_ends_in_its_mapped_kernel(model):
+    problem, _ = make_problem([0.05, 0.3, 0.0, 0.2, 0.1], 0.4, model=model,
+                              n_steps=20, max_iterations=5)
+    result = fit(problem)
+    assert json.dumps(result.parameters_json()) == json.dumps(
+        record_oracle(problem, result.raw_parameters))
+    phi, p, _, _ = learning._map_parameters(problem, result.raw_parameters)
+    kernel = result.kernel
+    assert kernel.horizon_cells == problem.horizon_cells
+    assert kernel.cell_width == problem.cell_width
+    assert kernel.phi.tobytes() == phi.tobytes()
+    assert np.float64(kernel.p).tobytes() == np.float64(p).tobytes()
 
 
 def test_drift_penalty_weight_shrinks_kernel_first_moment():
