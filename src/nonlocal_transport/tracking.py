@@ -4,18 +4,16 @@ Within each grid cell the velocity components are interpolated linearly
 between opposing faces, so every trajectory segment has a closed form
 (exponential in time) and cell-transit times are exact.  Tracking is
 event-driven: the snapshot interval only selects when positions are
-recorded, never how the trajectory is integrated.  Recorded snapshots are
-streamed through a small ring and reduced as they complete, so no
+recorded, never how the trajectory is integrated.  Each block of particles
+reduces the snapshots it records into per-chunk sums, so no
 (snapshots x particles) array is ever held.
 """
 
 from __future__ import annotations
 
-import mmap
 import os
 from dataclasses import dataclass
-from multiprocessing import get_context, parent_process
-from multiprocessing.connection import wait
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -28,9 +26,13 @@ from .medium import MediumSpec
 #: by velocities that are zero to rounding.
 STAGNATION_FLOOR_FRACTION = 1e-14
 
-#: Snapshot rows held by the shared ring that tracking blocks write into:
-#: how far a worker may run ahead of the rows already reduced.
-RING_ROWS = 16
+#: Particles per chunk of the snapshot reduction.  Blocks hold whole chunks
+#: and chunks combine in order, so no statistic depends on the block count.
+#: Up to one chunk reduces as one sum; k blocks may differ by one chunk.
+REDUCE_CHUNK = 1024
+
+#: Candidate positions drawn per rejection-sampling round of :func:`inject`.
+INJECTION_BATCH = 8192
 
 
 @dataclass(frozen=True)
@@ -67,9 +69,12 @@ class SnapshotReducer:
 
     :meth:`add` takes snapshot row j, the (n, 2) positions, with exit times
     that hold every exit up to that snapshot (later ones may still be +inf).
-    It records the mean x and the MSD of the particles not yet exited, and
-    the mass, 1/num_particles each, of those particles in every unit cell of
+    Of the particles not yet exited it records, per chunk of
+    ``REDUCE_CHUNK`` particles, the count, the sum of x and the squared
+    deviations from the chunk's mean; and the count in every unit cell of
     width ``cell_width``, binned by x and clipped to the ``num_cells`` cells.
+    ``mean_x``, ``msd`` and ``cell_mass`` (1/num_particles per particle)
+    combine the chunks in order.
     """
 
     def __init__(self, times, num_particles: int, cell_width: float,
@@ -77,24 +82,59 @@ class SnapshotReducer:
         self.times = np.asarray(times, dtype=float)
         self.num_particles = num_particles
         self.cell_width = cell_width
-        self.mean_x = np.full(len(self.times), np.nan)
-        self.msd = np.full(len(self.times), np.nan)
-        self.cell_mass = np.zeros((len(self.times), num_cells))
+        # count, sum of x and squared deviations per snapshot and chunk
+        self.sums = np.zeros((3, len(self.times),
+                              -(-num_particles // REDUCE_CHUNK)))
+        self.cell_count = np.zeros((len(self.times), num_cells), dtype=np.int64)
 
     def add(self, j: int, row, exit_time) -> None:
         t = self.times[j]
         x = row[:, 0]
         keep = exit_time > t
-        n_in = np.count_nonzero(keep)
-        if n_in:
-            self.mean_x[j] = np.where(keep, x, 0.0).sum() / n_in
-            dev = np.where(keep, x - self.mean_x[j], 0.0)
-            self.msd[j] = (dev ** 2).sum() / n_in
-        num_cells = self.cell_mass.shape[1]
+        count, total, square = self.sums[:, j]
+        count[:] = _chunk_sums(keep)
+        total[:] = _chunk_sums(np.where(keep, x, 0.0))
+        with np.errstate(invalid="ignore"):
+            mean = np.repeat(total / count, REDUCE_CHUNK)[:len(x)]
+        square[:] = _chunk_sums(np.where(keep, x - mean, 0.0) ** 2)
+        num_cells = self.cell_count.shape[1]
         cells = np.clip((x[~(exit_time <= t)] / self.cell_width).astype(int),
                         0, num_cells - 1)
-        self.cell_mass[j] = (np.bincount(cells, minlength=num_cells)
-                             / self.num_particles)
+        self.cell_count[j] = np.bincount(cells, minlength=num_cells)
+
+    def merge(self, other: SnapshotReducer) -> None:
+        """Append the chunks of the next block; this one ends on a whole chunk."""
+        self.num_particles += other.num_particles
+        self.sums = np.concatenate([self.sums, other.sums], axis=2)
+        self.cell_count += other.cell_count
+
+    @property
+    def mean_x(self) -> np.ndarray:
+        """Mean x of the particles not yet exited; NaN where none is left."""
+        with np.errstate(invalid="ignore"):
+            return self.sums[1].sum(axis=1) / self.sums[0].sum(axis=1)
+
+    @property
+    def msd(self) -> np.ndarray:
+        """Their mean squared deviation: each chunk adds its squares and
+        count x (chunk mean - mean_x)^2; NaN where none is left."""
+        count, total, square = self.sums
+        with np.errstate(invalid="ignore"):
+            offset = total / count - self.mean_x[:, None]
+            spread = np.where(count > 0, count * offset ** 2, 0.0)
+            return (square + spread).sum(axis=1) / count.sum(axis=1)
+
+    @property
+    def cell_mass(self) -> np.ndarray:
+        return self.cell_count / self.num_particles
+
+
+def _chunk_sums(a) -> np.ndarray:
+    """Sum of each ``REDUCE_CHUNK`` particles of ``a`` (the last chunk may be
+    shorter), every one numpy's pairwise sum of that chunk alone."""
+    full = len(a) - len(a) % REDUCE_CHUNK
+    sums = a[:full].reshape(-1, REDUCE_CHUNK).sum(axis=1)
+    return np.append(sums, a[full:].sum()) if full < len(a) else sums
 
 
 @dataclass(frozen=True)
@@ -180,8 +220,7 @@ def velocity_at(flow: FlowField, x, y):
     return vx, vy
 
 
-def inject(flow: FlowField, cfg: TrackingConfig, num_cells: int,
-           batch_size: int = 8192) -> np.ndarray:
+def inject(flow: FlowField, cfg: TrackingConfig, num_cells: int) -> np.ndarray:
     """Draw flux-proportional initial positions inside the injection cell.
 
     Positions are sampled with probability density proportional to the local
@@ -215,9 +254,9 @@ def inject(flow: FlowField, cfg: TrackingConfig, num_cells: int,
     out = np.empty((cfg.num_particles, 2))
     filled = 0
     while filled < cfg.num_particles:
-        x = rng.uniform(x_lo, x_lo + cell_width, batch_size)
-        y = rng.uniform(0.0, flow.length_y, batch_size)
-        u = rng.uniform(0.0, speed_bound, batch_size)
+        x = rng.uniform(x_lo, x_lo + cell_width, INJECTION_BATCH)
+        y = rng.uniform(0.0, flow.length_y, INJECTION_BATCH)
+        u = rng.uniform(0.0, speed_bound, INJECTION_BATCH)
         vx, vy = velocity_at(flow, x, y)
         keep = np.nonzero(u <= np.hypot(vx, vy))[0]
         take = min(keep.size, cfg.num_particles - filled)
@@ -284,103 +323,77 @@ def track(flow: FlowField, positions, cfg: TrackingConfig,
     plane x = length_x are frozen there; particles entering a cell whose face
     speeds all sit below the stagnation floor are frozen where they are.
 
-    Every snapshot row goes through a :class:`SnapshotReducer` on the unit
-    cells of the medium ``spec`` as :func:`stream` hands it on; only the last
-    row's positions are kept.
-    """
-    reducer = SnapshotReducer(cfg.snapshot_times, len(positions),
-                              spec.cell_width, spec.num_cells)
-    final, exit_time, stagnant_time = stream(flow, positions, cfg, reducer.add)
-    return ParticleEnsemble(
-        snapshot_times=reducer.times, positions=final,
-        exit_time=exit_time, stagnant_time=stagnant_time,
-        length_x=flow.length_x, length_y=flow.length_y, snapshots=reducer,
-    )
-
-
-def stream(flow: FlowField, positions, cfg: TrackingConfig, consume):
-    """Track particles, handing every snapshot row to ``consume`` in order.
-
-    ``consume(j, row, exit_time)`` receives snapshot j's (n, 2) positions
-    and the exit times recorded so far, which hold every exit up to that
-    snapshot; both are only valid during the call.  Returns the final
-    positions and the exit and stagnation times.
-
-    The ensemble is cut into one contiguous block of particles per CPU this
-    process may run on.  This process tracks the first block and a forked
-    worker tracks each other one.  Every block writes snapshot j into its
-    particle slice of slot j mod ``RING_ROWS`` of one shared anonymous
-    mapping.  Once every block has written row j, this process hands it to
-    ``consume`` and frees its slot for row j + ``RING_ROWS``; workers wait
-    for that before they overwrite it.  A worker that ends before writing a
-    row, whatever its exit code, raises NumericalError as soon as that row is
-    awaited.  The per-cell velocity tables are built once before the fork and
-    shared copy-on-write.  Every operation of the tracker is elementwise per
-    particle (batch-wide tests only choose a code path), so a block gives the
-    same bits as the whole ensemble would.
+    The ensemble's ``REDUCE_CHUNK``-particle chunks are cut into one block
+    per usable CPU; this process tracks the first and a forked worker each
+    other one, sharing the cell tables built before the fork.  Each block
+    reduces its own rows into a :class:`SnapshotReducer` on the cells of
+    ``spec``; a worker sends back its last row, times and reducer, and one
+    whose pipe closes first raises NumericalError.  Workers close the read
+    ends they inherit, so one whose caller is gone fails when it sends.  The
+    tracker acts on each particle alone and reducers merge chunk by chunk in
+    order, so any number of blocks gives the same bits.
     """
     pos = _checked_positions(flow, positions)
-    n = pos.shape[0]
+    n = len(pos)
     cells = _CellTables.of(flow)
-    times = cfg.snapshot_times
-    slots = min(RING_ROWS, len(times))
-    size = slots * n * 2
-    count = size + 2 * n
-    shared = np.frombuffer(mmap.mmap(-1, 8 * max(count, 1)), dtype=float,
-                           count=count)
-    ring = shared[:size].reshape(slots, n, 2)
-    exit_time, stagnant_time = shared[size:].reshape(2, n)
-    # a particle no block tracked keeps NaN times and fails the status count
-    shared[size:] = np.nan
-    k = max(1, min(usable_cpus(), n))
-    bounds = [n * b // k for b in range(k + 1)]
-    blocks = [(cells, pos[lo:hi], times, ring[:, lo:hi], exit_time[lo:hi],
-               stagnant_time[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    chunks = -(-n // REDUCE_CHUNK)
+    k = max(1, min(usable_cpus(), chunks))
+    bounds = [min(n, chunks * b // k * REDUCE_CHUNK) for b in range(k + 1)]
+    blocks = [(cells, pos[lo:hi], cfg.snapshot_times, spec)
+              for lo, hi in zip(bounds, bounds[1:])]
     context = get_context("fork")
-    # per worker: its process, the pipe it announces each written row on,
-    # and the pipe this process frees its ring slots on
-    workers, rows, frees = [], [], []
-
-    def emit(j):
-        for w, worker in enumerate(workers):
-            if not _next_row(rows[w], worker):
-                worker.join()
-                raise _worker_error(w + 2, k, bounds, worker.exitcode)
-        consume(j, ring[j % slots], exit_time)
-        if j + slots < len(times):
-            for free in frees:
-                try:
-                    free.send_bytes(b"")
-                except BrokenPipeError:
-                    pass    # a dead worker is reported at its next row
-
+    workers, done = [], []
     try:
         for block in blocks[1:]:
-            row_r, row_w = context.Pipe(duplex=False)
-            free_r, free_w = context.Pipe(duplex=False)
-            worker = context.Process(target=_block_worker,
-                                     args=(block, row_w, free_r))
+            pipe, send = context.Pipe(duplex=False)
+            worker = context.Process(target=_reduce_block, args=(
+                *block, send.send, [r for _, r in workers] + [pipe]))
             worker.start()
-            workers.append(worker)
-            rows.append(row_r)
-            frees.append(free_w)
-            row_w.close()
-            free_r.close()
-        _track_block(*blocks[0], emit)
+            workers.append((worker, pipe))
+            send.close()
+        _reduce_block(*blocks[0], done.append)
+        for b, (worker, pipe) in enumerate(workers, start=2):
+            try:
+                done.append(pipe.recv())
+            except (EOFError, OSError):
+                worker.join()
+                raise _worker_error(b, k, bounds, worker.exitcode) from None
     except BaseException:
-        for worker in workers:
+        for worker, _ in workers:
             worker.terminate()
         raise
     finally:
-        for worker in workers:
+        for worker, pipe in workers:
             worker.join()
-        for conn in rows + frees:
-            conn.close()
-    for b, worker in enumerate(workers, start=2):
-        if worker.exitcode != 0:
-            raise _worker_error(b, k, bounds, worker.exitcode)
-    return (ring[(len(times) - 1) % slots].copy(), exit_time.copy(),
-            stagnant_time.copy())
+            pipe.close()
+    final, exit_time, stagnant_time, reducers = zip(*done)
+    for other in reducers[1:]:
+        reducers[0].merge(other)
+    return ParticleEnsemble(
+        snapshot_times=reducers[0].times, positions=np.concatenate(final),
+        exit_time=np.concatenate(exit_time),
+        stagnant_time=np.concatenate(stagnant_time),
+        length_x=flow.length_x, length_y=flow.length_y, snapshots=reducers[0],
+    )
+
+
+def _reduce_block(cells, pos, times, spec, done, readers=()) -> None:
+    """Track one block through one row buffer, reducing every row, and hand
+    ``done`` (last row, exit times, stagnation times, reducer) at the end.
+    A worker first closes the pipes' ``readers`` it inherited."""
+    for reader in readers:
+        reader.close()
+    n = len(pos)
+    row = np.empty((n, 2))
+    exit_time, stagnant_time = np.empty(n), np.empty(n)
+    reducer = SnapshotReducer(times, n, spec.cell_width, spec.num_cells)
+
+    def emit(j):
+        reducer.add(j, row, exit_time)
+        if j == len(times) - 1:
+            done((row, exit_time, stagnant_time, reducer))
+
+    _track_block(cells, pos, times, row, exit_time, stagnant_time, emit)
 
 
 def _checked_positions(flow: FlowField, positions) -> np.ndarray:
@@ -393,39 +406,10 @@ def _checked_positions(flow: FlowField, positions) -> np.ndarray:
     return pos
 
 
-def _next_row(rows, worker) -> bool:
-    """Take the worker's token for its next row; False if it ended first."""
-    if not rows.poll():
-        wait([rows, worker.sentinel])
-    try:
-        if rows.poll():
-            rows.recv_bytes()
-            return True
-    except EOFError:
-        pass
-    return False
-
-
 def _worker_error(b: int, k: int, bounds, exitcode) -> NumericalError:
     return NumericalError(
         f"tracking block {b} of {k} (particles {bounds[b - 1]} to "
         f"{bounds[b] - 1}) exited with code {exitcode}")
-
-
-def _block_worker(block, rows, frees) -> None:
-    """Track ``block`` in a forked worker, sending a token on ``rows`` per
-    written row and taking one from ``frees`` before reusing a ring slot."""
-    times, ring = block[2], block[3]
-    parent = parent_process().sentinel
-
-    def emit(j):
-        rows.send_bytes(b"")
-        if len(ring) <= j + 1 < len(times):
-            if frees not in wait([frees, parent]):
-                raise SystemExit("tracking: the calling process has ended")
-            frees.recv_bytes()
-
-    _track_block(*block, emit)
 
 
 def usable_cpus() -> int:
@@ -460,14 +444,13 @@ class _CellTables:
                    ax=(vx_hi - vx_lo) / flow.dx, ay=(vy_hi - vy_lo) / flow.dy)
 
 
-def _track_block(cells: _CellTables, pos, times, ring, exit_time,
+def _track_block(cells: _CellTables, pos, times, row, exit_time,
                  stagnant_time, emit) -> None:
     """Track the particles starting at ``pos`` into the given output views.
 
-    Snapshot row j goes into ``ring[j % len(ring)]``, (particles x 2), and
-    ``emit(j)`` follows it; once that returns, the slot of row j + 1 must be
-    free.  Row 0 is the injected positions themselves, not re-evaluated from
-    a cell origin.
+    Snapshot row j overwrites ``row``, (particles x 2), and ``emit(j)``
+    follows it.  Row 0 is the injected positions themselves, not
+    re-evaluated from a cell origin.
     """
     n = pos.shape[0]
     flow = cells.flow
@@ -475,7 +458,6 @@ def _track_block(cells: _CellTables, pos, times, ring, exit_time,
     dx, dy = flow.dx, flow.dy
     length_x = flow.length_x
     v_floor = cells.v_floor
-    slots = len(ring)
     vx_lo, vx_hi, vy_lo, vy_hi = cells.vx_lo, cells.vx_hi, cells.vy_lo, cells.vy_hi
     ax_cell, ay_cell = cells.ax, cells.ay
 
@@ -579,7 +561,6 @@ def _track_block(cells: _CellTables, pos, times, ring, exit_time,
                 cix, ciy = cix[keep], ciy[keep]
             compute_transit(due, x, y, t, cix, ciy)
             due = due.compress(t_seg_end[due] <= ts)
-        row = ring[j % slots]
         if active.all():
             live = slice(None)
         else:
@@ -603,8 +584,7 @@ def displacement_stats(ensemble: ParticleEnsemble) -> DisplacementStats:
     n_active, n_exited, n_stagnant = ensemble.status_counts()
     return DisplacementStats(
         times=ensemble.snapshot_times.copy(),
-        mean_x=ensemble.snapshots.mean_x.copy(),
-        msd=ensemble.snapshots.msd.copy(),
+        mean_x=ensemble.snapshots.mean_x, msd=ensemble.snapshots.msd,
         n_active=n_active, n_exited=n_exited, n_stagnant=n_stagnant,
     )
 

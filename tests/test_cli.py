@@ -377,6 +377,8 @@ def test_tracking_worker_failure_exits_3(pipeline, tmp_path, monkeypatch,
 
     monkeypatch.setattr(tracking, "_track_block", block)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    # 800 particles in 8 chunks of 100, so 4 chunks per block
+    monkeypatch.setattr(tracking, "REDUCE_CHUNK", 100)
     assert cli.main(["generate", "--config", str(path),
                      "--out", str(target)]) == 3
     err = capsys.readouterr().err
@@ -510,7 +512,8 @@ def output_files(directory):
 
 def test_generate_memory_does_not_grow_with_snapshots(tmp_path):
     # a stored (snapshots x particles x 2) array would add n * (T/dt) * 16
-    # bytes from t_end = T to 2T; the streamed snapshots add next to nothing
+    # bytes from t_end = T to 2T; snapshots reduced as they are recorded add
+    # next to nothing
     n, dt, t_end = 20_000, 0.1, 10.0
     paths = {}
     for span in (t_end, 2 * t_end):

@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import os
+import signal
 import time
 
 import numpy as np
@@ -27,6 +28,7 @@ from nonlocal_transport.tracking import (
     velocity_at,
 )
 from reference_tracking import reference_track
+from test_coarsen import brute_force_displacement_stats
 from trajectories import track
 
 L1 = math.sqrt(3.0) / 3.0
@@ -350,6 +352,12 @@ def set_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
+def set_chunk(monkeypatch, particles):
+    """Reduce in chunks of ``particles``, so a small ensemble spans several
+    chunks and can be cut into several blocks."""
+    monkeypatch.setattr(tracking, "REDUCE_CHUNK", particles)
+
+
 @pytest.mark.parametrize("cpus", [None, 3], ids=["this-host", "3-cpus"])
 def test_track_runs_one_block_per_cpu(small_hetero, tmp_path, monkeypatch,
                                       cpus):
@@ -358,18 +366,20 @@ def test_track_runs_one_block_per_cpu(small_hetero, tmp_path, monkeypatch,
                          t_end=10.0, rng_seed=5)
     start = inject(flow, cfg, spec.num_cells)
     cpus = cpus or len(os.sched_getaffinity(0))
-    set_cpus(monkeypatch, 1)
+    set_chunk(monkeypatch, 64)
     alone = track(flow, start, cfg)
     set_cpus(monkeypatch, cpus)
     log = tmp_path / "blocks.log"
     log_blocks(monkeypatch, log)
-    ens = track(flow, start, cfg)
+    ens = tracking.track(flow, start, cfg, spec)
     blocks = logged_blocks(log)
-    assert len({pid for pid, _ in blocks}) == len(blocks) == min(cpus, 200)
+    # 200 particles make 4 chunks of at most 64
+    assert len({pid for pid, _ in blocks}) == len(blocks) == min(cpus, 4)
     assert os.getpid() in {pid for pid, _ in blocks}
     sizes = sorted(size for _, size in blocks)
-    assert sum(sizes) == 200 and sizes[-1] - sizes[0] <= 1
-    for name in ("positions", "exit_time", "stagnant_time"):
+    assert sum(sizes) == 200 and sizes[-1] - sizes[0] <= 64
+    assert ens.positions.tobytes() == alone.positions[-1].tobytes()
+    for name in ("exit_time", "stagnant_time"):
         assert getattr(ens, name).tobytes() == getattr(alone, name).tobytes()
     assert multiprocessing.active_children() == []
 
@@ -379,21 +389,22 @@ def test_track_without_affinity_counts_every_cpu(small_hetero, tmp_path,
                                                  monkeypatch, cpu_count,
                                                  blocks):
     # hosts without sched_getaffinity use os.cpu_count(), which may be None
-    _, flow = small_hetero
+    spec, flow = small_hetero
     cfg = TrackingConfig(injection_cell=1, num_particles=50, dt=0.5,
                          t_end=5.0, rng_seed=0)
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    set_chunk(monkeypatch, 16)
     log = tmp_path / "blocks.log"
     log_blocks(monkeypatch, log)
-    track(flow, random_start(flow, 50, 0), cfg)
+    tracking.track(flow, random_start(flow, 50, 0), cfg, spec)
     assert len(logged_blocks(log)) == blocks
     assert multiprocessing.active_children() == []
 
 
 def test_cell_tables_built_once_before_the_fork(small_hetero, tmp_path,
                                                 monkeypatch):
-    _, flow = small_hetero
+    spec, flow = small_hetero
     cfg = TrackingConfig(injection_cell=1, num_particles=50, dt=0.5,
                          t_end=5.0, rng_seed=0)
     log = tmp_path / "tables.log"
@@ -406,17 +417,18 @@ def test_cell_tables_built_once_before_the_fork(small_hetero, tmp_path,
 
     monkeypatch.setattr(tracking._CellTables, "of", logged)
     set_cpus(monkeypatch, 3)
-    track(flow, random_start(flow, 50, 0), cfg)
+    set_chunk(monkeypatch, 16)
+    tracking.track(flow, random_start(flow, 50, 0), cfg, spec)
     assert log.read_text().split() == [str(os.getpid())]
 
 
 def test_single_particle_starts_no_worker(small_hetero, tmp_path, monkeypatch):
-    _, flow = small_hetero
+    spec, flow = small_hetero
     cfg = TrackingConfig(injection_cell=1, num_particles=1, dt=0.5, t_end=5.0,
                          rng_seed=0)
     log = tmp_path / "blocks.log"
     log_blocks(monkeypatch, log)
-    track(flow, np.array([[0.1, 0.5]]), cfg)
+    tracking.track(flow, np.array([[0.1, 0.5]]), cfg, spec)
     assert logged_blocks(log) == [(os.getpid(), 1)]
     assert multiprocessing.active_children() == []
 
@@ -435,8 +447,9 @@ def test_failed_worker_raises_numerical_error(small_hetero, monkeypatch):
 
     monkeypatch.setattr(tracking, "_track_block", dying)
     set_cpus(monkeypatch, 2)
+    set_chunk(monkeypatch, 16)
     with pytest.raises(NumericalError, match="block 2 of 2.*code 1"):
-        track(flow, start, cfg)
+        tracking.track(flow, start, cfg, spec)
     assert multiprocessing.active_children() == []
 
 
@@ -455,6 +468,7 @@ def test_worker_ending_without_its_rows_raises_numerical_error(small_hetero,
 
     monkeypatch.setattr(tracking, "_track_block", returning)
     set_cpus(monkeypatch, 2)
+    set_chunk(monkeypatch, 16)
     with pytest.raises(NumericalError, match="block 2 of 2.*code 0"):
         tracking.track(flow, start, cfg, spec)
     assert multiprocessing.active_children() == []
@@ -474,17 +488,17 @@ def test_failed_own_block_stops_the_workers(small_hetero, monkeypatch):
 
     monkeypatch.setattr(tracking, "_track_block", stuck_or_failing)
     set_cpus(monkeypatch, 2)
+    set_chunk(monkeypatch, 16)
     began = time.perf_counter()
     with pytest.raises(NumericalError, match="synthetic block failure"):
-        track(flow, start, cfg)
+        tracking.track(flow, start, cfg, spec)
     assert time.perf_counter() - began < 30.0
     assert multiprocessing.active_children() == []
 
 
 def test_worker_dying_mid_stream_raises_numerical_error(small_hetero,
                                                        monkeypatch):
-    # the worker dies with rows of its block still owed, past the first
-    # trip round the ring
+    # the worker dies with rows of its block still owed
     spec, flow = small_hetero
     cfg = TrackingConfig(injection_cell=1, num_particles=50, dt=0.25,
                          t_end=10.0, rng_seed=0)
@@ -497,7 +511,7 @@ def test_worker_dying_mid_stream_raises_numerical_error(small_hetero,
             return track_block(*args)
 
         def emit_then_die(j):
-            if j == tracking.RING_ROWS + 3:
+            if j == 3:
                 os._exit(7)
             emit(j)
 
@@ -505,6 +519,7 @@ def test_worker_dying_mid_stream_raises_numerical_error(small_hetero,
 
     monkeypatch.setattr(tracking, "_track_block", dying_later)
     set_cpus(monkeypatch, 2)
+    set_chunk(monkeypatch, 16)
     began = time.perf_counter()
     with pytest.raises(NumericalError, match="block 2 of 2.*code 7"):
         tracking.track(flow, start, cfg, spec)
@@ -512,58 +527,69 @@ def test_worker_dying_mid_stream_raises_numerical_error(small_hetero,
     assert multiprocessing.active_children() == []
 
 
-def test_failed_consumer_stops_the_workers(small_hetero, monkeypatch):
-    # workers a whole ring ahead wait for a slot the consumer never frees
+def running(pid):
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_workers_exit_when_the_calling_process_dies(small_hetero, tmp_path,
+                                                    monkeypatch):
+    # each worker's payload outgrows a pipe buffer, so a worker still holding
+    # its own read end would block in send forever once the caller is killed
     spec, flow = small_hetero
-    cfg = TrackingConfig(injection_cell=1, num_particles=60, dt=0.25,
-                         t_end=20.0, rng_seed=0)
-
-    def consume(j, row, exit_time):
-        if j == 2:
-            time.sleep(0.5)
-            raise NumericalError("synthetic reducer failure")
-
-    set_cpus(monkeypatch, 3)
-    began = time.perf_counter()
-    with pytest.raises(NumericalError, match="synthetic reducer failure"):
-        tracking.stream(flow, inject(flow, cfg, spec.num_cells), cfg, consume)
-    assert time.perf_counter() - began < 30.0
-    assert multiprocessing.active_children() == []
-
-
-def test_slow_consumer_gets_every_row_intact(small_hetero, monkeypatch):
-    # four blocks on this host's cores run a whole ring ahead of a slow
-    # consumer and wait for their slots; a slot overwritten before its row
-    # was consumed would show in the collected rows
-    spec, flow = small_hetero
-    cfg = TrackingConfig(injection_cell=1, num_particles=120, dt=0.25,
-                         t_end=20.0, rng_seed=4)
+    cfg = TrackingConfig(injection_cell=1, num_particles=50, dt=0.005,
+                         t_end=10.0, rng_seed=0)
     start = inject(flow, cfg, spec.num_cells)
-    set_cpus(monkeypatch, 1)
-    alone = track(flow, start, cfg)
-    rows = []
+    set_cpus(monkeypatch, 3)
+    set_chunk(monkeypatch, 16)
+    log = tmp_path / "workers.log"
+    reduce_block = tracking._reduce_block
 
-    def consume(j, row, exit_time):
-        time.sleep(0.002)
-        rows.append((j, row.copy()))
+    def killed_before_reading():
+        caller = os.getpid()
 
-    set_cpus(monkeypatch, 4)
-    tracking.stream(flow, start, cfg, consume)
-    assert [j for j, _ in rows] == list(range(len(cfg.snapshot_times)))
-    assert len(rows) > 4 * tracking.RING_ROWS
-    assert (np.array([row for _, row in rows]).tobytes()
-            == alone.positions.tobytes())
+        def own_block_kills_the_caller(*args):
+            if os.getpid() != caller:
+                return reduce_block(*args)
+            log.write_text(" ".join(str(worker.pid) for worker
+                                    in multiprocessing.active_children()))
+            os.kill(caller, signal.SIGKILL)
+
+        monkeypatch.setattr(tracking, "_reduce_block",
+                            own_block_kills_the_caller)
+        tracking.track(flow, start, cfg, spec)
+
+    caller = multiprocessing.get_context("fork").Process(
+        target=killed_before_reading)
+    caller.start()
+    caller.join()
+    assert caller.exitcode == -signal.SIGKILL
+    workers = [int(pid) for pid in log.read_text().split()]
+    assert len(workers) == 2
+    try:
+        deadline = time.perf_counter() + 30.0
+        while any(map(running, workers)) and time.perf_counter() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, workers))
+    finally:
+        for pid in filter(running, workers):
+            os.kill(pid, signal.SIGKILL)
     assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_track_reduces_every_streamed_row(small_hetero, monkeypatch, cpus):
-    # what track keeps equals the rows it streamed, reduced after the fact
+    # what track keeps equals every row, collected in one block and reduced
+    # after the fact; 300 particles span 5 chunks of at most 64
     spec, flow = small_hetero
     cfg = TrackingConfig(injection_cell=1, num_particles=300, dt=0.5,
                          t_end=30.0, rng_seed=23)
-    assert len(cfg.snapshot_times) > 2 * tracking.RING_ROWS
     start = inject(flow, cfg, spec.num_cells)
+    set_chunk(monkeypatch, 64)
     whole = track(flow, start, cfg)
     assert np.isfinite(whole.exit_time).any()
     set_cpus(monkeypatch, cpus)
@@ -577,6 +603,61 @@ def test_track_reduces_every_streamed_row(small_hetero, monkeypatch, cpus):
     got, want = displacement_stats(ens), displacement_stats(whole)
     for name in ("mean_x", "msd", "n_active", "n_exited", "n_stagnant"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert multiprocessing.active_children() == []
+
+
+def chunked_reference(ens, chunk, cell_width, num_cells):
+    """Mean x, MSD and unit-cell mass of whole rows, chunk by chunk in
+    Python loops: each chunk's count, sum and squared deviations from its
+    own mean, combined in chunk order."""
+    n = ens.num_particles
+    mean_x, msd = [], []
+    mass = np.zeros((len(ens.snapshot_times), num_cells))
+    for j, t in enumerate(ens.snapshot_times):
+        x, keep = ens.positions[j, :, 0], ens.exit_time > t
+        parts = []
+        for lo in range(0, n, chunk):
+            xs, ks = x[lo:lo + chunk], keep[lo:lo + chunk]
+            count, total = int(ks.sum()), np.where(ks, xs, 0.0).sum()
+            own = total / count if count else math.nan
+            square = (np.where(ks, xs - own, 0.0) ** 2).sum()
+            parts.append((count, total, own, square))
+        count = np.sum([p[0] for p in parts])
+        with np.errstate(invalid="ignore"):
+            mean = np.sum([p[1] for p in parts]) / count
+            msd.append(np.sum([p[3] + (p[0] * (p[2] - mean) ** 2 if p[0] else 0.0)
+                               for p in parts]) / count)
+        mean_x.append(mean)
+        for xi in x[~(ens.exit_time <= t)]:
+            mass[j, min(int(xi / cell_width), num_cells - 1)] += 1
+    return np.array(mean_x), np.array(msd), mass / n
+
+
+@pytest.mark.parametrize("n", [3 * 64 + 17, 2 * 64], ids=["tail", "no-tail"])
+def test_chunked_reduction_is_independent_of_the_cpu_count(monkeypatch, n):
+    # chunks of 64, with or without a shorter last one, in a field where
+    # particles exit and stall; 1, 2 and 3 CPUs must reduce to the same bits
+    flow = random_flow(seed=1)
+    chunk = 64
+    cfg = TrackingConfig(injection_cell=1, num_particles=n, dt=0.05,
+                         t_end=3.0, rng_seed=0)
+    spec = MediumSpec(**{**hetero_spec(3).to_dict(), "cell_width": 0.6})
+    start = random_start(flow, n, 1)
+    whole = track(flow, start, cfg)
+    assert np.isfinite(whole.exit_time).any()
+    assert np.isfinite(whole.stagnant_time).any()
+    set_chunk(monkeypatch, chunk)
+    mean_x, msd, mass = chunked_reference(whole, chunk, 0.6, 3)
+    _, _, _, one_pass_mean, one_pass_msd = brute_force_displacement_stats(whole)
+    for cpus in (1, 2, 3):
+        set_cpus(monkeypatch, cpus)
+        ens = tracking.track(flow, start, cfg, spec)
+        stats = displacement_stats(ens)
+        assert stats.mean_x.tobytes() == mean_x.tobytes(), cpus
+        assert stats.msd.tobytes() == msd.tobytes(), cpus
+        assert ens.unit_cell_mass(spec).tobytes() == mass.tobytes(), cpus
+        np.testing.assert_allclose(stats.mean_x, one_pass_mean, rtol=1e-15)
+        np.testing.assert_allclose(stats.msd, one_pass_msd, rtol=1e-15)
     assert multiprocessing.active_children() == []
 
 

@@ -1,11 +1,12 @@
 """Whole trajectories of a tracked ensemble, for tests.
 
 ``tracking.track`` keeps only the last snapshot and the per-snapshot
-reductions.  :func:`track` here collects every row of the same tracking
-stream instead, so tests can read ``positions[j]`` at any snapshot, and
-:func:`trajectories` reduces given rows through ``tracking.SnapshotReducer``
-as ``track`` reduces them, so ``displacement_stats`` and
-``coarse_from_ensemble`` take either kind of ensemble.
+reductions.  :func:`track` here runs the same block tracker in this process
+and copies every row it writes into one buffer instead, so tests can read
+``positions[j]`` at any snapshot, and :func:`trajectories` reduces given
+rows through ``tracking.SnapshotReducer`` as ``track`` reduces them, so
+``displacement_stats`` and ``coarse_from_ensemble`` take either kind of
+ensemble.
 """
 
 from dataclasses import dataclass
@@ -51,11 +52,15 @@ def trajectories(times, positions, exit_time, stagnant_time, length_x,
 
 def track(flow, positions, cfg) -> Trajectories:
     """``tracking.track`` with every snapshot row collected."""
-    rows = []
+    pos = tracking._checked_positions(flow, positions)
+    times = cfg.snapshot_times
+    row, rows = np.empty((len(pos), 2)), np.empty((len(times), len(pos), 2))
+    exit_time, stagnant_time = np.empty(len(pos)), np.empty(len(pos))
 
-    def collect(j, row, exit_time):
-        rows.append(row.copy())
+    def collect(j):
+        rows[j] = row
 
-    _, exit_time, stagnant_time = tracking.stream(flow, positions, cfg, collect)
-    return trajectories(cfg.snapshot_times, np.array(rows), exit_time,
-                        stagnant_time, flow.length_x, flow.length_y)
+    tracking._track_block(tracking._CellTables.of(flow), pos, times, row,
+                          exit_time, stagnant_time, collect)
+    return trajectories(times, rows, exit_time, stagnant_time, flow.length_x,
+                        flow.length_y)
