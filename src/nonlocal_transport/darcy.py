@@ -22,6 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import SolverError
+from .lapack import mapped_openblas
 from .medium import (MediumSpec, build_conductivity, columns_per_cell,
                      unit_cell_spec)
 
@@ -86,20 +87,12 @@ def _one_blas_thread():
     matrix-vector products per grid column.  OpenBLAS splits each over a
     worker thread, which on a loaded two-core host can cost a scheduler
     slice per call and spins on after the last one, into the forked
-    tracking workers.  Every OpenBLAS mapped when the block starts is found
-    through ``/proc/self/maps``; where none is, this does nothing.
+    tracking workers.  Every OpenBLAS mapped when the block starts
+    (:func:`lapack.mapped_openblas`) is held; where none is, this does
+    nothing.
     """
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
-    except OSError:
-        paths = []
     saved = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
+    for lib in mapped_openblas():
         for get, put in _OPENBLAS_THREAD_FUNCTIONS:
             if hasattr(lib, get) and hasattr(lib, put):
                 get, put = getattr(lib, get), getattr(lib, put)

@@ -19,11 +19,13 @@ difference oracle is floating-point roundoff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, SolverError
+from .lapack import banded_lapack
 from .lbfgs import OptimizeResult, minimize
 from .nonlocal_diffusion import (
     DynamicKernel, assemble_operator, exchange_differences, march,
@@ -132,9 +134,22 @@ class LearningProblem:
 # it is not a parameter.
 
 
-def _map_parameters(problem: LearningProblem, raw: np.ndarray):
-    from scipy.special import expit
+def logistic(values) -> np.ndarray:
+    """1 / (1 + exp(-v)) per element: softplus's derivative.
 
+    Evaluated with ``math.exp``, one element at a time, so the values are
+    the bits of ``scipy.special.expit``; an ``exp`` that overflows gives 0.
+    """
+    out = []
+    for v in np.ravel(values):
+        try:
+            out.append(1.0 / (1.0 + math.exp(-v)))
+        except OverflowError:
+            out.append(0.0)
+    return np.reshape(out, np.shape(values))
+
+
+def _map_parameters(problem: LearningProblem, raw: np.ndarray):
     raw = np.asarray(raw, dtype=float)
     if raw.shape != (problem.n_parameters(),):
         raise ConfigurationError(
@@ -151,18 +166,18 @@ def _map_parameters(problem: LearningProblem, raw: np.ndarray):
         # raw = (rho for offsets -Nd..-1, +1..Nd, then p)
         slots = [j for j in range(width) if j != nd]
         phi[slots] = softplus(raw[:-1])
-        d_phi[slots, np.arange(n_par - 1)] = expit(raw[:-1])
+        d_phi[slots, np.arange(n_par - 1)] = logistic(raw[:-1])
         p = raw[-1]
         d_p[-1] = 1.0
     else:
         # raw = (rho for D, then fractal's s with p = softplus(s) - 1)
         phi[nd - 1] = phi[nd + 1] = softplus(raw[0]) / problem.cell_width ** 2
         d_phi[nd - 1, 0] = d_phi[nd + 1, 0] = (
-            expit(raw[0]) / problem.cell_width ** 2)
+            logistic(raw[0]) / problem.cell_width ** 2)
         p = 0.0
         if problem.model == "fractal":
             p = softplus(raw[1]) - 1.0
-            d_p[1] = expit(raw[1])
+            d_p[1] = logistic(raw[1])
     return phi, p, d_phi, d_p
 
 
@@ -212,28 +227,35 @@ def _forward(problem: LearningProblem, phi, p, d_phi=None, d_p=None,
     if d_phi is None:
         return btc, None
 
-    from scipy.linalg.lapack import dgbtrs
-
     nd = problem.horizon_cells
     dt = problem.dt
     n_par = d_phi.shape[1]
     theta, d_theta = theta_schedule(p, problem.time_grid)
     rate = d_theta[:, None] * d_p
-    tangents = np.zeros((problem.num_cells, n_par))
-    btc_tan = np.empty((len(probes), problem.n_steps, n_par))
+    # tangents[n].T is the (N, n_par) Fortran-ordered tangent block of
+    # step n + 1, solved in place on the factors of that step
+    tangents = np.empty((problem.n_steps, n_par, problem.num_cells))
+    solve_step = banded_lapack().gbtrs_steps(factors, pivots, tangents)
+    previous = np.zeros((n_par, problem.num_cells))
     # (I - dt*theta*A) cdot_{n+1} = cdot_n + dt*(theta_dot*A + theta*A_dot) c_{n+1}
-    # with A c = diffs @ phi and A_dot c = diffs @ d_phi, a block of steps at once
+    # with A c = diffs @ phi and A_dot c = diffs @ d_phi, a block of steps at
+    # once, laid out (steps, n_par, N) like the tangents
     for start in range(0, problem.n_steps, _TANGENT_BLOCK):
         block = slice(start, start + _TANGENT_BLOCK)
         diffs = exchange_differences(states[block], nd)
-        y_terms = diffs @ d_phi
-        y_terms *= (dt * theta[block])[:, None, None]
-        x_terms = (diffs @ phi)[:, :, None] * rate[block, None, :]
+        y_terms = np.multiply((diffs @ d_phi).transpose(0, 2, 1),
+                              (dt * theta[block])[:, None, None], order="C")
+        x_terms = rate[block, :, None] * (diffs @ phi)[:, None, :]
         x_terms *= dt
-        for step, x, y in zip(range(start, problem.n_steps), x_terms, y_terms):
-            tangents = dgbtrs(factors[step].T, nd, nd, tangents + x + y,
-                              pivots[step])[0]
-            btc_tan[:, step, :] = tangents[probes]
+        for step, current, x, y in zip(range(start, problem.n_steps),
+                                       tangents[block], x_terms, y_terms):
+            np.add(previous, x, out=current)
+            current += y
+            if solve_step(step) != 0:
+                raise SolverError("implicit tangent solve failed")
+            previous = current
+    # C order, as for btc
+    btc_tan = np.ascontiguousarray(tangents[:, :, probes].transpose(2, 0, 1))
     if not np.isfinite(btc_tan).all():
         raise SolverError("implicit step produced non-finite tangents")
     return btc, btc_tan

@@ -20,6 +20,7 @@ import numpy as np
 
 from .coarsen import BreakthroughCurve, cell_traces
 from .errors import ConfigurationError, SolverError
+from .lapack import banded_lapack
 
 #: Steps per ``march`` call in :func:`solve`.
 SOLVE_BLOCK_STEPS = 64
@@ -152,14 +153,14 @@ def march(band: np.ndarray, theta: np.ndarray, dt: float, initial: np.ndarray):
     """Step (I - dt*theta_n*A) c_{n+1} = c_n once per entry of ``theta``.
 
     Every step matrix is filled at once, in LAPACK band storage, into an
-    (n_steps, N, 3*Nd+1) array; each ``systems[n].T`` is Fortran-ordered and
-    LU-factored in place by the ``dgbsv`` that solves its step.  Returns
-    (states, factors, pivots): c_1 .. c_{n_steps} as rows of an (n_steps, N)
-    array and the factored systems and pivots, so more right-hand sides of
-    step n (tangents) solve with ``dgbtrs(factors[n].T, Nd, Nd, rhs, pivots[n])``.
+    (n_steps, N, 3*Nd+1) array; one ``dgbsv`` per step LU-factors the
+    Fortran-ordered ``systems[n].T`` in place and solves the step in place
+    in ``states[n]`` (``BandedLapack.gbsv_chain``).  Returns (states,
+    factors, pivots): c_1 .. c_{n_steps} as rows of an (n_steps, N) array,
+    the factored systems and LAPACK's 1-based pivots in its own integer
+    width, so more right-hand sides of step n (tangents) solve with
+    ``banded_lapack().gbtrs_steps``.
     """
-    from scipy.linalg.lapack import dgbsv
-
     nd = (band.shape[0] - 1) // 2
     with np.errstate(over="ignore", invalid="ignore"):
         scale = dt * np.max(np.abs(band)) * np.max(theta)
@@ -170,15 +171,13 @@ def march(band: np.ndarray, theta: np.ndarray, dt: float, initial: np.ndarray):
     systems = np.zeros((n_steps, n, 3 * nd + 1))
     np.multiply((-dt * theta)[:, None, None], band.T, out=systems[:, :, nd:])
     systems[:, :, 2 * nd] += 1.0
-    pivots = np.empty((n_steps, n), dtype=np.int32)
+    lapack = banded_lapack()
+    pivots = np.empty((n_steps, n), dtype=lapack.int_dtype)
     states = np.empty((n_steps, n))
-    c = initial
-    for step in range(n_steps):
-        _, pivots[step], c, info = dgbsv(nd, nd, systems[step].T, c,
-                                         overwrite_ab=True)
-        if info != 0:   # not reachable for nonnegative kernels
-            raise SolverError(f"implicit step factorization failed (info={info})")
-        states[step] = c
+    info, step = lapack.gbsv_chain(systems, states, pivots, initial)
+    if info != 0:   # not reachable for nonnegative kernels
+        raise SolverError(
+            f"implicit step {step} factorization failed (info={info})")
     if not np.isfinite(states).all():
         raise SolverError("implicit step produced non-finite values")
     return states, systems, pivots

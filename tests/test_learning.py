@@ -9,12 +9,24 @@ from nonlocal_transport import learning
 from nonlocal_transport.coarsen import BreakthroughCurve
 from nonlocal_transport.errors import ConfigurationError, SolverError
 from nonlocal_transport.learning import (
-    LearningProblem, _forward, evaluate_loss, fit, initial_raw,
+    LearningProblem, _forward, evaluate_loss, fit, initial_raw, logistic,
     loss_and_gradient, softplus, softplus_inverse,
 )
 from nonlocal_transport.nonlocal_diffusion import (
     DynamicKernel, model_btc, solve, unit_spike,
 )
+
+
+def test_logistic_is_expit_bit_for_bit():
+    from scipy.special import expit
+
+    grid = np.concatenate([
+        [0.0, 1e-300, -1e-300, 700.0, -700.0, 800.0, -800.0],
+        np.linspace(-745.0, -709.0, 3601),
+        np.random.default_rng(5).uniform(-40.0, 40.0, 2000),
+    ])
+    assert logistic(grid).tobytes() == expit(grid).tobytes()
+    assert logistic(grid[1]).shape == ()
 
 
 def synthetic_curves(kernel, num_cells, injection_cell, n_steps, dt, locations):

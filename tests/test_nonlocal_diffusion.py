@@ -9,6 +9,9 @@ from scipy.linalg import expm
 
 from nonlocal_transport.baselines import FractalParams, fractal_kernel
 from nonlocal_transport.errors import ConfigurationError, SolverError
+from nonlocal_transport.lapack import (
+    banded_lapack, mapped_openblas, openblas_banded_lapack, scipy_banded_lapack,
+)
 from nonlocal_transport.learning import (
     LearningProblem, evaluate_loss, loss_and_gradient,
 )
@@ -359,3 +362,123 @@ def test_solve_in_blocks_matches_one_march(model, n_steps):
                          times[1] - times[0], c0)
     assert solution.values[:, 0].tobytes() == c0.tobytes()
     assert solution.values[:, 1:].T.tobytes() == states.tobytes()
+
+
+# --- the banded LAPACK binding ---------------------------------------------
+
+
+def lapack_bindings(source):
+    """Every binding of ``source`` this host offers: one per mapped OpenBLAS
+    that exports the routines, or the ``scipy.linalg.cython_lapack`` one."""
+    if source == "cython_lapack":
+        return [scipy_banded_lapack()]
+    from scipy.linalg import lapack  # noqa: F401  maps scipy's OpenBLAS too
+    found = [openblas_banded_lapack([lib]) for lib in mapped_openblas()]
+    if not any(found):
+        pytest.skip("no mapped OpenBLAS exports dgbsv and dgbtrs")
+    return [binding for binding in found if binding is not None]
+
+
+def random_band_systems(rng, n_steps, n, nd):
+    """Band storage of general matrices: no diagonal dominance, so the
+    factorization interchanges rows."""
+    systems = np.zeros((n_steps, n, 3 * nd + 1))
+    systems[:, :, nd:] = rng.standard_normal((n_steps, n, 2 * nd + 1))
+    return systems
+
+
+@pytest.mark.parametrize("source", ["openblas", "cython_lapack"])
+@pytest.mark.parametrize("nd", [1, 4])
+def test_banded_lapack_matches_scipy_bit_for_bit(source, nd):
+    from scipy.linalg.lapack import dgbsv, dgbtrs
+
+    n_steps, n, k = 5, 23, 3
+    for binding in lapack_bindings(source):
+        rng = np.random.default_rng(nd)
+        systems = random_band_systems(rng, n_steps, n, nd)
+        original = systems.copy()
+        initial = rng.standard_normal(n)
+        states = np.empty((n_steps, n))
+        pivots = np.empty((n_steps, n), dtype=binding.int_dtype)
+        chain = binding.gbsv_chain(systems, states, pivots, initial)
+        assert chain == (0, n_steps)
+        tangents = rng.standard_normal((n_steps, k, n))
+        blocks = tangents.copy()
+        solve_step = binding.gbtrs_steps(systems, pivots, tangents)
+        x = initial
+        for step in range(n_steps):
+            lu, piv, x, info = dgbsv(nd, nd, original[step].T, x)
+            assert info == 0
+            assert systems[step].T.tobytes(order="F") == lu.tobytes(order="F")
+            assert states[step].tobytes() == x.tobytes()
+            # scipy returns pivots 0-based, LAPACK writes them 1-based
+            np.testing.assert_array_equal(pivots[step], piv + 1)
+            want, info = dgbtrs(lu, nd, nd, blocks[step].T, piv)
+            assert info == 0
+            assert solve_step(step) == 0
+            assert (tangents[step].T.tobytes(order="F")
+                    == want.tobytes(order="F"))
+        assert (pivots != np.arange(1, n + 1)).any(), "no row was interchanged"
+
+
+@pytest.mark.parametrize("source", ["openblas", "cython_lapack"])
+def test_singular_band_matrix_gives_positive_info(source):
+    for binding in lapack_bindings(source):
+        systems = random_band_systems(np.random.default_rng(3), 3, 12, 2)
+        systems[1, 5, :] = 0.0   # column 6 of the second matrix is zero
+        pivots = np.empty((3, 12), dtype=binding.int_dtype)
+        states = np.zeros((3, 12))
+        info, step = binding.gbsv_chain(systems, states, pivots, np.ones(12))
+        assert info > 0 and step == 1
+        assert not states[2].any()   # the chain stops at the failed step
+
+
+def test_march_turns_a_singular_step_into_a_solver_error():
+    # I - dt*theta*A with A = I and dt*theta = 1 is the zero matrix
+    nd = 2
+    band = np.zeros((2 * nd + 1, 10))
+    band[nd] = 1.0
+    with pytest.raises(SolverError, match="step 0 .*info=1"):
+        march(band, np.array([1.0]), 1.0, unit_spike(10, 3))
+
+
+def test_banded_lapack_checks_arrays_before_passing_pointers():
+    binding = banded_lapack()
+    n_steps, n, nd = 3, 10, 2
+    systems = np.zeros((n_steps, n, 3 * nd + 1))
+    states = np.zeros((n_steps, n))
+    pivots = np.zeros((n_steps, n), dtype=binding.int_dtype)
+    other_int = np.int32 if binding.int_dtype == np.int64 else np.int64
+    frozen = states.copy()
+    frozen.flags.writeable = False
+    initial = np.zeros(n)
+    blocks = np.zeros((n_steps, 3, n))
+    tangent_step = binding.gbtrs_steps(systems, pivots, blocks)
+    for bad_call, error in [
+        (lambda: tangent_step(n_steps), IndexError),
+        (lambda: tangent_step(-1), IndexError),
+        (lambda: binding.gbsv_chain(systems.astype(np.float32), states, pivots,
+                                    initial), TypeError),
+        (lambda: binding.gbsv_chain(systems.tolist(), states, pivots, initial),
+         TypeError),
+        (lambda: binding.gbsv_chain(systems[:, :, :-1], states, pivots, initial),
+         ValueError),
+        (lambda: binding.gbsv_chain(systems[:, ::2], states[:, ::2],
+                                    pivots[:, ::2], initial), ValueError),
+        (lambda: binding.gbsv_chain(systems, states[:, :-1], pivots, initial),
+         ValueError),
+        (lambda: binding.gbsv_chain(systems, frozen, pivots, initial), ValueError),
+        (lambda: binding.gbsv_chain(systems, states, pivots.astype(other_int),
+                                    initial),
+         TypeError),
+        (lambda: binding.gbtrs_steps(systems, pivots, np.zeros((n, 3))),
+         ValueError),
+        (lambda: binding.gbtrs_steps(systems, pivots, blocks.transpose(0, 2, 1)),
+         ValueError),
+        (lambda: binding.gbtrs_steps(systems, pivots,
+                                     np.zeros((n_steps, 3, n + 1))), ValueError),
+        (lambda: binding.gbtrs_steps(systems, pivots, blocks[:-1]), ValueError),
+        (lambda: binding.gbtrs_steps(systems, pivots[:-1], blocks), ValueError),
+    ]:
+        with pytest.raises(error):
+            bad_call()
