@@ -120,15 +120,6 @@ def _forward(weights, biases, inputs: np.ndarray):
     return np.logaddexp(0.0, z_out), z_out, activations
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-z)), the softplus output's derivative.
-
-    0 where ``exp(-z)`` overflows, without a warning.
-    """
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
-
-
 def surrogate_eval(net: SurrogateNet, x, t) -> np.ndarray:
     """Evaluate the surrogate; always finite and strictly positive."""
     x = np.asarray(x, dtype=float)
@@ -179,6 +170,8 @@ def train_surrogate(curves, *, epochs: int = 20_000, learning_rate: float = 1e-3
     and the gradients in a second one, so each Adam update is one pass of
     elementwise operations over every parameter.
     """
+    from scipy.special import expit
+
     inputs_raw, targets = dataset_arrays(curves)
     x_range = (float(inputs_raw[:, 0].min()), float(inputs_raw[:, 0].max()))
     t_range = (float(inputs_raw[:, 1].min()), float(inputs_raw[:, 1].max()))
@@ -201,7 +194,7 @@ def train_surrogate(curves, *, epochs: int = 20_000, learning_rate: float = 1e-3
     for step in range(1, epochs + 1):
         out, z_out, activations = _forward(weights, biases, inputs)
         # backward, written straight into the gradient buffer
-        delta = (2.0 / n) * (out - y) * sigmoid(z_out)
+        delta = (2.0 / n) * (out - y) * expit(z_out)
         np.matmul(activations[-1].T, delta, out=grads_w[-1])
         np.sum(delta, axis=0, out=grads_b[-1])
         back = delta @ weights[-1].T

@@ -1,13 +1,13 @@
 """The banded LAPACK routines of the implicit stepper, bound through ctypes.
 
-numpy's wheels map an OpenBLAS that exports all of LAPACK, numpy >= 2's
-under ILP64 names such as ``scipy_dgbsv_64_``.  :func:`banded_lapack` binds
+numpy >= 2's wheels map an OpenBLAS that exports all of LAPACK under
+ILP64 names such as ``scipy_dgbsv_64_``.  :func:`banded_lapack` binds
 ``dgbsv`` and ``dgbtrs`` from the first OpenBLAS mapped into the process
-(:func:`mapped_openblas`) that exports them, once per process, so the
-stepper needs no LAPACK wrapper module.  Where none does (no
+(:func:`mapped_openblas`) that exports those names, once per process, so
+the stepper needs no LAPACK wrapper module.  Where none does (no
 ``/proc/self/maps``, or a numpy built on another BLAS), it binds the same
-routines from ``scipy.linalg.cython_lapack``, the one case that imports
-scipy.
+routines from ``scipy.linalg.cython_lapack``, whose integers are LP64
+whatever the platform, the one case that imports scipy.
 """
 
 from __future__ import annotations
@@ -17,13 +17,10 @@ import functools
 
 import numpy as np
 
-#: (dgbsv, dgbtrs, LAPACK integer) of the OpenBLAS builds that numpy and
-#: scipy ship, then of a plain OpenBLAS; numpy's ILP64 names first.
-_BANDED_ROUTINES = (
-    ("scipy_dgbsv_64_", "scipy_dgbtrs_64_", ctypes.c_int64),
-    ("scipy_dgbsv_", "scipy_dgbtrs_", ctypes.c_int32),
-    ("dgbsv_", "dgbtrs_", ctypes.c_int32),
-)
+#: dgbsv and dgbtrs of the ILP64 OpenBLAS that numpy >= 2's wheels ship.
+#: Only these names fix the integer width; a library exporting plain
+#: ``dgbsv_`` may take 32- or 64-bit integers, so none is bound by them.
+_ILP64_ROUTINES = ("scipy_dgbsv_64_", "scipy_dgbtrs_64_")
 
 
 def mapped_openblas() -> list[ctypes.CDLL]:
@@ -160,16 +157,14 @@ class BandedLapack:
 
 
 def openblas_banded_lapack(libraries) -> BandedLapack | None:
-    """The routines of the first pair in ``_BANDED_ROUTINES`` that one of
-    ``libraries`` exports, or None."""
-    for gbsv, gbtrs, int_type in _BANDED_ROUTINES:
-        for lib in libraries:
-            if hasattr(lib, gbsv) and hasattr(lib, gbtrs):
-                gbsv, gbtrs = (
-                    ctypes.cast(getattr(lib, name), ctypes.c_void_p).value
-                    for name in (gbsv, gbtrs))
-                return BandedLapack(gbsv, gbtrs, int_type,
-                                    fortran_strings=True)
+    """The ILP64 routines of the first of ``libraries`` that exports them,
+    or None."""
+    for lib in libraries:
+        if all(hasattr(lib, name) for name in _ILP64_ROUTINES):
+            gbsv, gbtrs = (ctypes.cast(getattr(lib, name), ctypes.c_void_p).value
+                           for name in _ILP64_ROUTINES)
+            return BandedLapack(gbsv, gbtrs, ctypes.c_int64,
+                                fortran_strings=True)
     return None
 
 

@@ -2,10 +2,10 @@
 
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from nonlocal_transport.baselines import (
     ClassicalParams,
@@ -16,7 +16,6 @@ from nonlocal_transport.baselines import (
     dataset_arrays,
     fractal_kernel,
     init_surrogate,
-    sigmoid,
     solve_classical,
     solve_fractal,
     surrogate_eval,
@@ -28,18 +27,6 @@ from nonlocal_transport.nonlocal_diffusion import solution_moments, unit_spike
 from nonlocal_transport.tracking import linear_slope, log_log_slope
 
 L1 = math.sqrt(3.0) / 3.0
-
-
-def test_sigmoid_is_expit_within_four_ulp():
-    from scipy.special import expit
-
-    z = np.linspace(-700.0, 700.0, 280_001)
-    want = expit(z)
-    assert np.all(np.abs(sigmoid(z) - want) <= 4 * np.spacing(want))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        np.testing.assert_array_equal(sigmoid(np.array([-1000.0, 1000.0])),
-                                      [0.0, 1.0])
 
 
 def test_fractal_with_zero_exponent_is_classical_bitwise():
@@ -172,7 +159,7 @@ def reference_train_surrogate(curves, epochs, learning_rate, seed):
     for step in range(1, epochs + 1):
         weights = params[:n_layers]
         out, z_out, activations = _forward(weights, params[n_layers:], inputs)
-        delta = (2.0 / n) * (out - y) * sigmoid(z_out)
+        delta = (2.0 / n) * (out - y) * expit(z_out)
         grads_w = [None] * n_layers
         grads_b = [None] * n_layers
         grads_w[-1] = activations[-1].T @ delta

@@ -369,10 +369,10 @@ def test_solve_in_blocks_matches_one_march(model, n_steps):
 
 def lapack_bindings(source):
     """Every binding of ``source`` this host offers: one per mapped OpenBLAS
-    that exports the routines, or the ``scipy.linalg.cython_lapack`` one."""
+    that exports the ILP64 routines, or the ``scipy.linalg.cython_lapack``
+    one."""
     if source == "cython_lapack":
         return [scipy_banded_lapack()]
-    from scipy.linalg import lapack  # noqa: F401  maps scipy's OpenBLAS too
     found = [openblas_banded_lapack([lib]) for lib in mapped_openblas()]
     if not any(found):
         pytest.skip("no mapped OpenBLAS exports dgbsv and dgbtrs")
