@@ -160,11 +160,6 @@ def shift_frame(coarse: CoarseDensity, v_bar: float) -> CoarseDensity:
     """
     if v_bar < 0:
         raise ConfigurationError("frame speed must be nonnegative")
-    if v_bar == 0.0:
-        return CoarseDensity(values=coarse.values.copy(),
-                             smoothing_cells=coarse.smoothing_cells,
-                             snapshot_times=coarse.snapshot_times.copy(),
-                             cell_width=coarse.cell_width)
     centers = coarse.cell_centers
     shifted = np.empty_like(coarse.values)
     for j, t in enumerate(coarse.snapshot_times):

@@ -31,11 +31,10 @@ from .medium import (MediumSpec, build_conductivity, columns_per_cell,
 DIRECT_SOLVER_MAX_UNKNOWNS = 400_000
 CG_RELATIVE_TOLERANCE = 1e-12
 
-#: (get, set) thread-count functions of the OpenBLAS builds that numpy and
-#: scipy ship, and of a plain OpenBLAS.
+#: (get, set) thread-count functions of the ILP64 OpenBLAS that numpy's
+#: wheels ship, and of a plain OpenBLAS that numpy may be built on.
 _OPENBLAS_THREAD_FUNCTIONS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
 
@@ -81,15 +80,15 @@ def _face_transmissibilities(cond: NDArray[np.float64], dx: float, dy: float):
 
 @contextmanager
 def _one_blas_thread():
-    """Hold every OpenBLAS mapped into this process at one thread.
+    """Hold numpy's OpenBLAS at one thread.
 
     The unit-cell sweep makes one small dense inversion and a few
-    matrix-vector products per grid column.  OpenBLAS splits each over a
-    worker thread, which on a loaded two-core host can cost a scheduler
-    slice per call and spins on after the last one, into the forked
-    tracking workers.  Every OpenBLAS mapped when the block starts
-    (:func:`lapack.mapped_openblas`) is held; where none is, this does
-    nothing.
+    matrix-vector products per grid column, all through numpy.  OpenBLAS
+    splits each over a worker thread, which on a loaded two-core host can
+    cost a scheduler slice per call and spins on after the last one, into
+    the forked tracking workers.  Every OpenBLAS mapped when the block
+    starts (:func:`lapack.mapped_openblas`) with numpy's ILP64 or the plain
+    thread functions is held; scipy's, which the sweep never calls, is not.
     """
     saved = []
     for lib in mapped_openblas():

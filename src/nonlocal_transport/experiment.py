@@ -433,12 +433,19 @@ def run_predict(cfg: ExperimentConfig, dataset_dir=None) -> Path:
 # --- report ---------------------------------------------------------------
 
 
-def _mse_lookup(rows):
-    table = {}
-    for row in rows:
-        key = (row["model"], float(row["location"]), row["window"])
-        table[key] = float(row["mse"])
-    return table
+def _mse_lookup(rows, path):
+    """``mse(model, location, window)`` from the rows of ``path``."""
+    table = {(row["model"], float(row["location"]), row["window"]):
+             float(row["mse"]) for row in rows}
+
+    def mse(*key):
+        if key not in table:
+            raise ArtifactError(
+                f"{path} has no row for model {key[0]!r} at location "
+                f"{key[1]!r}, window {key[2]!r}; run the 'predict' command "
+                "again")
+        return table[key]
+    return mse
 
 
 def run_report(cfg: ExperimentConfig, dataset_dir=None) -> Path:
@@ -449,7 +456,7 @@ def run_report(cfg: ExperimentConfig, dataset_dir=None) -> Path:
         raise ArtifactError(
             f"missing {mse_path}; run the 'predict' command first")
     rows = read_table(mse_path)
-    table = _mse_lookup(rows)
+    mse = _mse_lookup(rows, mse_path)
 
     fitted = {}
     for model in cfg.models:
@@ -486,7 +493,7 @@ def run_report(cfg: ExperimentConfig, dataset_dir=None) -> Path:
     for rival in ("classical", "fractal"):
         if "nonlocal" in cfg.models and rival in cfg.models:
             per_location = {
-                repr(x): table[("nonlocal", x, "test")] < table[(rival, x, "test")]
+                repr(x): mse("nonlocal", x, "test") < mse(rival, x, "test")
                 for x in held_out}
             comparisons[f"nonlocal_beats_{rival}_test_mse"] = {
                 "per_held_out_location": per_location,

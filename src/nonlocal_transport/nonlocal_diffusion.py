@@ -87,7 +87,6 @@ class NonlocalSolution:
 
     values: np.ndarray          # (num_cells, n_times)
     times: np.ndarray
-    initial_condition: np.ndarray
     cell_width: float
 
     @property
@@ -224,7 +223,6 @@ def solve(kernel: DynamicKernel, initial: np.ndarray, times: np.ndarray) -> Nonl
         states, _, _ = march(band, theta[start:stop], dt, values[:, start])
         values[:, start + 1:stop + 1] = states.T
     return NonlocalSolution(values=values, times=times.copy(),
-                            initial_condition=c0.copy(),
                             cell_width=kernel.cell_width)
 
 

@@ -146,7 +146,8 @@ class ParticleEnsemble:
     Particles that reach the outlet are frozen at x = length_x and flagged
     via a finite ``exit_time``; particles stalled in a (numerically)
     stagnant cell are frozen where they stalled and flagged via
-    ``stagnant_time``.  Both times are +inf for particles that never reach
+    ``stagnant_time``.  A frozen particle keeps its position bit for bit in
+    every later row.  Both times are +inf for particles that never reach
     the corresponding state, and the two states are mutually exclusive.
     """
 
@@ -321,7 +322,8 @@ def track(flow: FlowField, positions, cfg: TrackingConfig,
     entry state of the current transit, so halving ``dt`` reproduces the same
     positions bit for bit at shared times.  Particles reaching the outlet
     plane x = length_x are frozen there; particles entering a cell whose face
-    speeds all sit below the stagnation floor are frozen where they are.
+    speeds all sit below the stagnation floor are frozen where they are, in
+    a transit that never ends.
 
     The ensemble's ``REDUCE_CHUNK``-particle chunks are cut into one block
     per usable CPU; this process tracks the first and a forked worker each
@@ -448,9 +450,11 @@ def _track_block(cells: _CellTables, pos, times, row, exit_time,
                  stagnant_time, emit) -> None:
     """Track the particles starting at ``pos`` into the given output views.
 
-    Snapshot row j overwrites ``row``, (particles x 2), and ``emit(j)``
-    follows it.  Row 0 is the injected positions themselves, not
-    re-evaluated from a cell origin.
+    A particle's one state is its current transit; one that exits or stalls
+    is frozen into a transit that never ends, so every snapshot evaluates
+    every particle alike.  Snapshot row j overwrites ``row``, (particles x
+    2), and ``emit(j)`` follows it.  Row 0 is the injected positions
+    themselves, not re-evaluated from a cell origin.
     """
     n = pos.shape[0]
     flow = cells.flow
@@ -473,17 +477,17 @@ def _track_block(cells: _CellTables, pos, times, row, exit_time,
     x_seg_end, y_seg_end = np.empty(n), np.empty(n)
     next_ix = np.empty(n, dtype=np.int64)
     next_iy = np.empty(n, dtype=np.int64)
-    # particles that left the outlet or stalled keep these positions
-    active = np.ones(n, dtype=bool)
-    frozen = np.empty((n, 2))
     exit_time.fill(np.inf)
     stagnant_time.fill(np.inf)
 
     def freeze(idx, x, y):
-        active[idx] = False
+        """Hold (x, y) in a transit that never ends: origin and velocity
+        -0.0 and gradient -1 make the closed form add only -0.0, at any
+        elapsed time (a zero gradient's expm1 overflows past about 709)."""
         t_seg_end[idx] = np.inf
-        frozen[idx, 0] = x
-        frozen[idx, 1] = y
+        seg_ox[idx] = seg_oy[idx] = seg_vxp[idx] = seg_vyp[idx] = -0.0
+        seg_locx[idx], seg_locy[idx] = x, y
+        seg_ax[idx] = seg_ay[idx] = -1.0
 
     def compute_transit(idx, x, y, t, cix, ciy):
         """Start a transit from (x, y) at time t in cell (cix, ciy)."""
@@ -506,16 +510,9 @@ def _track_block(cells: _CellTables, pos, times, row, exit_time,
         tau_x, fwd_x, bwd_x = _axis_exit(vxp, vxl, vxr, ax, loc_x, dx, v_floor)
         tau_y, fwd_y, bwd_y = _axis_exit(vyp, vyb, vyt, ay, loc_y, dy, v_floor)
         tau = np.minimum(tau_x, tau_y)
+        # a particle that can reach no face stalls here and is frozen below
         stalled = ~np.isfinite(tau)
-        if stalled.any():
-            stagnant_time[idx[stalled]] = t[stalled]
-            freeze(idx[stalled], x[stalled], y[stalled])
-            live = ~stalled
-            idx, t, cix, ciy, tau = idx[live], t[live], cix[live], ciy[live], tau[live]
-            ox, oy, loc_x, loc_y = ox[live], oy[live], loc_x[live], loc_y[live]
-            vxp, vyp, ax, ay = vxp[live], vyp[live], ax[live], ay[live]
-            tau_x, fwd_x, bwd_x = tau_x[live], fwd_x[live], bwd_x[live]
-            tau_y, fwd_y, bwd_y = tau_y[live], fwd_y[live], bwd_y[live]
+        tau[stalled] = 0.0
         # the crossed coordinate snaps to its face; the other follows the
         # closed form
         hit_x = tau_x <= tau
@@ -534,6 +531,9 @@ def _track_block(cells: _CellTables, pos, times, row, exit_time,
         ciy = ciy + up_y
         ciy -= down_y
         next_ix[idx], next_iy[idx] = cix, ciy
+        if stalled.any():
+            stagnant_time[idx[stalled]] = t[stalled]
+            freeze(idx[stalled], x[stalled], y[stalled])
 
     start_ix = np.clip((pos[:, 0] / dx).astype(np.int64), 0, nx - 1)
     start_iy = np.clip((pos[:, 1] / dy).astype(np.int64), 0, ny - 1)
@@ -561,18 +561,13 @@ def _track_block(cells: _CellTables, pos, times, row, exit_time,
                 cix, ciy = cix[keep], ciy[keep]
             compute_transit(due, x, y, t, cix, ciy)
             due = due.compress(t_seg_end[due] <= ts)
-        if active.all():
-            live = slice(None)
-        else:
-            row[:] = frozen
-            live = np.flatnonzero(active)
-        tau = ts - t0[live]
-        xr = _coord_at(seg_locx[live], seg_vxp[live], seg_ax[live], tau)
-        xr += seg_ox[live]
-        yr = _coord_at(seg_locy[live], seg_vyp[live], seg_ay[live], tau)
-        yr += seg_oy[live]
-        row[live, 0] = xr
-        row[live, 1] = yr
+        tau = ts - t0
+        xr = _coord_at(seg_locx, seg_vxp, seg_ax, tau)
+        xr += seg_ox
+        yr = _coord_at(seg_locy, seg_vyp, seg_ay, tau)
+        yr += seg_oy
+        row[:, 0] = xr
+        row[:, 1] = yr
         if j == 0:
             row[:] = pos
         emit(j)

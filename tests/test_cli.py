@@ -570,6 +570,20 @@ def test_report_without_predictions_exits_4(tmp_path, capsys):
     assert "predict" in capsys.readouterr().err
 
 
+def test_report_missing_held_out_row_exits_4(pipeline, tmp_path, capsys):
+    # a held-out location added after predict ran has no row in the table
+    _, out = pipeline
+    target = tmp_path / "stale_table"
+    shutil.copytree(out, target)
+    data = tiny_config(target)
+    data["coarse"]["test_locations"] = [2.6, 3.1]
+    path = write_config(tmp_path, data)
+    assert cli.main(["report", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert "'nonlocal' at location 3.1, window 'test'" in err
+    assert "predict" in err
+
+
 def test_numerical_failure_exits_3(pipeline, monkeypatch, capsys):
     path, _ = pipeline
 

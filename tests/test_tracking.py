@@ -252,6 +252,33 @@ def test_track_matches_reference_in_uniform_field():
     assert 0 < np.isfinite(ens.exit_time).sum() < 40
 
 
+@pytest.mark.filterwarnings("error")
+def test_frozen_particles_hold_over_a_long_run():
+    # rows 0 and 1 come to rest in cell 2: one particle stalls there at
+    # t = 1, one starts there on y = -0.0 and stalls at once, and one in
+    # row 2 leaves at t = 0.5; each must hold its place bit for bit, the
+    # sign of a zero too, for the rest of a thousand time units, with no
+    # overflow on the way
+    flow = uniform_flow()
+    flow.face_velocity_x[3:, :2] = 0.0
+    start = np.array([[flow.length_x - 0.15, 0.6], [0.7, 0.3], [1.2, -0.0]])
+    cfg = TrackingConfig(injection_cell=1, num_particles=3, dt=0.5,
+                         t_end=1000.0, rng_seed=0)
+    ens = assert_matches_reference(flow, start, cfg)
+    assert ens.exit_time[0] == pytest.approx(0.5)
+    assert ens.stagnant_time[1] == pytest.approx(1.0)
+    assert ens.stagnant_time[2] == 0.0
+    assert np.isinf(ens.exit_time[1:]).all() and np.isinf(ens.stagnant_time[0])
+    np.testing.assert_array_equal(ens.positions[-1, :, 0],
+                                  [flow.length_x, 1.0, 1.2])
+    assert np.signbit(ens.positions[-1, 2, 1])
+    frozen_at = [ens.exit_time[0], ens.stagnant_time[1], 0.0]
+    for p, t in enumerate(frozen_at):
+        held = ens.positions[ens.snapshot_times >= t, p]
+        assert len(held) > 1990
+        assert held.tobytes() == np.tile(held[-1], (len(held), 1)).tobytes()
+
+
 def test_track_matches_reference_from_faces(small_hetero):
     spec, flow = small_hetero
     kx, ky = np.meshgrid(np.arange(flow.grid_nx + 1), np.arange(flow.grid_ny + 1),
