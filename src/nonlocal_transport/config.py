@@ -288,15 +288,13 @@ def _check_consistency(cfg: ExperimentConfig) -> None:
         raise ConfigurationError("learning injection cell outside the domain")
     if cfg.window_cells > cfg.medium.num_cells:
         raise ConfigurationError("smoothing window exceeds the domain")
-    steps = cfg.t_end / cfg.record_dt
-    if abs(steps - round(steps)) > 1e-9:
+    if not _whole_steps(cfg.t_end, cfg.record_dt):
         raise ConfigurationError(
             "t_end must be an integer number of recording steps")
     if not cfg.tt < cfg.t_end:
         raise ConfigurationError(
             f"training window tt={cfg.tt} must be shorter than t_end={cfg.t_end}")
-    train_steps = cfg.tt / cfg.record_dt
-    if abs(train_steps - round(train_steps)) > 1e-9 or round(train_steps) < 1:
+    if not _whole_steps(cfg.tt, cfg.record_dt):
         raise ConfigurationError(
             "tt must be a positive integer number of recording steps")
     for name, locations in (("train", cfg.train_locations),
@@ -314,6 +312,15 @@ def _check_consistency(cfg: ExperimentConfig) -> None:
     for tt in cfg.sweep_tt_values:
         if not 0.0 < tt < cfg.t_end:
             raise ConfigurationError(f"sweep tt={tt} outside (0, t_end)")
+        if not _whole_steps(tt, cfg.record_dt):
+            raise ConfigurationError(
+                f"sweep tt={tt} is not a whole number of recording steps")
+
+
+def _whole_steps(t: float, dt: float) -> bool:
+    """Whether ``t`` is a positive whole number of steps ``dt``."""
+    steps = t / dt
+    return abs(steps - round(steps)) <= 1e-9 and round(steps) >= 1
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:

@@ -10,10 +10,9 @@ seed reproduces every file byte for byte.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from functools import partial
 from itertools import repeat
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +33,8 @@ from .learning import LearningProblem, fit, warm_start_raw
 from .nonlocal_diffusion import (
     DynamicKernel, model_btc, solution_moments, solve, unit_spike,
 )
-from .tracking import (
-    displacement_stats, inject, linear_slope, log_log_slope, track,
-    usable_cpus,
-)
+from .tracking import displacement_stats, inject, linear_slope, log_log_slope, track
+from .workers import run_tasks, usable_cpus
 
 #: Largest per-cell Darcy divergence, relative to the mean face flux, that
 #: ``generate`` accepts from the flow.
@@ -257,10 +254,10 @@ def run_learn(cfg: ExperimentConfig, dataset_dir=None, models=None) -> Path:
 
     Each model's ``fit_<model>.json`` depends only on ``cfg`` and the
     dataset, so fitting a subset writes the same bytes as fitting them all.
-    The fits run one after another in this process: tests, sweep workers
-    and traced runs call this function directly, and a pool inside it would
-    nest in the sweep's workers and hide the fits from an in-process tracer.
-    :func:`run_learn_split` is the pooled form the CLI uses.
+    The fits run one after another in this process: tests, sweep jobs and
+    traced runs call this function directly, and workers started inside it
+    would nest in the sweep's and hide the fits from an in-process tracer.
+    :func:`run_learn_split` is the form the CLI uses, one fit group per slot.
     """
     models = cfg.models if models is None else tuple(models)
     unknown = [m for m in models if m not in cfg.models]
@@ -315,28 +312,21 @@ def run_learn(cfg: ExperimentConfig, dataset_dir=None, models=None) -> Path:
 
 
 def run_learn_split(cfg: ExperimentConfig) -> Path:
-    """:func:`run_learn` with independent fit groups on a pool of workers.
-
-    The groups share nothing: classical then nonlocal (one task, so the
-    nonlocal warm start reuses the classical fit), the MLP, and fractal,
-    queued in that order.  ``min(usable CPUs, groups)`` forked workers take
-    them as they come free, each writing its own fit files from the same
-    ``cfg``, while this process only waits.  With one group or one CPU the
-    fits run in this process.  Forked workers inherit the imported package
-    instead of importing it again.
-    """
+    """:func:`run_learn` with its independent fit groups as tasks of
+    :func:`workers.run_tasks`, one slot per usable CPU, this process fitting
+    the first: classical then nonlocal (one task, so the nonlocal warm start
+    reuses the classical fit), the MLP, and fractal.  Each group writes its
+    own fit files from the same ``cfg``."""
     chain = tuple(m for m in cfg.models if m in ("classical", "nonlocal"))
     groups = [chain] if chain else []
     groups += [(m,) for m in ("mlp", "fractal") if m in cfg.models]
-    workers = min(usable_cpus(), len(groups))
-    if workers < 2:
-        return run_learn(cfg)
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=get_context("fork")) as pool:
-        tasks = [pool.submit(run_learn, cfg, None, group) for group in groups]
-        for task in tasks:
-            task.result()
+    run_tasks([partial(_learn_group, cfg, group) for group in groups],
+              usable_cpus(), lambda i: f"learn group {'+'.join(groups[i])}")
     return cfg.output_dir
+
+
+def _learn_group(cfg: ExperimentConfig, models, send) -> None:
+    send(run_learn(cfg, None, models))
 
 
 # --- predict --------------------------------------------------------------
@@ -534,18 +524,19 @@ def log_log_slope_or_none(times, values):
 
 
 def _sweep_job(config_path: str, base_overrides: dict, tt: float,
-               model: str, job_dir: str, dataset_dir: str) -> str:
+               model: str, job_dir: str, dataset_dir: str, send) -> None:
     overrides = dict(base_overrides)
     overrides.update({"tt": tt, "model": model, "out": job_dir})
     cfg = load_config(config_path, overrides)
     run_learn(cfg, dataset_dir=dataset_dir)
     run_predict(cfg, dataset_dir=dataset_dir)
-    return job_dir
+    send(job_dir)
 
 
 def run_sweep(cfg: ExperimentConfig, config_path,
               base_overrides: dict | None = None) -> Path:
-    """Learn+predict over the (tt, model) grid, one subdirectory per job."""
+    """Learn+predict over the (tt, model) grid, one subdirectory per job,
+    the jobs on ``sweep.max_workers`` slots of :func:`workers.run_tasks`."""
     if not cfg.sweep_tt_values or not cfg.sweep_models:
         raise ConfigurationError(
             "sweep requires a 'sweep' config section with tt_values and models")
@@ -553,15 +544,10 @@ def run_sweep(cfg: ExperimentConfig, config_path,
     if not (dataset_dir / "dataset.csv").exists():
         raise ArtifactError(
             f"dataset not found in {dataset_dir}; run 'generate' first")
-    jobs = [(tt, model) for tt in cfg.sweep_tt_values
+    jobs = [(tt, model, f"tt{tt:g}_{model}") for tt in cfg.sweep_tt_values
             for model in cfg.sweep_models]
-    futures = []
-    with ProcessPoolExecutor(max_workers=cfg.sweep_max_workers) as pool:
-        for tt, model in jobs:
-            job_dir = cfg.output_dir / "sweep" / f"tt{tt:g}_{model}"
-            futures.append(pool.submit(
-                _sweep_job, str(config_path), dict(base_overrides or {}),
-                float(tt), model, str(job_dir), str(dataset_dir)))
-        for future in futures:
-            future.result()
+    run_tasks([partial(_sweep_job, str(config_path), dict(base_overrides or {}),
+                       tt, model, str(cfg.output_dir / "sweep" / name),
+                       str(dataset_dir)) for tt, model, name in jobs],
+              cfg.sweep_max_workers, lambda i: f"sweep job {jobs[i][2]}")
     return cfg.output_dir / "sweep"

@@ -64,10 +64,6 @@ class MediumSpec:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "MediumSpec":
-        return cls(**data)
-
 
 def unit_cell_spec(spec: MediumSpec) -> MediumSpec:
     """Single-cell medium with unit head drop, for homogenization solves."""

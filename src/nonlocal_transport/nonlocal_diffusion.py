@@ -55,22 +55,6 @@ class DynamicKernel:
         if not self.cell_width > 0:
             raise ConfigurationError("cell width must be positive")
 
-    @property
-    def offsets(self) -> np.ndarray:
-        return np.arange(-self.horizon_cells, self.horizon_cells + 1)
-
-    @property
-    def horizon(self) -> float:
-        return self.horizon_cells * self.cell_width
-
-    def second_moment_rate(self) -> float:
-        """Instantaneous MSD production per unit theta: sum phi_j (j l1)^2."""
-        return float(np.sum(self.phi * (self.offsets * self.cell_width) ** 2))
-
-    def drift_rate(self) -> float:
-        """Center-of-mass velocity per unit theta: -l1 sum j phi_j."""
-        return float(-self.cell_width * np.sum(self.offsets * self.phi))
-
     def record(self) -> dict:
         return {"phi": [float(v) for v in self.phi], "p": float(self.p),
                 "N_delta": int(self.horizon_cells), "l1": float(self.cell_width)}

@@ -11,15 +11,15 @@ reduces the snapshots it records into per-chunk sums, so no
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from multiprocessing import get_context
+from functools import partial
 
 import numpy as np
 
 from .darcy import FlowField
-from .errors import ConfigurationError, InjectionError, NumericalError
+from .errors import ConfigurationError, InjectionError
 from .medium import MediumSpec
+from .workers import run_tasks, usable_cpus
 
 #: Fraction of the mean face speed below which a particle is considered
 #: motionless along an axis; protects the exit-time formulas from division
@@ -326,49 +326,21 @@ def track(flow: FlowField, positions, cfg: TrackingConfig,
     a transit that never ends.
 
     The ensemble's ``REDUCE_CHUNK``-particle chunks are cut into one block
-    per usable CPU; this process tracks the first and a forked worker each
-    other one, sharing the cell tables built before the fork.  Each block
-    reduces its own rows into a :class:`SnapshotReducer` on the cells of
-    ``spec``; a worker sends back its last row, times and reducer, and one
-    whose pipe closes first raises NumericalError.  Workers close the read
-    ends they inherit, so one whose caller is gone fails when it sends.  The
-    tracker acts on each particle alone and reducers merge chunk by chunk in
-    order, so any number of blocks gives the same bits.
+    per usable CPU, each a task of :func:`workers.run_tasks` that reduces
+    its own rows into a :class:`SnapshotReducer` on the cells of ``spec``.
+    The tracker acts on each particle alone and reducers merge chunk by
+    chunk in order, so any number of blocks gives the same bits.
     """
     pos = _checked_positions(flow, positions)
     n = len(pos)
-    cells = _CellTables.of(flow)
     chunks = -(-n // REDUCE_CHUNK)
     k = max(1, min(usable_cpus(), chunks))
     bounds = [min(n, chunks * b // k * REDUCE_CHUNK) for b in range(k + 1)]
-    blocks = [(cells, pos[lo:hi], cfg.snapshot_times, spec)
-              for lo, hi in zip(bounds, bounds[1:])]
-    context = get_context("fork")
-    workers, done = [], []
-    try:
-        for block in blocks[1:]:
-            pipe, send = context.Pipe(duplex=False)
-            worker = context.Process(target=_reduce_block, args=(
-                *block, send.send, [r for _, r in workers] + [pipe]))
-            worker.start()
-            workers.append((worker, pipe))
-            send.close()
-        _reduce_block(*blocks[0], done.append)
-        for b, (worker, pipe) in enumerate(workers, start=2):
-            try:
-                done.append(pipe.recv())
-            except (EOFError, OSError):
-                worker.join()
-                raise _worker_error(b, k, bounds, worker.exitcode) from None
-    except BaseException:
-        for worker, _ in workers:
-            worker.terminate()
-        raise
-    finally:
-        for worker, pipe in workers:
-            worker.join()
-            pipe.close()
-    final, exit_time, stagnant_time, reducers = zip(*done)
+    blocks = [partial(_reduce_block, flow, pos[lo:hi], cfg.snapshot_times,
+                      spec) for lo, hi in zip(bounds, bounds[1:])]
+    final, exit_time, stagnant_time, reducers = zip(*run_tasks(
+        blocks, k, lambda b: f"tracking block {b + 1} of {k} (particles "
+                             f"{bounds[b]} to {bounds[b + 1] - 1})"))
     for other in reducers[1:]:
         reducers[0].merge(other)
     return ParticleEnsemble(
@@ -379,12 +351,9 @@ def track(flow: FlowField, positions, cfg: TrackingConfig,
     )
 
 
-def _reduce_block(cells, pos, times, spec, done, readers=()) -> None:
+def _reduce_block(flow, pos, times, spec, done) -> None:
     """Track one block through one row buffer, reducing every row, and hand
-    ``done`` (last row, exit times, stagnation times, reducer) at the end.
-    A worker first closes the pipes' ``readers`` it inherited."""
-    for reader in readers:
-        reader.close()
+    ``done`` (last row, exit times, stagnation times, reducer) at the end."""
     n = len(pos)
     row = np.empty((n, 2))
     exit_time, stagnant_time = np.empty(n), np.empty(n)
@@ -395,7 +364,7 @@ def _reduce_block(cells, pos, times, spec, done, readers=()) -> None:
         if j == len(times) - 1:
             done((row, exit_time, stagnant_time, reducer))
 
-    _track_block(cells, pos, times, row, exit_time, stagnant_time, emit)
+    _track_block(flow, pos, times, row, exit_time, stagnant_time, emit)
 
 
 def _checked_positions(flow: FlowField, positions) -> np.ndarray:
@@ -408,45 +377,7 @@ def _checked_positions(flow: FlowField, positions) -> np.ndarray:
     return pos
 
 
-def _worker_error(b: int, k: int, bounds, exitcode) -> NumericalError:
-    return NumericalError(
-        f"tracking block {b} of {k} (particles {bounds[b - 1]} to "
-        f"{bounds[b] - 1}) exited with code {exitcode}")
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on; every CPU where affinity is unknown."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-@dataclass(frozen=True)
-class _CellTables:
-    """Per-cell face velocities and gradients, indexed by ix * ny + iy."""
-
-    flow: FlowField
-    v_floor: float
-    vx_lo: np.ndarray
-    vx_hi: np.ndarray
-    vy_lo: np.ndarray
-    vy_hi: np.ndarray
-    ax: np.ndarray
-    ay: np.ndarray
-
-    @classmethod
-    def of(cls, flow: FlowField) -> "_CellTables":
-        fvx, fvy = flow.face_velocity_x, flow.face_velocity_y
-        mean_speed = 0.5 * (np.mean(np.abs(fvx)) + np.mean(np.abs(fvy)))
-        vx_lo, vx_hi = fvx[:-1, :].ravel(), fvx[1:, :].ravel()
-        vy_lo, vy_hi = fvy[:, :-1].ravel(), fvy[:, 1:].ravel()
-        return cls(flow=flow, v_floor=STAGNATION_FLOOR_FRACTION * mean_speed,
-                   vx_lo=vx_lo, vx_hi=vx_hi, vy_lo=vy_lo, vy_hi=vy_hi,
-                   ax=(vx_hi - vx_lo) / flow.dx, ay=(vy_hi - vy_lo) / flow.dy)
-
-
-def _track_block(cells: _CellTables, pos, times, row, exit_time,
+def _track_block(flow: FlowField, pos, times, row, exit_time,
                  stagnant_time, emit) -> None:
     """Track the particles starting at ``pos`` into the given output views.
 
@@ -457,13 +388,15 @@ def _track_block(cells: _CellTables, pos, times, row, exit_time,
     themselves, not re-evaluated from a cell origin.
     """
     n = pos.shape[0]
-    flow = cells.flow
     nx, ny = flow.grid_nx, flow.grid_ny
     dx, dy = flow.dx, flow.dy
     length_x = flow.length_x
-    v_floor = cells.v_floor
-    vx_lo, vx_hi, vy_lo, vy_hi = cells.vx_lo, cells.vx_hi, cells.vy_lo, cells.vy_hi
-    ax_cell, ay_cell = cells.ax, cells.ay
+    # a cell's low x face is at ix*ny + iy of the flat x faces and its high
+    # face ny further; its low y face at ix*(ny+1) + iy, its high face next
+    fvx, fvy = flow.face_velocity_x, flow.face_velocity_y
+    v_floor = STAGNATION_FLOOR_FRACTION * (
+        0.5 * (np.mean(np.abs(fvx)) + np.mean(np.abs(fvy))))
+    fvx, fvy = fvx.ravel(), fvy.ravel()
 
     # current transit of each particle: entry time, cell origin, entry
     # coordinates relative to it, entry velocity and velocity gradient
@@ -491,10 +424,11 @@ def _track_block(cells: _CellTables, pos, times, row, exit_time,
 
     def compute_transit(idx, x, y, t, cix, ciy):
         """Start a transit from (x, y) at time t in cell (cix, ciy)."""
-        cell = cix * ny + ciy
-        vxl, vxr = vx_lo.take(cell), vx_hi.take(cell)
-        vyb, vyt = vy_lo.take(cell), vy_hi.take(cell)
-        ax, ay = ax_cell.take(cell), ay_cell.take(cell)
+        face_x = cix * ny + ciy
+        face_y = cix * (ny + 1) + ciy
+        vxl, vxr = fvx.take(face_x), fvx.take(face_x + ny)
+        vyb, vyt = fvy.take(face_y), fvy.take(face_y + 1)
+        ax, ay = (vxr - vxl) / dx, (vyt - vyb) / dy
         ox, oy = cix * dx, ciy * dy
         loc_x, loc_y = x - ox, y - oy
         vxp = ax * loc_x

@@ -9,9 +9,9 @@ import pytest
 def no_leaked_processes():
     """Fail a test that leaves a child process running.
 
-    Both forked paths of the pipeline, the pool of fit groups of ``learn``
-    and the block workers of ``track``, must have ended when their call
-    returns or raises.  Leaked children are stopped so later tests start clean.
+    The workers ``workers.run_tasks`` forks for ``track``, ``learn`` and
+    ``sweep`` must have ended when its call returns or raises.  Leaked
+    children are stopped so later tests start clean.
     """
     yield
     leaked = multiprocessing.active_children()

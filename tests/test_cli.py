@@ -1,22 +1,26 @@
 """End-to-end command-line runs on a miniature experiment."""
 
+import contextlib
 import dataclasses
 import json
 import math
 import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 import yaml
 
 import nonlocal_transport
-from nonlocal_transport import cli, darcy, experiment, tracking
+from nonlocal_transport import cli, darcy, experiment, tracking, workers
 from nonlocal_transport.config import SCHEMA_ID, load_config
 from nonlocal_transport.errors import ConfigurationError, NumericalError
+from test_tracking import running
 
 
 def tiny_config(out_dir):
@@ -146,6 +150,125 @@ def test_sweep_outputs(pipeline):
     assert record["training"]["tt"] == 1.0
 
 
+def sweep_config(tmp_path, out, max_workers):
+    """The tiny config with a sweep of 4 jobs on ``max_workers`` slots,
+    next to a copy of the pipeline's dataset."""
+    target = tmp_path / "sweep_run"
+    fresh_dataset(out, target)
+    data = tiny_config(target)
+    data["sweep"] = {"tt_values": [1.0, 2.0],
+                     "models": ["classical", "nonlocal"],
+                     "max_workers": max_workers}
+    return write_config(tmp_path, data), target
+
+
+def test_sweep_on_two_slots_equals_one_process_sweep(pipeline, tmp_path,
+                                                      monkeypatch):
+    _, out = pipeline
+    path, target = sweep_config(tmp_path, out, 2)
+    log = tmp_path / "jobs.log"
+    run_learn = experiment.run_learn
+
+    def logged(cfg, *args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{cfg.output_dir.name} {os.getpid()}\n")
+        return run_learn(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_learn", logged)
+    assert cli.main(["sweep", "--config", str(path)]) == 0
+    jobs = dict(line.split() for line in log.read_text().splitlines())
+    assert sorted(jobs) == ["tt1_classical", "tt1_nonlocal",
+                            "tt2_classical", "tt2_nonlocal"]
+    pids = {int(pid) for pid in jobs.values()}
+    assert len(pids) == 2 and os.getpid() in pids
+    two_slots = output_files(target / "sweep")
+    assert len(two_slots) == 4 * 4
+    shutil.rmtree(target / "sweep")
+    # the same config, every job in this process
+    monkeypatch.setattr(experiment, "run_tasks",
+                        lambda tasks, slots, describe: workers.run_tasks(
+                            tasks, 1, describe))
+    assert cli.main(["sweep", "--config", str(path)]) == 0
+    assert output_files(target / "sweep") == two_slots
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_rejects_an_off_grid_tt_before_any_job(pipeline, tmp_path,
+                                                      capsys):
+    _, out = pipeline
+    target = tmp_path / "off_grid"
+    fresh_dataset(out, target)
+    data = tiny_config(target)
+    data["sweep"]["tt_values"] = [1.0, 1.05, 2.0]
+    path = write_config(tmp_path, data)
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    assert "sweep tt=1.05" in capsys.readouterr().err
+    assert not (target / "sweep").exists()
+
+
+def workers_of_a_killed_caller(monkeypatch, log, name, argv):
+    """Run ``cli.main(argv)`` in a forked caller that each of its workers
+    SIGKILLs on entering ``experiment.<name>``, after logging its process
+    id; returns the ids logged."""
+    def killed_mid_task():
+        caller, func = os.getpid(), getattr(experiment, name)
+
+        def kill_the_caller(*args, **kwargs):
+            if os.getpid() != caller:
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(caller, signal.SIGKILL)
+            return func(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, name, kill_the_caller)
+        cli.main(argv)
+
+    caller = multiprocessing.get_context("fork").Process(
+        target=killed_mid_task)
+    caller.start()
+    caller.join(120.0)
+    assert caller.exitcode == -signal.SIGKILL
+    return sorted({int(pid) for pid in log.read_text().split()})
+
+
+def assert_exit_within(pids, seconds):
+    try:
+        deadline = time.perf_counter() + seconds
+        while any(map(running, pids)) and time.perf_counter() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, pids))
+    finally:
+        for pid in filter(running, pids):
+            os.kill(pid, signal.SIGKILL)
+
+
+def test_learn_workers_exit_when_the_calling_process_dies(
+        pipeline, tmp_path, monkeypatch):
+    path, out = pipeline
+    target = tmp_path / "killed_learn"
+    fresh_dataset(out, target)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pids = workers_of_a_killed_caller(
+        monkeypatch, tmp_path / "workers.log", "train_surrogate",
+        ["learn", "--config", str(path), "--out", str(target)])
+    assert pids
+    assert_exit_within(pids, 30.0)
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_workers_exit_when_the_calling_process_dies(
+        pipeline, tmp_path, monkeypatch):
+    _, out = pipeline
+    path, _ = sweep_config(tmp_path, out, 2)
+    pids = workers_of_a_killed_caller(
+        monkeypatch, tmp_path / "workers.log", "run_learn",
+        ["sweep", "--config", str(path)])
+    assert pids
+    assert_exit_within(pids, 30.0)
+    assert multiprocessing.active_children() == []
+
+
 def test_out_override_redirects(pipeline, tmp_path):
     path, _ = pipeline
     target = tmp_path / "moved"
@@ -229,10 +352,9 @@ def test_learn_trains_mlp_in_a_second_process(pipeline, tmp_path,
                      "--out", str(target)]) == 0
     pids = pids_by_label(log)
     assert set(pids) == {"classical", "nonlocal", "mlp"}
-    workers = set().union(*pids.values())
-    assert os.getpid() not in workers and len(workers) <= 2
-    assert len(pids["nonlocal"]) == 1 and pids["classical"] == pids["nonlocal"]
-    assert len(pids["mlp"]) == 1
+    # this process fits the first group; the MLP trains in one worker
+    assert pids["classical"] == pids["nonlocal"] == {os.getpid()}
+    assert len(pids["mlp"]) == 1 and os.getpid() not in pids["mlp"]
     assert multiprocessing.active_children() == []
 
 
@@ -265,7 +387,9 @@ def test_learn_without_affinity_counts_every_cpu(pipeline, tmp_path,
     pooled = fit_files(target)
     assert set(pooled) == {"fit_nonlocal.json", "fit_classical.json",
                            "fit_mlp.json"}
-    assert os.getpid() not in set().union(*pids_by_label(log).values())
+    pids = pids_by_label(log)
+    assert pids["nonlocal"] == {os.getpid()}
+    assert len(pids["mlp"]) == 1 and os.getpid() not in pids["mlp"]
     assert multiprocessing.active_children() == []
     for name in pooled:
         (target / name).unlink()
@@ -279,7 +403,7 @@ def test_learn_without_affinity_counts_every_cpu(pipeline, tmp_path,
 
 def test_pooled_learn_without_mlp_equals_one_process_learn(
         pipeline, tmp_path, monkeypatch):
-    # nonlocal (with classical) and fractal run as two groups on two workers
+    # nonlocal (with classical) and fractal run as two groups on two slots
     _, out = pipeline
     target = tmp_path / "no_mlp"
     fresh_dataset(out, target)
@@ -294,8 +418,8 @@ def test_pooled_learn_without_mlp_equals_one_process_learn(
     assert set(split) == {"fit_nonlocal.json", "fit_fractal.json",
                           "fit_classical.json"}
     pids = pids_by_label(log)
-    assert os.getpid() not in set().union(*pids.values())
-    assert len(pids["nonlocal"]) == 1 and pids["classical"] == pids["nonlocal"]
+    assert pids["classical"] == pids["nonlocal"] == {os.getpid()}
+    assert len(pids["fractal"]) == 1 and os.getpid() not in pids["fractal"]
     for name in split:
         (target / name).unlink()
     experiment.run_learn(load_config(path))
@@ -445,17 +569,19 @@ def test_generate_gates_divergence_above_the_direct_solver_limit(
 
 
 #: Runs the CLI with the arguments after ``-c``, then prints its exit code
-#: and the scipy modules it left loaded.
+#: and the scipy and concurrent modules it left loaded.
 SCIPY_FOOTPRINT = """
 import json, sys
 from nonlocal_transport import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.startswith(("scipy", "concurrent")))]))
 """
 
 
 def scipy_modules_after(*argv):
-    """The scipy modules one CLI command loads in a fresh interpreter."""
+    """The scipy and concurrent modules one CLI command loads in a fresh
+    interpreter."""
     src = str(Path(nonlocal_transport.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
@@ -480,6 +606,9 @@ def test_commands_load_only_the_scipy_they_call(pipeline, tmp_path):
     assert not [m for m in mlp if m.startswith(("scipy.linalg", "scipy.sparse"))]
     assert scipy_modules_after("generate", "--config", str(path),
                                "--out", str(tmp_path / "generated")) == []
+    # forked workers run the sweep's jobs, not a process pool (scipy.special
+    # itself loads concurrent.futures, so the MLP's learn is not held to it)
+    assert scipy_modules_after("sweep", *config) == []
 
 
 #: Runs ``generate`` with the arguments after ``-c`` on as many usable CPUs

@@ -90,7 +90,7 @@ def test_inclusion_mask_periodic(frac, x, y):
 
 def test_spec_dict_round_trip():
     spec = diamond_spec(inclusion_fraction=0.8)
-    assert MediumSpec.from_dict(spec.to_dict()) == spec
+    assert MediumSpec(**spec.to_dict()) == spec
 
 
 def classify_every_center(spec, grid_nx, grid_ny):

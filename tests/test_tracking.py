@@ -429,26 +429,6 @@ def test_track_without_affinity_counts_every_cpu(small_hetero, tmp_path,
     assert multiprocessing.active_children() == []
 
 
-def test_cell_tables_built_once_before_the_fork(small_hetero, tmp_path,
-                                                monkeypatch):
-    spec, flow = small_hetero
-    cfg = TrackingConfig(injection_cell=1, num_particles=50, dt=0.5,
-                         t_end=5.0, rng_seed=0)
-    log = tmp_path / "tables.log"
-    build = tracking._CellTables.of
-
-    def logged(flow):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return build(flow)
-
-    monkeypatch.setattr(tracking._CellTables, "of", logged)
-    set_cpus(monkeypatch, 3)
-    set_chunk(monkeypatch, 16)
-    tracking.track(flow, random_start(flow, 50, 0), cfg, spec)
-    assert log.read_text().split() == [str(os.getpid())]
-
-
 def test_single_particle_starts_no_worker(small_hetero, tmp_path, monkeypatch):
     spec, flow = small_hetero
     cfg = TrackingConfig(injection_cell=1, num_particles=1, dt=0.5, t_end=5.0,

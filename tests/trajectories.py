@@ -60,7 +60,7 @@ def track(flow, positions, cfg) -> Trajectories:
     def collect(j):
         rows[j] = row
 
-    tracking._track_block(tracking._CellTables.of(flow), pos, times, row,
-                          exit_time, stagnant_time, collect)
+    tracking._track_block(flow, pos, times, row, exit_time, stagnant_time,
+                          collect)
     return trajectories(times, rows, exit_time, stagnant_time, flow.length_x,
                         flow.length_y)
