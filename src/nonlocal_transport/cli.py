@@ -51,20 +51,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _overrides(args: argparse.Namespace) -> dict:
-    overrides = {}
-    for key in ("seed", "tt", "model", "out"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
-    return overrides
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = _overrides(args)
     try:
-        cfg = load_config(args.config, overrides)
+        # an option left unset is None, which overrides nothing
+        cfg = load_config(args.config, {key: getattr(args, key) for key in
+                                        ("seed", "tt", "model", "out")})
         if args.command == "generate":
             out = run_generate(cfg)
             print(f"generate: dataset written to {out}")
@@ -78,7 +70,7 @@ def main(argv=None) -> int:
             out = run_report(cfg)
             print(f"report: summary written to {out / 'report.json'}")
         elif args.command == "sweep":
-            out = run_sweep(cfg, args.config, overrides)
+            out = run_sweep(cfg)
             print(f"sweep: job outputs under {out}")
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

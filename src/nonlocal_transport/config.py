@@ -1,7 +1,8 @@
 """Validated experiment configuration.
 
 Configs are YAML with a fixed, versioned layout (see ``CONFIG_SCHEMA``);
-the loader validates against the schema, applies command-line overrides,
+:func:`load_config` reads the file, and :func:`build_config` applies
+command-line overrides to the mapping, validates it against the schema,
 checks cross-field consistency, and produces the provenance hash that every
 output file references.
 """
@@ -324,7 +325,7 @@ def _whole_steps(t: float, dt: float) -> bool:
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    """Read, validate and normalize a YAML experiment config."""
+    """Read a YAML experiment config and build it with :func:`build_config`."""
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")
@@ -334,6 +335,12 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigurationError(f"malformed YAML in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigurationError(f"config root must be a mapping: {path}")
+    return build_config(data, overrides)
+
+
+def build_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
+    """Validate and normalize a config mapping, which ``overrides`` update in
+    place and the result keeps as its ``raw``."""
     data = _apply_overrides(data, overrides or {})
     error = _schema_error(CONFIG_SCHEMA, data)
     if error:

@@ -83,12 +83,16 @@ def _one_blas_thread():
     """Hold numpy's OpenBLAS at one thread.
 
     The unit-cell sweep makes one small dense inversion and a few
-    matrix-vector products per grid column, all through numpy.  OpenBLAS
-    splits each over a worker thread, which on a loaded two-core host can
-    cost a scheduler slice per call and spins on after the last one, into
-    the forked tracking workers.  Every OpenBLAS mapped when the block
-    starts (:func:`lapack.mapped_openblas`) with numpy's ILP64 or the plain
-    thread functions is held; scipy's, which the sweep never calls, is not.
+    matrix-vector products per grid column, all through numpy.  On one
+    thread their rounding does not depend on the threads OpenBLAS would
+    split them over: without this guard, on a 2-vCPU host, the full-scale
+    outputs' last digits move (``v_bar_cell`` ...3258 becomes ...3257).  No
+    speed effect was measured there: transport-wide ``generate`` took a
+    median 3.31 s with it and 3.18 s without (10 alternating runs each),
+    full scale 45.3-47.1 s with it and 44.7-47.0 s without.  Every OpenBLAS
+    mapped when the block starts (:func:`lapack.mapped_openblas`) with
+    numpy's ILP64 or the plain thread functions is held; scipy's, which the
+    sweep never calls, is not.
     """
     saved = []
     for lib in mapped_openblas():

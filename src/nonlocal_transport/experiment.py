@@ -9,6 +9,7 @@ seed reproduces every file byte for byte.
 
 from __future__ import annotations
 
+import copy
 import json
 from contextlib import contextmanager
 from functools import partial
@@ -26,7 +27,7 @@ from .coarsen import (
     load_btc_dataset, read_table, save_btc_dataset, shift_frame, write_json,
     write_table,
 )
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, build_config
 from .darcy import max_relative_divergence, solve_medium
 from .errors import ArtifactError, ConfigurationError, NumericalError
 from .learning import LearningProblem, fit, warm_start_raw
@@ -320,13 +321,9 @@ def run_learn_split(cfg: ExperimentConfig) -> Path:
     chain = tuple(m for m in cfg.models if m in ("classical", "nonlocal"))
     groups = [chain] if chain else []
     groups += [(m,) for m in ("mlp", "fractal") if m in cfg.models]
-    run_tasks([partial(_learn_group, cfg, group) for group in groups],
+    run_tasks([partial(run_learn, cfg, None, group) for group in groups],
               usable_cpus(), lambda i: f"learn group {'+'.join(groups[i])}")
     return cfg.output_dir
-
-
-def _learn_group(cfg: ExperimentConfig, models, send) -> None:
-    send(run_learn(cfg, None, models))
 
 
 # --- predict --------------------------------------------------------------
@@ -438,7 +435,7 @@ def _mse_lookup(rows, path):
     return mse
 
 
-def run_report(cfg: ExperimentConfig, dataset_dir=None) -> Path:
+def run_report(cfg: ExperimentConfig) -> Path:
     """Summarize fits, misfit tables and MSD behavior into report.json."""
     out = cfg.output_dir
     mse_path = out / "mse_table.csv"
@@ -523,20 +520,15 @@ def log_log_slope_or_none(times, values):
 # --- sweep ----------------------------------------------------------------
 
 
-def _sweep_job(config_path: str, base_overrides: dict, tt: float,
-               model: str, job_dir: str, dataset_dir: str, send) -> None:
-    overrides = dict(base_overrides)
-    overrides.update({"tt": tt, "model": model, "out": job_dir})
-    cfg = load_config(config_path, overrides)
+def _sweep_job(cfg: ExperimentConfig, dataset_dir: Path) -> Path:
     run_learn(cfg, dataset_dir=dataset_dir)
-    run_predict(cfg, dataset_dir=dataset_dir)
-    send(job_dir)
+    return run_predict(cfg, dataset_dir=dataset_dir)
 
 
-def run_sweep(cfg: ExperimentConfig, config_path,
-              base_overrides: dict | None = None) -> Path:
+def run_sweep(cfg: ExperimentConfig) -> Path:
     """Learn+predict over the (tt, model) grid, one subdirectory per job,
-    the jobs on ``sweep.max_workers`` slots of :func:`workers.run_tasks`."""
+    the jobs on ``sweep.max_workers`` slots of :func:`workers.run_tasks`, each
+    with its config built from ``cfg.raw`` before any job runs."""
     if not cfg.sweep_tt_values or not cfg.sweep_models:
         raise ConfigurationError(
             "sweep requires a 'sweep' config section with tt_values and models")
@@ -544,10 +536,11 @@ def run_sweep(cfg: ExperimentConfig, config_path,
     if not (dataset_dir / "dataset.csv").exists():
         raise ArtifactError(
             f"dataset not found in {dataset_dir}; run 'generate' first")
-    jobs = [(tt, model, f"tt{tt:g}_{model}") for tt in cfg.sweep_tt_values
-            for model in cfg.sweep_models]
-    run_tasks([partial(_sweep_job, str(config_path), dict(base_overrides or {}),
-                       tt, model, str(cfg.output_dir / "sweep" / name),
-                       str(dataset_dir)) for tt, model, name in jobs],
-              cfg.sweep_max_workers, lambda i: f"sweep job {jobs[i][2]}")
-    return cfg.output_dir / "sweep"
+    jobs = [build_config(copy.deepcopy(cfg.raw), {
+        "tt": tt, "model": model,
+        "out": str(dataset_dir / "sweep" / f"tt{tt:g}_{model}")})
+        for tt in cfg.sweep_tt_values for model in cfg.sweep_models]
+    run_tasks([partial(_sweep_job, job, dataset_dir) for job in jobs],
+              cfg.sweep_max_workers,
+              lambda i: f"sweep job {jobs[i].output_dir.name}")
+    return dataset_dir / "sweep"

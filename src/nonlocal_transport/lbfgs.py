@@ -13,6 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+#: Armijo sufficient-decrease constant, step halvings before the line search
+#: fails, and the loss change (relative above a loss of 1) that ends a fit.
+ARMIJO_C = 1e-4
+MAX_BACKTRACKS = 45
+STAGNATION_TOLERANCE = 1e-14
+
 
 @dataclass
 class OptimizeResult:
@@ -43,9 +49,8 @@ def _two_loop_direction(grad, s_hist, y_hist):
 
 
 def minimize(fun_and_grad, x0, *, fun_only=None, history: int = 10,
-             max_iterations: int = 500, gradient_tolerance: float = 1e-8,
-             armijo_c: float = 1e-4, max_backtracks: int = 45,
-             stagnation_tolerance: float = 1e-14) -> OptimizeResult:
+             max_iterations: int = 500,
+             gradient_tolerance: float = 1e-8) -> OptimizeResult:
     """Minimize a smooth function of a few variables.
 
     ``fun_and_grad(x) -> (f, g)`` is evaluated at accepted iterates;
@@ -78,10 +83,10 @@ def minimize(fun_and_grad, x0, *, fun_only=None, history: int = 10,
 
         step = 1.0
         f_new = np.inf
-        for _ in range(max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             candidate = x + step * direction
             f_new = fun_only(candidate)
-            if np.isfinite(f_new) and f_new <= f + armijo_c * step * descent:
+            if np.isfinite(f_new) and f_new <= f + ARMIJO_C * step * descent:
                 break
             step *= 0.5
         else:
@@ -97,7 +102,7 @@ def minimize(fun_and_grad, x0, *, fun_only=None, history: int = 10,
             for _ in range(20):
                 f_trial = fun_only(x + trial * direction)
                 if not (np.isfinite(f_trial)
-                        and f_trial <= f + armijo_c * trial * descent
+                        and f_trial <= f + ARMIJO_C * trial * descent
                         and f_trial < f_new):
                     break
                 step, f_new = trial, f_trial
@@ -114,7 +119,7 @@ def minimize(fun_and_grad, x0, *, fun_only=None, history: int = 10,
             if len(s_hist) > history:
                 s_hist.pop(0)
                 y_hist.pop(0)
-        stalled = abs(f - f_new) <= stagnation_tolerance * max(1.0, abs(f))
+        stalled = abs(f - f_new) <= STAGNATION_TOLERANCE * max(1.0, abs(f))
         x, f, g = x_new, f_new, g_new
         trace.append((iteration, float(f), float(np.linalg.norm(g))))
         if stalled:

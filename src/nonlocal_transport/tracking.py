@@ -156,7 +156,6 @@ class ParticleEnsemble:
     exit_time: np.ndarray
     stagnant_time: np.ndarray
     length_x: float
-    length_y: float
     snapshots: SnapshotReducer
 
     @property
@@ -347,24 +346,20 @@ def track(flow: FlowField, positions, cfg: TrackingConfig,
         snapshot_times=reducers[0].times, positions=np.concatenate(final),
         exit_time=np.concatenate(exit_time),
         stagnant_time=np.concatenate(stagnant_time),
-        length_x=flow.length_x, length_y=flow.length_y, snapshots=reducers[0],
+        length_x=flow.length_x, snapshots=reducers[0],
     )
 
 
-def _reduce_block(flow, pos, times, spec, done) -> None:
-    """Track one block through one row buffer, reducing every row, and hand
-    ``done`` (last row, exit times, stagnation times, reducer) at the end."""
+def _reduce_block(flow, pos, times, spec):
+    """Track one block through one row buffer, reducing every row; returns
+    (last row, exit times, stagnation times, reducer)."""
     n = len(pos)
     row = np.empty((n, 2))
     exit_time, stagnant_time = np.empty(n), np.empty(n)
     reducer = SnapshotReducer(times, n, spec.cell_width, spec.num_cells)
-
-    def emit(j):
-        reducer.add(j, row, exit_time)
-        if j == len(times) - 1:
-            done((row, exit_time, stagnant_time, reducer))
-
-    _track_block(flow, pos, times, row, exit_time, stagnant_time, emit)
+    _track_block(flow, pos, times, row, exit_time, stagnant_time,
+                 lambda j: reducer.add(j, row, exit_time))
+    return row, exit_time, stagnant_time, reducer
 
 
 def _checked_positions(flow: FlowField, positions) -> np.ndarray:
@@ -518,11 +513,11 @@ def displacement_stats(ensemble: ParticleEnsemble) -> DisplacementStats:
     )
 
 
-def linear_slope(times, values, t_min: float = 0.0) -> float:
-    """Least-squares slope of ``values`` against ``times`` for t > t_min."""
+def linear_slope(times, values) -> float:
+    """Least-squares slope of ``values`` against ``times`` for t > 0."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    m = (times > t_min) & np.isfinite(values)
+    m = (times > 0.0) & np.isfinite(values)
     if m.sum() < 2:
         raise ConfigurationError("need at least two samples to fit a slope")
     return float(np.polyfit(times[m], values[m], 1)[0])

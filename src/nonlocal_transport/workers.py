@@ -4,7 +4,6 @@
 import mmap
 import os
 from contextlib import suppress
-from functools import partial
 from multiprocessing import get_context
 
 from .errors import NumericalError
@@ -19,14 +18,15 @@ def usable_cpus() -> int:
 
 
 def run_tasks(tasks, slots: int, describe) -> list:
-    """Call each task with a ``send`` for its one result, on up to ``slots``
+    """Call each task, with no arguments, for its result on up to ``slots``
     processes: this one and a forked worker per other slot.  Slot s starts with
     task s; each later task goes, in order, to the first free slot.  Results
     return in task order.  Once all workers have ended, a task's exception in a
-    worker (which then stops) is raised again, and a worker's task without a
-    result raises NumericalError "<describe(i)> exited with code <c>".  If this
-    process fails, all workers are terminated.  Workers close the pipe read
-    ends they inherit, so one whose caller is gone fails at its next send."""
+    worker (which then stops) is raised again, and a task whose worker ended
+    before sending its result raises NumericalError "<describe(i)> exited with
+    code <c>".  If this process fails, all workers are terminated.  Workers
+    close the pipe read ends they inherit, so one whose caller is gone ends
+    quietly at its next send."""
     n = len(tasks)
     slots = max(1, min(slots, n))
     context = get_context("fork")
@@ -53,7 +53,7 @@ def run_tasks(tasks, slots: int, describe) -> list:
             send.close()
         i = 0
         while i < n:
-            tasks[i](partial(results.__setitem__, i))
+            results[i] = tasks[i]()
             i = take(0)
         for _, pipe in workers:
             with suppress(EOFError, OSError):   # until the worker has ended
@@ -73,20 +73,22 @@ def run_tasks(tasks, slots: int, describe) -> list:
             raise failures[i]
         if i not in results:
             owner = i if i < slots else state[1 + i]
-            raise NumericalError(f"{describe(i)} " + (
-                f"exited with code {workers[owner - 1][0].exitcode}"
-                if owner else "returned without a result"))
+            raise NumericalError(f"{describe(i)} exited with code "
+                                 f"{workers[owner - 1][0].exitcode}")
     return [results[i] for i in range(n)]
 
 
 def _serve(tasks, slot, take, pipe, readers) -> None:
-    """A worker's loop; it sends ``(i, True, result)`` or ``(i, False, exc)``."""
+    """A worker's loop; it sends ``(i, True, result)`` or ``(i, False, exc)``
+    and ends quietly once its caller is gone."""
     for reader in readers:
         reader.close()
     i = slot
-    while i < len(tasks):
-        try:
-            tasks[i](lambda result: pipe.send((i, True, result)))
-        except Exception as exc:
-            return pipe.send((i, False, exc))
-        i = take(slot)
+    with suppress(BrokenPipeError):
+        while i < len(tasks):
+            try:
+                result = tasks[i]()
+            except Exception as exc:
+                return pipe.send((i, False, exc))
+            pipe.send((i, True, result))
+            i = take(slot)

@@ -178,5 +178,4 @@ def reference_track(flow, positions, cfg) -> Trajectories:
         out[j, :, 0] = rec_x
         out[j, :, 1] = rec_y
 
-    return trajectories(times, out, exit_time, stagnant_time, length_x,
-                        length_y)
+    return trajectories(times, out, exit_time, stagnant_time, length_x)

@@ -193,6 +193,25 @@ def test_sweep_on_two_slots_equals_one_process_sweep(pipeline, tmp_path,
     assert multiprocessing.active_children() == []
 
 
+def test_sweep_reads_its_config_file_only_before_the_jobs(pipeline, tmp_path,
+                                                         monkeypatch):
+    _, out = pipeline
+    path, target = sweep_config(tmp_path, out, 1)
+    assert cli.main(["sweep", "--config", str(path)]) == 0
+    undisturbed = output_files(target / "sweep")
+    shutil.rmtree(target / "sweep")
+    run_learn = experiment.run_learn
+
+    def deleting_the_config(*args, **kwargs):
+        path.unlink(missing_ok=True)
+        return run_learn(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_learn", deleting_the_config)
+    assert cli.main(["sweep", "--config", str(path)]) == 0
+    assert not path.exists()
+    assert output_files(target / "sweep") == undisturbed
+
+
 def test_sweep_rejects_an_off_grid_tt_before_any_job(pipeline, tmp_path,
                                                       capsys):
     _, out = pipeline
@@ -244,7 +263,7 @@ def assert_exit_within(pids, seconds):
 
 
 def test_learn_workers_exit_when_the_calling_process_dies(
-        pipeline, tmp_path, monkeypatch):
+        pipeline, tmp_path, monkeypatch, capfd):
     path, out = pipeline
     target = tmp_path / "killed_learn"
     fresh_dataset(out, target)
@@ -254,11 +273,13 @@ def test_learn_workers_exit_when_the_calling_process_dies(
         ["learn", "--config", str(path), "--out", str(target)])
     assert pids
     assert_exit_within(pids, 30.0)
+    # a worker whose result finds no caller ends quietly
+    assert "Traceback" not in capfd.readouterr().err
     assert multiprocessing.active_children() == []
 
 
 def test_sweep_workers_exit_when_the_calling_process_dies(
-        pipeline, tmp_path, monkeypatch):
+        pipeline, tmp_path, monkeypatch, capfd):
     _, out = pipeline
     path, _ = sweep_config(tmp_path, out, 2)
     pids = workers_of_a_killed_caller(
@@ -266,6 +287,8 @@ def test_sweep_workers_exit_when_the_calling_process_dies(
         ["sweep", "--config", str(path)])
     assert pids
     assert_exit_within(pids, 30.0)
+    # a worker whose result finds no caller ends quietly
+    assert "Traceback" not in capfd.readouterr().err
     assert multiprocessing.active_children() == []
 
 
@@ -486,8 +509,7 @@ def test_pde_fit_error_exits_3(pipeline, tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("worker_block, message", [
     (lambda *args: os._exit(1), "block 2 of 2"),
-    (lambda *args: None, "block 2 of 2 (particles 400 to 799) exited with code 0"),
-], ids=["worker-exits-1", "worker-writes-nothing"])
+], ids=["worker-exits-1"])
 def test_tracking_worker_failure_exits_3(pipeline, tmp_path, monkeypatch,
                                          capsys, worker_block, message):
     path, _ = pipeline

@@ -51,8 +51,7 @@ def ensemble(spec, x, times=(0.0,), exit_time=None, stagnant_time=None,
         times, positions,
         np.full(n, np.inf) if exit_time is None else exit_time,
         np.full(n, np.inf) if stagnant_time is None else stagnant_time,
-        spec.domain_length if length_x is None else length_x,
-        spec.layer_height)
+        spec.domain_length if length_x is None else length_x)
 
 
 def synthetic_ensemble(spec, n=200, n_snap=4, seed=0):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nonlocal_transport import lbfgs
 from nonlocal_transport.lbfgs import minimize
 
 
@@ -69,13 +70,13 @@ def test_line_search_failure_returns_best_iterate():
     assert res.fun == 4.0
 
 
-def test_iteration_cap_respected():
+def test_iteration_cap_respected(monkeypatch):
     def fg(x):
         # Smooth non-convex wave: gradient never gets small on this stretch.
         return float(np.sin(x[0])) + 2.0, np.array([np.cos(x[0])])
 
-    res = minimize(fg, np.array([0.3]), max_iterations=3,
-                   stagnation_tolerance=0.0)
+    monkeypatch.setattr(lbfgs, "STAGNATION_TOLERANCE", 0.0)
+    res = minimize(fg, np.array([0.3]), max_iterations=3)
     assert res.iterations <= 3
 
 

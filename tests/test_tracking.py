@@ -460,27 +460,6 @@ def test_failed_worker_raises_numerical_error(small_hetero, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_worker_ending_without_its_rows_raises_numerical_error(small_hetero,
-                                                              monkeypatch):
-    # a worker that exits 0 having written nothing still owes every row
-    spec, flow = small_hetero
-    cfg = TrackingConfig(injection_cell=1, num_particles=50, dt=0.5, t_end=5.0,
-                         rng_seed=0)
-    start = inject(flow, cfg, spec.num_cells)
-    parent, track_block = os.getpid(), tracking._track_block
-
-    def returning(*args):
-        if os.getpid() == parent:
-            return track_block(*args)
-
-    monkeypatch.setattr(tracking, "_track_block", returning)
-    set_cpus(monkeypatch, 2)
-    set_chunk(monkeypatch, 16)
-    with pytest.raises(NumericalError, match="block 2 of 2.*code 0"):
-        tracking.track(flow, start, cfg, spec)
-    assert multiprocessing.active_children() == []
-
-
 def test_failed_own_block_stops_the_workers(small_hetero, monkeypatch):
     spec, flow = small_hetero
     cfg = TrackingConfig(injection_cell=1, num_particles=50, dt=0.5, t_end=5.0,

@@ -1,11 +1,14 @@
 """Tests for the forked task runner shared by track, learn and sweep."""
 
+import ast
 import multiprocessing
 import os
 import time
+from pathlib import Path
 
 import pytest
 
+from nonlocal_transport import workers
 from nonlocal_transport.errors import ConfigurationError, NumericalError
 from nonlocal_transport.workers import run_tasks
 
@@ -15,10 +18,10 @@ def name(i):
 
 
 def pid_after(seconds, label):
-    """A task that sleeps ``seconds`` and sends its label and process id."""
-    def task(send):
+    """A task that sleeps ``seconds`` and returns its label and process id."""
+    def task():
         time.sleep(seconds)
-        send((label, os.getpid()))
+        return label, os.getpid()
     return task
 
 
@@ -42,7 +45,7 @@ def test_one_slot_runs_every_task_here():
 
 
 def test_worker_error_keeps_its_type():
-    def failing(send):
+    def failing():
         raise ConfigurationError("synthetic worker failure")
 
     with pytest.raises(ConfigurationError, match="synthetic worker failure"):
@@ -51,7 +54,7 @@ def test_worker_error_keeps_its_type():
 
 
 def test_worker_exit_without_a_result_names_the_task_and_code():
-    def exiting(send):
+    def exiting():
         os._exit(5)
 
     with pytest.raises(NumericalError, match=r"^task 2 exited with code 5$"):
@@ -60,10 +63,10 @@ def test_worker_exit_without_a_result_names_the_task_and_code():
 
 
 def test_caller_failure_terminates_the_workers():
-    def stuck(send):
+    def stuck():
         time.sleep(60)
 
-    def failing(send):
+    def failing():
         raise NumericalError("synthetic caller failure")
 
     began = time.perf_counter()
@@ -71,3 +74,26 @@ def test_caller_failure_terminates_the_workers():
         run_tasks([failing, stuck], 2, name)
     assert time.perf_counter() - began < 30.0
     assert multiprocessing.active_children() == []
+
+
+def test_only_workers_starts_processes_and_only_cli_reads_the_config():
+    # tasks get their configs as values: no module but config parses YAML,
+    # and no module but cli asks it for a file's config
+    imports, loads = {}, set()
+    for path in sorted(Path(workers.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                names = []
+            for name in names:
+                imports.setdefault(name.split(".")[0], set()).add(path.stem)
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "load_config"):
+                loads.add(path.stem)
+    assert imports["multiprocessing"] == {"workers"}
+    assert imports["yaml"] == {"config"}
+    assert loads == {"cli"}

@@ -40,13 +40,13 @@ def reduce_rows(times, positions, exit_time, cell_width,
     return reducer
 
 
-def trajectories(times, positions, exit_time, stagnant_time, length_x,
-                 length_y) -> Trajectories:
+def trajectories(times, positions, exit_time, stagnant_time,
+                 length_x) -> Trajectories:
     """The ensemble of the given (snapshots x particles x 2) rows."""
     times = np.asarray(times, dtype=float)
     return Trajectories(
         snapshot_times=times, positions=positions, exit_time=exit_time,
-        stagnant_time=stagnant_time, length_x=length_x, length_y=length_y,
+        stagnant_time=stagnant_time, length_x=length_x,
         snapshots=reduce_rows(times, positions, exit_time, length_x, 1))
 
 
@@ -62,5 +62,4 @@ def track(flow, positions, cfg) -> Trajectories:
 
     tracking._track_block(flow, pos, times, row, exit_time, stagnant_time,
                           collect)
-    return trajectories(times, rows, exit_time, stagnant_time, flow.length_x,
-                        flow.length_y)
+    return trajectories(times, rows, exit_time, stagnant_time, flow.length_x)
