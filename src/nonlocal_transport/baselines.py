@@ -17,54 +17,31 @@ from .errors import ConfigurationError
 from .nonlocal_diffusion import DynamicKernel, NonlocalSolution, solve
 
 
-@dataclass(frozen=True)
-class FractalParams:
-    """Diffusivity and temporal exponent of the power-law-coefficient PDE."""
-
-    D_bar: float
-    q: float
-
-    def __post_init__(self) -> None:
-        if self.D_bar < 0:
-            raise ConfigurationError("diffusivity must be nonnegative")
-
-
-@dataclass(frozen=True)
-class ClassicalParams:
-    """Effective diffusivity of the constant-coefficient heat equation."""
-
-    D0_bar: float
-
-    def __post_init__(self) -> None:
-        if self.D0_bar < 0:
-            raise ConfigurationError("diffusivity must be nonnegative")
-
-
-def fractal_kernel(params: FractalParams, cell_width: float) -> DynamicKernel:
+def fractal_kernel(D_bar: float, q: float, cell_width: float) -> DynamicKernel:
     """Nearest-neighbor kernel equivalent to c_t = (D/t^q) c_xx.
 
     The second difference splits into two exchange terms of weight D/l1^2,
-    and the coefficient's time dependence maps to exponent -q.
+    and the coefficient's time dependence maps to exponent -q.  A negative
+    diffusivity fails the kernel's own check on its weights.
     """
-    w = params.D_bar / cell_width ** 2
-    return DynamicKernel(phi=np.array([w, 0.0, w]), p=-params.q,
+    w = D_bar / cell_width ** 2
+    return DynamicKernel(phi=np.array([w, 0.0, w]), p=-q,
                          horizon_cells=1, cell_width=cell_width)
 
 
-def solve_fractal(params: FractalParams, initial, times,
+def solve_fractal(D_bar: float, q: float, initial, times,
                   cell_width: float) -> NonlocalSolution:
     """Implicit solve of the power-law-coefficient diffusion equation.
 
     Requires q < 1 so the coefficient is integrable across the first step
     from t = 0 (enforced by the shared stepper).
     """
-    return solve(fractal_kernel(params, cell_width), initial, times)
+    return solve(fractal_kernel(D_bar, q, cell_width), initial, times)
 
 
-def solve_classical(params: ClassicalParams, initial, times,
+def solve_classical(D0_bar: float, initial, times,
                     cell_width: float) -> NonlocalSolution:
-    return solve_fractal(FractalParams(D_bar=params.D0_bar, q=0.0),
-                         initial, times, cell_width)
+    return solve_fractal(D0_bar, 0.0, initial, times, cell_width)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ Subcommands::
     nltrans sweep    --config experiment.yaml
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 missing artifact.
+4 missing artifact or one built from other settings.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the pipeline.
 
 The CLI maps these onto process exit codes: configuration problems exit
-with 2, numerical failures with 3, missing input artifacts with 4.
+with 2, numerical failures with 3, missing or mismatched input artifacts
+with 4.
 """
 
 
@@ -22,4 +23,5 @@ class InjectionError(NumericalError):
 
 
 class ArtifactError(FileNotFoundError):
-    """A required input artifact (dataset, fit result) is missing."""
+    """A required input artifact (dataset, fit result) is missing or was
+    built from other settings than the config."""

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import (
-    ClassicalParams, FractalParams, SurrogateNet, solve_classical,
-    solve_fractal, surrogate_eval, train_surrogate,
+    SurrogateNet, solve_classical, solve_fractal, surrogate_eval,
+    train_surrogate,
 )
 from .coarsen import (
     BreakthroughCurve, coarse_from_ensemble, effective_advection, extract_btc,
@@ -145,19 +145,11 @@ def run_generate(cfg: ExperimentConfig) -> Path:
         metadata = {
             "kind": "btc-dataset",
             "provenance": cfg.provenance(),
-            "medium": spec.to_dict(),
-            "grid": {"nx": cfg.grid_nx, "ny": cfg.grid_ny},
-            "num_particles": cfg.num_particles,
-            "injection_cell": cfg.injection_cell,
-            "record_dt": cfg.record_dt,
-            "t_end": cfg.t_end,
-            "smoothing_cells": cfg.window_cells,
+            **_dataset_settings(cfg),
             "value_scale": scale,
             "frame": {"choice": cfg.frame_speed, "v_bar_used": float(v_bar),
                       "v_bar_measured": float(v_measured),
                       "v_bar_homogenized": float(adv.v_bar_rescaled)},
-            "train_locations": [float(x) for x in sorted(cfg.train_locations)],
-            "test_locations": [float(x) for x in sorted(cfg.test_locations)],
             "final_status": {"active": int(stats.n_active[-1]),
                              "exited": int(stats.n_exited[-1]),
                              "stagnant": int(stats.n_stagnant[-1])},
@@ -204,50 +196,55 @@ def run_generate(cfg: ExperimentConfig) -> Path:
 # --- learn ----------------------------------------------------------------
 
 
-def _load_dataset(cfg: ExperimentConfig, dataset_dir=None):
-    base = Path(dataset_dir) if dataset_dir is not None else cfg.output_dir
-    path = base / "dataset.csv"
+def _dataset_settings(cfg: ExperimentConfig) -> dict:
+    """The settings a dataset is generated from, as its sidecar records them."""
+    return {
+        "medium": cfg.medium.to_dict(),
+        "grid": {"nx": cfg.grid_nx, "ny": cfg.grid_ny},
+        "num_particles": cfg.num_particles,
+        "injection_cell": cfg.injection_cell,
+        "record_dt": cfg.record_dt,
+        "t_end": cfg.t_end,
+        "smoothing_cells": cfg.window_cells,
+        "train_locations": [float(x) for x in sorted(cfg.train_locations)],
+        "test_locations": [float(x) for x in sorted(cfg.test_locations)],
+    }
+
+
+def _dataset_curves(cfg: ExperimentConfig, dataset_dir, locations,
+                    n_steps: int) -> list[BreakthroughCurve]:
+    """The dataset's first ``n_steps`` samples at ``locations``, in order.
+
+    The dataset must come from ``cfg``'s settings, seed and frame choice,
+    compared exactly with what its sidecar records.
+    """
+    path = Path(dataset_dir or cfg.output_dir) / "dataset.csv"
     if not path.exists():
         raise ArtifactError(
             f"dataset not found: {path}; run the 'generate' command first")
     curves, metadata = load_btc_dataset(path)
-    medium = metadata.get("medium", {})
-    if (medium.get("num_cells") != cfg.medium.num_cells
-            or abs(medium.get("cell_width", -1.0)
-                   - cfg.medium.cell_width) > 1e-12):
-        raise ConfigurationError(
-            f"dataset {path} was generated for a different medium than the "
-            "current config")
-    if abs(metadata.get("record_dt", -1.0) - cfg.record_dt) > 1e-12:
-        raise ConfigurationError(
-            f"dataset {path} uses a different recording step than the config")
-    return curves, metadata
-
-
-def _curves_at(curves, locations):
+    recorded = {**metadata,
+                "seed": metadata.get("provenance", {}).get("seed"),
+                "frame_speed": metadata.get("frame", {}).get("choice")}
+    expected = {**_dataset_settings(cfg), "seed": cfg.seed,
+                "frame_speed": cfg.frame_speed}
+    differ = [key for key in expected if recorded.get(key) != expected[key]]
+    if differ:
+        raise ArtifactError(
+            f"dataset {path} was generated with another {', '.join(differ)} "
+            "than the config; run the 'generate' command again")
+    by_location = {c.location: c for c in curves}
     selected = []
-    for x in sorted(float(v) for v in locations):
-        matches = [c for c in curves if abs(c.location - x) < 1e-9]
-        if not matches:
-            raise ArtifactError(f"dataset has no curve at location {x}")
-        selected.append(matches[0])
+    for x in sorted(locations):
+        curve = by_location.get(x)
+        if curve is None or len(curve.times) < n_steps:
+            raise ArtifactError(
+                f"dataset {path} has no {n_steps}-sample curve at location "
+                f"{x!r}; run the 'generate' command again")
+        selected.append(BreakthroughCurve(location=x,
+                                          times=curve.times[:n_steps],
+                                          values=curve.values[:n_steps]))
     return selected
-
-
-def _training_curves(cfg: ExperimentConfig, curves):
-    n_train = cfg.n_train_steps
-    if n_train < 1:
-        raise ConfigurationError("training window is empty")
-    trimmed = []
-    for curve in _curves_at(curves, cfg.train_locations):
-        if len(curve.times) < n_train:
-            raise ConfigurationError(
-                f"training window tt={cfg.tt} extends beyond the "
-                f"{curve.times[-1]}-long dataset horizon")
-        trimmed.append(BreakthroughCurve(location=curve.location,
-                                         times=curve.times[:n_train].copy(),
-                                         values=curve.values[:n_train].copy()))
-    return trimmed
 
 
 def run_learn(cfg: ExperimentConfig, dataset_dir=None, models=None) -> Path:
@@ -267,8 +264,8 @@ def run_learn(cfg: ExperimentConfig, dataset_dir=None, models=None) -> Path:
             f"models {unknown} are not among the configured {list(cfg.models)}")
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    curves, metadata = _load_dataset(cfg, dataset_dir)
-    train = _training_curves(cfg, curves)
+    train = _dataset_curves(cfg, dataset_dir, cfg.train_locations,
+                            cfg.n_train_steps)
     training_block = {
         "tt": cfg.tt,
         "n_samples_per_curve": cfg.n_train_steps,
@@ -336,7 +333,14 @@ def _load_fit(cfg: ExperimentConfig, model: str) -> dict:
             f"missing fit for model '{model}': {path}; "
             "run the 'learn' command first")
     with open(path) as fh:
-        return json.load(fh)
+        record = json.load(fh)
+    window = (cfg.tt, [float(x) for x in sorted(cfg.train_locations)])
+    trained = (record["training"]["tt"], record["training"]["train_locations"])
+    if trained != window:
+        raise ArtifactError(
+            f"{path} was fitted on (tt, probes) {trained}, not on the "
+            f"config's {window}; run the 'learn' command again")
+    return record
 
 
 def _predict_curves(cfg: ExperimentConfig, model: str, record: dict,
@@ -353,14 +357,11 @@ def _predict_curves(cfg: ExperimentConfig, model: str, record: dict,
     if model == "nonlocal":
         solution = solve(DynamicKernel.from_record(params), c0, times)
     elif model == "fractal":
-        solution = solve_fractal(
-            FractalParams(D_bar=float(params["D_bar"]),
-                          q=float(params["q"])),
-            c0, times, cfg.medium.cell_width)
+        solution = solve_fractal(float(params["D_bar"]), float(params["q"]),
+                                 c0, times, cfg.medium.cell_width)
     elif model == "classical":
-        solution = solve_classical(
-            ClassicalParams(D0_bar=float(params["D0_bar"])),
-            c0, times, cfg.medium.cell_width)
+        solution = solve_classical(float(params["D0_bar"]), c0, times,
+                                   cfg.medium.cell_width)
     else:
         raise ConfigurationError(f"unknown model {model!r}")
     return model_btc(solution, list(locations)), solution
@@ -370,12 +371,9 @@ def run_predict(cfg: ExperimentConfig, dataset_dir=None) -> Path:
     """Forward-solve each fitted model and tabulate train/test misfits."""
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    curves, metadata = _load_dataset(cfg, dataset_dir)
-    data = _curves_at(curves, cfg.all_locations)
+    data = _dataset_curves(cfg, dataset_dir, cfg.all_locations,
+                           cfg.n_record_steps)
     times = np.arange(cfg.n_record_steps + 1) * cfg.record_dt
-    if any(len(c.times) != cfg.n_record_steps for c in data):
-        raise ConfigurationError(
-            "dataset horizon does not match the configured t_end")
 
     train_set = {float(x) for x in cfg.train_locations}
     mse_rows = []
@@ -420,21 +418,6 @@ def run_predict(cfg: ExperimentConfig, dataset_dir=None) -> Path:
 # --- report ---------------------------------------------------------------
 
 
-def _mse_lookup(rows, path):
-    """``mse(model, location, window)`` from the rows of ``path``."""
-    table = {(row["model"], float(row["location"]), row["window"]):
-             float(row["mse"]) for row in rows}
-
-    def mse(*key):
-        if key not in table:
-            raise ArtifactError(
-                f"{path} has no row for model {key[0]!r} at location "
-                f"{key[1]!r}, window {key[2]!r}; run the 'predict' command "
-                "again")
-        return table[key]
-    return mse
-
-
 def run_report(cfg: ExperimentConfig) -> Path:
     """Summarize fits, misfit tables and MSD behavior into report.json."""
     out = cfg.output_dir
@@ -442,8 +425,19 @@ def run_report(cfg: ExperimentConfig) -> Path:
     if not mse_path.exists():
         raise ArtifactError(
             f"missing {mse_path}; run the 'predict' command first")
-    rows = read_table(mse_path)
-    mse = _mse_lookup(rows, mse_path)
+    mse_nested = {}
+    for row in read_table(mse_path):
+        mse_nested.setdefault(row["model"], {}).setdefault(
+            row["location"], {})[row["window"]] = float(row["mse"])
+
+    def held_out_mse(model, x):
+        try:
+            return mse_nested[model][repr(x)]["test"]
+        except KeyError:
+            raise ArtifactError(
+                f"{mse_path} has no row for model {model!r} at location "
+                f"{x!r}, window 'test'; run the 'predict' command "
+                "again") from None
 
     fitted = {}
     for model in cfg.models:
@@ -461,26 +455,20 @@ def run_report(cfg: ExperimentConfig) -> Path:
                              "fit_file": f"fit_{model}.json"}
 
     msd_block = {}
-    msd_path = out / "msd_fine.csv"
-    if msd_path.exists():
-        fine = read_table(msd_path)
-        t = np.array([float(r["t"]) for r in fine])
-        msd = np.array([float(r["msd"]) for r in fine])
-        msd_block["fine_slope_loglog"] = log_log_slope_or_none(t, msd)
-    for model in cfg.models:
-        model_path = out / f"msd_model_{model}.csv"
-        if model_path.exists():
-            series = read_table(model_path)
-            t = np.array([float(r["t"]) for r in series])
-            msd = np.array([float(r["msd"]) for r in series])
-            msd_block[f"{model}_slope_loglog"] = log_log_slope_or_none(t, msd)
+    for name, path in [("fine", out / "msd_fine.csv"),
+                       *((m, out / f"msd_model_{m}.csv") for m in cfg.models)]:
+        if path.exists():
+            series = read_table(path)
+            msd_block[f"{name}_slope_loglog"] = log_log_slope_or_none(
+                np.array([float(r["t"]) for r in series]),
+                np.array([float(r["msd"]) for r in series]))
 
     held_out = sorted(float(x) for x in cfg.test_locations)
     comparisons = {}
-    for rival in ("classical", "fractal"):
+    for rival in ("classical", "fractal", "mlp"):
         if "nonlocal" in cfg.models and rival in cfg.models:
             per_location = {
-                repr(x): mse("nonlocal", x, "test") < mse(rival, x, "test")
+                repr(x): held_out_mse("nonlocal", x) < held_out_mse(rival, x)
                 for x in held_out}
             comparisons[f"nonlocal_beats_{rival}_test_mse"] = {
                 "per_held_out_location": per_location,
@@ -488,11 +476,6 @@ def run_report(cfg: ExperimentConfig) -> Path:
                 "majority": (sum(per_location.values())
                              > len(per_location) / 2),
             }
-
-    mse_nested = {}
-    for row in rows:
-        mse_nested.setdefault(row["model"], {}).setdefault(
-            row["location"], {})[row["window"]] = float(row["mse"])
 
     files = sorted(str(p.relative_to(out))
                    for p in out.rglob("*") if p.is_file()
@@ -533,9 +516,7 @@ def run_sweep(cfg: ExperimentConfig) -> Path:
         raise ConfigurationError(
             "sweep requires a 'sweep' config section with tt_values and models")
     dataset_dir = cfg.output_dir
-    if not (dataset_dir / "dataset.csv").exists():
-        raise ArtifactError(
-            f"dataset not found in {dataset_dir}; run 'generate' first")
+    _dataset_curves(cfg, dataset_dir, cfg.all_locations, cfg.n_record_steps)
     jobs = [build_config(copy.deepcopy(cfg.raw), {
         "tt": tt, "model": model,
         "out": str(dataset_dir / "sweep" / f"tt{tt:g}_{model}")})

@@ -56,7 +56,7 @@ def minimize(fun_and_grad, x0, *, fun_only=None, history: int = 10,
     ``fun_and_grad(x) -> (f, g)`` is evaluated at accepted iterates;
     ``fun_only(x) -> f`` (defaults to the former) drives the backtracking.
     Terminates on the gradient norm, relative loss stagnation, the iteration
-    cap, or an exhausted line search; only the last leaves converged False.
+    cap, or an exhausted line search; the last two leave converged False.
     """
     if fun_only is None:
         def fun_only(x):
@@ -128,5 +128,5 @@ def minimize(fun_and_grad, x0, *, fun_only=None, history: int = 10,
                                   trace=trace)
 
     return OptimizeResult(x=x, fun=f, grad=g, iterations=max_iterations,
-                          converged=True, message="iteration limit",
+                          converged=False, message="iteration limit",
                           trace=trace)

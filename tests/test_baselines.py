@@ -9,8 +9,6 @@ from scipy.special import expit
 
 from kernel_moments import second_moment_rate
 from nonlocal_transport.baselines import (
-    ClassicalParams,
-    FractalParams,
     SurrogateNet,
     _forward,
     _normalize,
@@ -33,22 +31,21 @@ L1 = math.sqrt(3.0) / 3.0
 def test_fractal_with_zero_exponent_is_classical_bitwise():
     times = np.arange(0, 41) * 0.05
     c0 = unit_spike(31, 16)
-    a = solve_fractal(FractalParams(D_bar=0.13, q=0.0), c0, times, L1)
-    b = solve_classical(ClassicalParams(D0_bar=0.13), c0, times, L1)
+    a = solve_fractal(0.13, 0.0, c0, times, L1)
+    b = solve_classical(0.13, c0, times, L1)
     np.testing.assert_array_equal(a.values, b.values)
 
 
 def test_fractal_zero_diffusivity_freezes_state():
     times = np.arange(0, 11) * 0.1
     c0 = unit_spike(15, 8)
-    sol = solve_fractal(FractalParams(D_bar=0.0, q=0.3), c0, times, L1)
+    sol = solve_fractal(0.0, 0.3, c0, times, L1)
     np.testing.assert_array_equal(sol.values, np.tile(c0[:, None], (1, 11)))
 
 
 def test_fractal_msd_power_law():
     times = np.arange(0, 801) * 0.002
-    sol = solve_fractal(FractalParams(D_bar=0.05, q=0.4), unit_spike(81, 41),
-                        times, L1)
+    sol = solve_fractal(0.05, 0.4, unit_spike(81, 41), times, L1)
     msd = solution_moments(sol).msd
     slope = log_log_slope(times, msd, t_min=0.8)
     assert slope == pytest.approx(1.0 - 0.4, rel=0.02)
@@ -57,11 +54,11 @@ def test_fractal_msd_power_law():
 def test_fractal_nonintegrable_exponent_rejected():
     times = np.arange(0, 5) * 0.1
     with pytest.raises(ConfigurationError):
-        solve_fractal(FractalParams(D_bar=0.1, q=1.0), unit_spike(11, 6), times, L1)
+        solve_fractal(0.1, 1.0, unit_spike(11, 6), times, L1)
 
 
 def test_fractal_kernel_construction():
-    kernel = fractal_kernel(FractalParams(D_bar=0.2, q=0.25), cell_width=0.5)
+    kernel = fractal_kernel(0.2, 0.25, cell_width=0.5)
     np.testing.assert_allclose(kernel.phi, [0.8, 0.0, 0.8])
     assert kernel.p == -0.25
     assert second_moment_rate(kernel) == pytest.approx(2 * 0.2)
@@ -71,8 +68,7 @@ def test_classical_matches_heat_kernel_variance():
     # 220 cells, dt = 0.1, D0 = 0.1: discrete variance tracks 2*D0*t at t = 36
     dt, d0 = 0.1, 0.1
     times = np.arange(0, 361) * dt
-    sol = solve_classical(ClassicalParams(D0_bar=d0), unit_spike(220, 110),
-                          times, L1)
+    sol = solve_classical(d0, unit_spike(220, 110), times, L1)
     moments = solution_moments(sol)
     assert moments.msd[-1] == pytest.approx(2 * d0 * 36.0, rel=0.02)
     assert moments.mass[-1] == pytest.approx(1.0, abs=1e-10)
@@ -82,17 +78,16 @@ def test_classical_matches_heat_kernel_variance():
 
 def test_classical_msd_slope_affine():
     times = np.arange(0, 201) * 0.01
-    sol = solve_classical(ClassicalParams(D0_bar=0.08), unit_spike(101, 51),
-                          times, L1)
+    sol = solve_classical(0.08, unit_spike(101, 51), times, L1)
     msd = solution_moments(sol).msd
     assert linear_slope(times, msd) == pytest.approx(2 * 0.08, rel=0.01)
 
 
 def test_negative_diffusivities_rejected():
     with pytest.raises(ConfigurationError):
-        FractalParams(D_bar=-0.1, q=0.0)
+        fractal_kernel(-0.1, 0.0, L1)
     with pytest.raises(ConfigurationError):
-        ClassicalParams(D0_bar=-1.0)
+        solve_classical(-1.0, unit_spike(11, 6), np.arange(0, 5) * 0.1, L1)
 
 
 def test_surrogate_zero_weights_outputs_log_two():

@@ -715,6 +715,69 @@ def test_learn_without_dataset_sidecar_exits_4(pipeline, tmp_path, capsys):
     assert "dataset.csv.json" in capsys.readouterr().err
 
 
+def test_learn_on_a_dataset_of_another_grid_exits_4(pipeline, tmp_path,
+                                                    capsys):
+    path, _ = pipeline
+    target = tmp_path / "other_grid"
+    data = tiny_config(target)
+    data["grid"]["nx"] = 240
+    assert cli.main(["generate", "--config",
+                     str(write_config(tmp_path, data, "fine.yaml"))]) == 0
+    assert cli.main(["learn", "--config", str(path),
+                     "--out", str(target)]) == 4
+    err = capsys.readouterr().err
+    assert "grid" in err and "generate" in err
+    assert not list(target.glob("fit_*.json"))
+
+
+def test_learn_on_a_dataset_of_another_seed_exits_4(pipeline, tmp_path,
+                                                    capsys):
+    path, out = pipeline
+    target = tmp_path / "other_seed"
+    fresh_dataset(out, target)
+    assert cli.main(["learn", "--config", str(path), "--out", str(target),
+                     "--seed", "99"]) == 4
+    err = capsys.readouterr().err
+    assert "seed" in err and "generate" in err
+    assert not list(target.glob("fit_*.json"))
+
+
+def test_sweep_on_a_mismatched_dataset_exits_4_before_any_job(
+        pipeline, tmp_path, monkeypatch, capsys):
+    _, out = pipeline
+    path, target = sweep_config(tmp_path, out, 1)
+    jobs = []
+    monkeypatch.setattr(experiment, "run_learn",
+                        lambda cfg, *args, **kwargs: jobs.append(cfg))
+    assert cli.main(["sweep", "--config", str(path), "--seed", "99"]) == 4
+    assert "seed" in capsys.readouterr().err
+    assert jobs == []
+    assert not (target / "sweep").exists()
+
+
+def test_predict_with_fits_of_another_training_window_exits_4(
+        pipeline, tmp_path, capsys):
+    path, out = pipeline
+    target = tmp_path / "stale_fits"
+    shutil.copytree(out, target)
+    before = (target / "mse_table.csv").read_bytes()
+    for command in ("predict", "report"):
+        assert cli.main([command, "--config", str(path), "--out", str(target),
+                         "--tt", "1.0"]) == 4
+        err = capsys.readouterr().err
+        assert "fit_nonlocal.json" in err and "learn" in err
+    assert (target / "mse_table.csv").read_bytes() == before
+
+
+def test_report_compares_nonlocal_with_the_mlp(pipeline):
+    _, out = pipeline
+    report = json.loads((out / "report.json").read_text())
+    mse = report["mse"]
+    wins = mse["nonlocal"]["2.6"]["test"] < mse["mlp"]["2.6"]["test"]
+    assert report["comparisons"]["nonlocal_beats_mlp_test_mse"] == {
+        "per_held_out_location": {"2.6": wins}, "all": wins, "majority": wins}
+
+
 def test_report_without_predictions_exits_4(tmp_path, capsys):
     path = write_config(tmp_path, tiny_config(tmp_path / "fresh"))
     assert cli.main(["report", "--config", str(path)]) == 4

@@ -80,6 +80,14 @@ def test_iteration_cap_respected(monkeypatch):
     assert res.iterations <= 3
 
 
+def test_iteration_limit_is_not_convergence():
+    fg = quadratic([3.0, -1.0, 0.5], [1.0, 10.0, 100.0])
+    res = minimize(fg, np.zeros(3), max_iterations=1)
+    assert res.iterations == 1
+    assert res.message == "iteration limit"
+    assert not res.converged
+
+
 def test_history_window_limits_memory():
     fg = quadratic(np.arange(12, dtype=float), np.linspace(1, 5, 12))
     res = minimize(fg, np.zeros(12), history=3)

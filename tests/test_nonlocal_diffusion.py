@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from kernel_moments import drift_rate, second_moment_rate
-from nonlocal_transport.baselines import FractalParams, fractal_kernel
+from nonlocal_transport.baselines import fractal_kernel
 from nonlocal_transport.errors import ConfigurationError, SolverError
 from nonlocal_transport.lapack import (
     banded_lapack, mapped_openblas, openblas_banded_lapack, scipy_banded_lapack,
@@ -352,8 +352,8 @@ def test_solve_in_blocks_matches_one_march(model, n_steps):
         "nonlocal": DynamicKernel(
             phi=np.array([0.01, 0.03, 0.2, 0.9, 0.0, 0.5, 0.1, 0.02, 0.004]),
             p=0.45, horizon_cells=4, cell_width=L1),
-        "fractal": fractal_kernel(FractalParams(D_bar=0.04, q=0.35), L1),
-        "classical": fractal_kernel(FractalParams(D_bar=0.04, q=0.0), L1),
+        "fractal": fractal_kernel(0.04, 0.35, L1),
+        "classical": fractal_kernel(0.04, 0.0, L1),
     }[model]
     c0 = unit_spike(40, 6)
     times = np.arange(n_steps + 1) * 0.1
