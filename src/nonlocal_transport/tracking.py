@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .darcy import FlowField
-from .errors import ConfigurationError, InjectionError
+from .errors import ConfigurationError, InjectionError, NumericalError
 from .medium import MediumSpec
 from .workers import run_tasks, usable_cpus
 
@@ -88,9 +88,8 @@ class SnapshotReducer:
         self.cell_count = np.zeros((len(self.times), num_cells), dtype=np.int64)
 
     def add(self, j: int, row, exit_time) -> None:
-        t = self.times[j]
         x = row[:, 0]
-        keep = exit_time > t
+        keep = exit_time > self.times[j]
         count, total, square = self.sums[:, j]
         count[:] = _chunk_sums(keep)
         total[:] = _chunk_sums(np.where(keep, x, 0.0))
@@ -98,7 +97,7 @@ class SnapshotReducer:
             mean = np.repeat(total / count, REDUCE_CHUNK)[:len(x)]
         square[:] = _chunk_sums(np.where(keep, x - mean, 0.0) ** 2)
         num_cells = self.cell_count.shape[1]
-        cells = np.clip((x[~(exit_time <= t)] / self.cell_width).astype(int),
+        cells = np.clip((x[keep] / self.cell_width).astype(int),
                         0, num_cells - 1)
         self.cell_count[j] = np.bincount(cells, minlength=num_cells)
 
@@ -163,7 +162,9 @@ class ParticleEnsemble:
         return len(self.exit_time)
 
     def status_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-snapshot (n_active, n_exited, n_stagnant)."""
+        """Per-snapshot (n_active, n_exited, n_stagnant), each counted on
+        its own and a NaN time in none, so NumericalError names the first
+        snapshot where they do not add up to every particle."""
         def count_by(t):
             return np.searchsorted(np.sort(t), self.snapshot_times, side="right")
 
@@ -171,7 +172,15 @@ class ParticleEnsemble:
         # a particle counts as stagnant only until it has also exited
         n_stagnant = (count_by(self.stagnant_time)
                       - count_by(np.maximum(self.stagnant_time, self.exit_time)))
-        n_active = self.num_particles - n_exited - n_stagnant
+        settled = np.minimum(self.exit_time, self.stagnant_time)
+        settled = settled[~np.isnan(settled)]
+        n_active = settled.size - count_by(settled)
+        total = n_active + n_exited + n_stagnant
+        bad = np.flatnonzero(total != self.num_particles)
+        if bad.size:
+            raise NumericalError(
+                f"{total[bad[0]]} active, exited and stagnant particles at "
+                f"t = {self.snapshot_times[bad[0]]:g}, not {self.num_particles}")
         return n_active, n_exited, n_stagnant
 
     def unit_cell_mass(self, spec: MediumSpec) -> np.ndarray:
@@ -380,123 +389,111 @@ def _track_block(flow: FlowField, pos, times, row, exit_time,
     is frozen into a transit that never ends, so every snapshot evaluates
     every particle alike.  Snapshot row j overwrites ``row``, (particles x
     2), and ``emit(j)`` follows it.  Row 0 is the injected positions
-    themselves, not re-evaluated from a cell origin.
+    themselves, not re-evaluated from a cell origin.  Every per-particle
+    quantity of a transit is an (x, y) pair of arrays, and each step runs
+    once per axis.
     """
     n = pos.shape[0]
-    nx, ny = flow.grid_nx, flow.grid_ny
-    dx, dy = flow.dx, flow.dy
-    length_x = flow.length_x
-    # a cell's low x face is at ix*ny + iy of the flat x faces and its high
-    # face ny further; its low y face at ix*(ny+1) + iy, its high face next
-    fvx, fvy = flow.face_velocity_x, flow.face_velocity_y
+    axes = (0, 1)
+    cells = nx, ny = flow.grid_nx, flow.grid_ny
+    width = (flow.dx, flow.dy)
+    faces = (flow.face_velocity_x, flow.face_velocity_y)
     v_floor = STAGNATION_FLOOR_FRACTION * (
-        0.5 * (np.mean(np.abs(fvx)) + np.mean(np.abs(fvy))))
-    fvx, fvy = fvx.ravel(), fvy.ravel()
+        0.5 * (np.mean(np.abs(faces[0])) + np.mean(np.abs(faces[1]))))
+    faces = [f.ravel() for f in faces]
+    # a cell's low face along each axis is at ix*rows + iy of that axis's
+    # flat faces, and its high face step further
+    rows, step = (ny, ny + 1), (ny, 1)
 
     # current transit of each particle: entry time, cell origin, entry
     # coordinates relative to it, entry velocity and velocity gradient
     t0 = np.zeros(n)
-    seg_ox, seg_oy = np.empty(n), np.empty(n)
-    seg_locx, seg_locy = np.empty(n), np.empty(n)
-    seg_vxp, seg_vyp = np.empty(n), np.empty(n)
-    seg_ax, seg_ay = np.empty(n), np.empty(n)
+    origin, loc0, vel0, grad = ([np.empty(n), np.empty(n)] for _ in range(4))
     # when and where it ends, and the cell it leads into
-    t_seg_end = np.full(n, np.inf)
-    x_seg_end, y_seg_end = np.empty(n), np.empty(n)
-    next_ix = np.empty(n, dtype=np.int64)
-    next_iy = np.empty(n, dtype=np.int64)
+    t_end = np.full(n, np.inf)
+    end = [np.empty(n), np.empty(n)]
+    nxt = [np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)]
     exit_time.fill(np.inf)
     stagnant_time.fill(np.inf)
 
-    def freeze(idx, x, y):
-        """Hold (x, y) in a transit that never ends: origin and velocity
+    def freeze(idx, xy):
+        """Hold ``xy`` in a transit that never ends: origin and velocity
         -0.0 and gradient -1 make the closed form add only -0.0, at any
         elapsed time (a zero gradient's expm1 overflows past about 709)."""
-        t_seg_end[idx] = np.inf
-        seg_ox[idx] = seg_oy[idx] = seg_vxp[idx] = seg_vyp[idx] = -0.0
-        seg_locx[idx], seg_locy[idx] = x, y
-        seg_ax[idx] = seg_ay[idx] = -1.0
+        t_end[idx] = np.inf
+        for a in axes:
+            origin[a][idx] = vel0[a][idx] = -0.0
+            loc0[a][idx] = xy[a]
+            grad[a][idx] = -1.0
 
-    def compute_transit(idx, x, y, t, cix, ciy):
-        """Start a transit from (x, y) at time t in cell (cix, ciy)."""
-        face_x = cix * ny + ciy
-        face_y = cix * (ny + 1) + ciy
-        vxl, vxr = fvx.take(face_x), fvx.take(face_x + ny)
-        vyb, vyt = fvy.take(face_y), fvy.take(face_y + 1)
-        ax, ay = (vxr - vxl) / dx, (vyt - vyb) / dy
-        ox, oy = cix * dx, ciy * dy
-        loc_x, loc_y = x - ox, y - oy
-        vxp = ax * loc_x
-        vxp += vxl
-        vyp = ay * loc_y
-        vyp += vyb
+    def compute_transit(idx, xy, t, cell):
+        """Start a transit from ``xy`` at time t in cell ``cell``."""
         t0[idx] = t
-        seg_ox[idx], seg_oy[idx] = ox, oy
-        seg_locx[idx], seg_locy[idx] = loc_x, loc_y
-        seg_vxp[idx], seg_vyp[idx] = vxp, vyp
-        seg_ax[idx], seg_ay[idx] = ax, ay
-
-        tau_x, fwd_x, bwd_x = _axis_exit(vxp, vxl, vxr, ax, loc_x, dx, v_floor)
-        tau_y, fwd_y, bwd_y = _axis_exit(vyp, vyb, vyt, ay, loc_y, dy, v_floor)
-        tau = np.minimum(tau_x, tau_y)
+        exits = []
+        for a in axes:
+            face = cell[0] * rows[a] + cell[1]
+            lo, hi = faces[a].take(face), faces[a].take(face + step[a])
+            g = (hi - lo) / width[a]
+            o = cell[a] * width[a]
+            loc = xy[a] - o
+            vp = g * loc
+            vp += lo
+            origin[a][idx], loc0[a][idx] = o, loc
+            vel0[a][idx], grad[a][idx] = vp, g
+            exits.append((o, loc, vp, g,
+                          *_axis_exit(vp, lo, hi, g, loc, width[a], v_floor)))
+        tau = np.minimum(exits[0][4], exits[1][4])
         # a particle that can reach no face stalls here and is frozen below
         stalled = ~np.isfinite(tau)
         tau[stalled] = 0.0
-        # the crossed coordinate snaps to its face; the other follows the
-        # closed form
-        hit_x = tau_x <= tau
-        hit_y = tau_y <= tau
-        up_x, down_x = hit_x & fwd_x, hit_x & bwd_x
-        up_y, down_y = hit_y & fwd_y, hit_y & bwd_y
-        xe = _coord_at(loc_x, vxp, ax, tau)
-        xe += ox
-        ye = _coord_at(loc_y, vyp, ay, tau)
-        ye += oy
-        x_seg_end[idx] = np.where(hit_x, (cix + up_x) * dx, xe)
-        y_seg_end[idx] = np.where(hit_y, (ciy + up_y) * dy, ye)
-        t_seg_end[idx] = t + tau
-        cix = cix + up_x
-        cix -= down_x
-        ciy = ciy + up_y
-        ciy -= down_y
-        next_ix[idx], next_iy[idx] = cix, ciy
+        t_end[idx] = t + tau
+        for a, (o, loc, vp, g, tau_a, fwd, bwd) in zip(axes, exits):
+            # the crossed coordinate snaps to its face; the other follows
+            # the closed form
+            hit = tau_a <= tau
+            up = hit & fwd
+            e = _coord_at(loc, vp, g, tau)
+            e += o
+            end[a][idx] = np.where(hit, (cell[a] + up) * width[a], e)
+            c = cell[a] + up
+            c -= hit & bwd
+            nxt[a][idx] = c
         if stalled.any():
             stagnant_time[idx[stalled]] = t[stalled]
-            freeze(idx[stalled], x[stalled], y[stalled])
+            freeze(idx[stalled], [v[stalled] for v in xy])
 
-    start_ix = np.clip((pos[:, 0] / dx).astype(np.int64), 0, nx - 1)
-    start_iy = np.clip((pos[:, 1] / dy).astype(np.int64), 0, ny - 1)
-    compute_transit(np.arange(n), pos[:, 0].copy(), pos[:, 1].copy(),
-                    np.zeros(n), start_ix, start_iy)
+    compute_transit(np.arange(n), [pos[:, a].copy() for a in axes],
+                    np.zeros(n), [np.clip((pos[:, a] / width[a]).astype(
+                        np.int64), 0, cells[a] - 1) for a in axes])
 
     for j, ts in enumerate(times):
-        due = np.flatnonzero(t_seg_end <= ts)
+        due = np.flatnonzero(t_end <= ts)
         while due.size:
-            t, x, y = t_seg_end[due], x_seg_end[due], y_seg_end[due]
-            cix, ciy = next_ix[due], next_iy[due]
-            if (cix.min() < 0 or cix.max() >= nx
-                    or ciy.min() < 0 or ciy.max() >= ny):
-                gone = cix >= nx
+            t = t_end.take(due)
+            xy = [v.take(due) for v in end]
+            cell = [c.take(due) for c in nxt]
+            if any(c.min() < 0 or c.max() >= m for c, m in zip(cell, cells)):
+                gone = cell[0] >= nx
                 exit_time[due[gone]] = t[gone]
                 # inflow boundary and walls cannot be crossed; guard against
                 # rounding pathologies by stalling instead of indexing out
                 # of range
-                bad = (cix < 0) | (ciy < 0) | (ciy >= ny)
+                bad = (cell[0] < 0) | (cell[1] < 0) | (cell[1] >= ny)
                 stagnant_time[due[bad]] = t[bad]
                 stop = gone | bad
-                freeze(due[stop], np.where(gone, length_x, x)[stop], y[stop])
+                xy[0] = np.where(gone, flow.length_x, xy[0])
+                freeze(due[stop], [v[stop] for v in xy])
                 keep = ~stop
-                due, t, x, y = due[keep], t[keep], x[keep], y[keep]
-                cix, ciy = cix[keep], ciy[keep]
-            compute_transit(due, x, y, t, cix, ciy)
-            due = due.compress(t_seg_end[due] <= ts)
+                due, t = due[keep], t[keep]
+                xy = [v[keep] for v in xy]
+                cell = [c[keep] for c in cell]
+            compute_transit(due, xy, t, cell)
+            due = due.compress(t_end.take(due) <= ts)
         tau = ts - t0
-        xr = _coord_at(seg_locx, seg_vxp, seg_ax, tau)
-        xr += seg_ox
-        yr = _coord_at(seg_locy, seg_vyp, seg_ay, tau)
-        yr += seg_oy
-        row[:, 0] = xr
-        row[:, 1] = yr
+        for a in axes:
+            r = _coord_at(loc0[a], vel0[a], grad[a], tau)
+            r += origin[a]
+            row[:, a] = r
         if j == 0:
             row[:] = pos
         emit(j)

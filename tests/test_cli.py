@@ -148,6 +148,10 @@ def test_sweep_outputs(pipeline):
     record = json.loads(
         (out / "sweep" / "tt1_classical" / "fit_classical.json").read_text())
     assert record["training"]["tt"] == 1.0
+    # the jobs fit the pipeline's dataset
+    fitted = json.loads((out / "fit_classical.json").read_text())
+    assert (record["training"]["dataset_sha256"]
+            == fitted["training"]["dataset_sha256"])
 
 
 def sweep_config(tmp_path, out, max_workers):
@@ -774,8 +778,67 @@ def test_report_compares_nonlocal_with_the_mlp(pipeline):
     report = json.loads((out / "report.json").read_text())
     mse = report["mse"]
     wins = mse["nonlocal"]["2.6"]["test"] < mse["mlp"]["2.6"]["test"]
+    block = {"per_held_out_location": {"2.6": wins}, "all": wins,
+             "majority": wins}
+    # 2.6 lies beyond the training probes 1.7 and 2.0
     assert report["comparisons"]["nonlocal_beats_mlp_test_mse"] == {
-        "per_held_out_location": {"2.6": wins}, "all": wins, "majority": wins}
+        **block, "beyond": block,
+        "inside": {"per_held_out_location": {}, "all": None, "majority": None}}
+
+
+def run_chain(tmp_path, data):
+    """generate, learn, predict and report on ``data``; returns the output
+    directory."""
+    path = write_config(tmp_path, data)
+    for command in ("generate", "learn", "predict", "report"):
+        assert cli.main([command, "--config", str(path)]) == 0
+    return Path(data["output_dir"])
+
+
+def test_report_splits_comparisons_at_the_training_probes(tmp_path):
+    data = tiny_config(tmp_path / "split")
+    data["coarse"]["test_locations"] = [1.85, 2.6]
+    data["learning"]["models"] = ["nonlocal", "classical"]
+    out = run_chain(tmp_path, data)
+    report = json.loads((out / "report.json").read_text())
+    mse = report["mse"]
+    wins = {x: mse["nonlocal"][x]["test"] < mse["classical"][x]["test"]
+            for x in ("1.85", "2.6")}
+    comparison = report["comparisons"]["nonlocal_beats_classical_test_mse"]
+    assert comparison["per_held_out_location"] == wins
+    assert comparison["all"] == all(wins.values())
+    # 1.85 lies between the training probes 1.7 and 2.0, 2.6 beyond them
+    for part, x in (("inside", "1.85"), ("beyond", "2.6")):
+        assert comparison[part] == {"per_held_out_location": {x: wins[x]},
+                                    "all": wins[x], "majority": wins[x]}
+
+
+def test_report_lists_the_fits_that_did_not_converge(tmp_path):
+    data = tiny_config(tmp_path / "capped")
+    data["learning"]["max_iterations"] = 1
+    out = run_chain(tmp_path, data)
+    report = json.loads((out / "report.json").read_text())
+    flags = {m: json.loads((out / f"fit_{m}.json").read_text())["converged"]
+             for m in ("nonlocal", "classical")}
+    assert report["unconverged_fits"] == sorted(
+        m for m, converged in flags.items() if not converged)
+    assert report["unconverged_fits"]
+
+
+def test_fits_of_another_dataset_exit_4(pipeline, tmp_path, capsys):
+    path, out = pipeline
+    target = tmp_path / "regenerated"
+    shutil.copytree(out, target)
+    before = (target / "mse_table.csv").read_bytes()
+    assert cli.main(["generate", "--config", str(path), "--out", str(target),
+                     "--seed", "99"]) == 0
+    for command in ("predict", "report"):
+        assert cli.main([command, "--config", str(path), "--out", str(target),
+                         "--seed", "99"]) == 4
+        err = capsys.readouterr().err
+        assert "fit_nonlocal.json" in err and "dataset_sha256" in err
+        assert "learn" in err
+    assert (target / "mse_table.csv").read_bytes() == before
 
 
 def test_report_without_predictions_exits_4(tmp_path, capsys):

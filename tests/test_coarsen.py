@@ -157,6 +157,25 @@ def test_displacement_stats_match_brute_force():
     np.testing.assert_array_equal(stall_then_exit.status_counts()[2], [1, 2, 1, 1])
 
 
+@pytest.mark.parametrize("which, times, snapshot", [
+    ("exit_time", [0.0, 0.5, 1.0], "t = 0,"),
+    ("stagnant_time", [0.5, 1.0, 1.5], "t = 0.5,"),
+], ids=["exit", "stagnant"])
+def test_status_counts_reject_a_nan_time(which, times, snapshot):
+    # a NaN time counts particle 1 in no state: a NaN exit time at every
+    # snapshot, a NaN stagnation time until it exits at 1.0
+    spec = medium(num_cells=8)
+    ens = ensemble(spec, np.full((3, 3), 1.0), times=times,
+                   exit_time=np.array([np.inf, 1.0, 0.5]))
+    getattr(ens, which)[1] = np.nan
+    with pytest.raises(NumericalError,
+                       match=f"2 active, exited and stagnant particles at "
+                             f"{snapshot} not 3"):
+        ens.status_counts()
+    with pytest.raises(NumericalError, match=snapshot):
+        displacement_stats(ens)
+
+
 def test_upscale_preserves_constants():
     # three particles in every cell: a uniform density, kept by every window
     spec = medium(num_cells=6)
