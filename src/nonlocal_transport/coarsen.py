@@ -23,7 +23,7 @@ import numpy as np
 
 from .darcy import FlowField, cell_center_velocity
 from .errors import ArtifactError, ConfigurationError, NumericalError
-from .medium import MediumSpec
+from .medium import MediumSpec, owning_cell
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,8 @@ def coarse_from_ensemble(ensemble, spec: MediumSpec, m: int) -> CoarseDensity:
     it, stagnant ones count where they stalled.  The value at cell i is the
     mass in cells i..i+m-1 divided by the window volume m*l1*l2; windows
     extending past the last cell are clipped and the volume adjusted
-    accordingly.
+    accordingly.  A negative density raises NumericalError, as does more
+    than the injected unit mass in the tiling windows at cells 0, m, 2m, ...
     """
     if m < 1:
         raise ConfigurationError("smoothing window must cover at least one cell")
@@ -99,6 +100,14 @@ def coarse_from_ensemble(ensemble, spec: MediumSpec, m: int) -> CoarseDensity:
     window_mass = cum[:, idx + win] - cum[:, idx]
     volume = win * spec.cell_width * spec.layer_height
     values = (window_mass / volume).T
+    if not values.min() >= 0.0:
+        raise NumericalError(
+            f"coarse density has negative value {values.min():.3g}")
+    tiled = window_mass[:, ::m].sum(axis=1)
+    if not tiled.max() <= 1.0 + 1e-12:
+        raise NumericalError(
+            f"coarse density retains mass {tiled.max():.17g}, above the "
+            "injected unit mass")
     return CoarseDensity(values=values, smoothing_cells=m,
                          snapshot_times=ensemble.snapshot_times.copy(),
                          cell_width=spec.cell_width)
@@ -123,7 +132,7 @@ def cell_traces(values, times, cell_width, locations) -> list[BreakthroughCurve]
     for x in np.atleast_1d(np.asarray(locations, dtype=float)):
         if not 0.0 < x < length:
             raise ConfigurationError(f"location {x} outside the open domain (0, {length})")
-        cell = min(int(x / cell_width), num_cells - 1)
+        cell = owning_cell(x, cell_width, num_cells)
         curves.append(BreakthroughCurve(location=float(x), times=times[keep].copy(),
                                         values=values[cell, keep].copy()))
     return curves

@@ -14,15 +14,13 @@ factorization (CG on large grids) and is kept as its reference.
 
 from __future__ import annotations
 
-import ctypes
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import SolverError
-from .lapack import mapped_openblas
+from .lapack import one_blas_thread
 from .medium import (MediumSpec, build_conductivity, columns_per_cell,
                      unit_cell_spec)
 
@@ -30,14 +28,6 @@ from .medium import (MediumSpec, build_conductivity, columns_per_cell,
 # number of unknowns.
 DIRECT_SOLVER_MAX_UNKNOWNS = 400_000
 CG_RELATIVE_TOLERANCE = 1e-12
-
-#: (get, set) thread-count functions of the ILP64 OpenBLAS that numpy's
-#: wheels ship, and of a plain OpenBLAS that numpy may be built on.
-_OPENBLAS_THREAD_FUNCTIONS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
 
 @dataclass(frozen=True)
 class FlowField:
@@ -76,39 +66,6 @@ def _face_transmissibilities(cond: NDArray[np.float64], dx: float, dy: float):
     ka, kb = cond[:, :-1], cond[:, 1:]
     ty = (dx / dy) * 2.0 * ka * kb / (ka + kb)
     return tx, ty, 2.0 * cond[0, :] * dy / dx, 2.0 * cond[-1, :] * dy / dx
-
-
-@contextmanager
-def _one_blas_thread():
-    """Hold numpy's OpenBLAS at one thread.
-
-    The unit-cell sweep makes one small dense inversion and a few
-    matrix-vector products per grid column, all through numpy.  On one
-    thread their rounding does not depend on the threads OpenBLAS would
-    split them over: without this guard, on a 2-vCPU host, the full-scale
-    outputs' last digits move (``v_bar_cell`` ...3258 becomes ...3257).  No
-    speed effect was measured there: transport-wide ``generate`` took a
-    median 3.31 s with it and 3.18 s without (10 alternating runs each),
-    full scale 45.3-47.1 s with it and 44.7-47.0 s without.  Every OpenBLAS
-    mapped when the block starts (:func:`lapack.mapped_openblas`) with
-    numpy's ILP64 or the plain thread functions is held; scipy's, which the
-    sweep never calls, is not.
-    """
-    saved = []
-    for lib in mapped_openblas():
-        for get, put in _OPENBLAS_THREAD_FUNCTIONS:
-            if hasattr(lib, get) and hasattr(lib, put):
-                get, put = getattr(lib, get), getattr(lib, put)
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                saved.append((put, get()))
-                put(1)
-                break
-    try:
-        yield
-    finally:
-        for put, threads in saved:
-            put(threads)
 
 
 def _strip_matrix(
@@ -282,7 +239,7 @@ def solve_medium(spec: MediumSpec, grid_nx: int, grid_ny: int) -> FlowField:
     faces = (tx, ty, t_left, t_right, 1.0, dx, dy)
     b = np.zeros(cond.shape)
     b[0, :] = t_left
-    with _one_blas_thread():
+    with one_blas_thread():
         solve = _column_sweep(tx, ty, t_left, t_right)
         cell = _flow_field(solve(b), *faces)
         cell = _flow_field(cell.head - solve(cell_divergence(cell)), *faces)
@@ -305,24 +262,27 @@ def solve_unit_cell(spec: MediumSpec, grid_nx: int, grid_ny: int) -> FlowField:
     return solve_medium(unit_cell_spec(spec), grid_nx, grid_ny)
 
 
-def cell_divergence(flow: FlowField) -> NDArray[np.float64]:
-    """Net volumetric outflux of every cell (zero for a conservative field)."""
+def _fluxes_and_divergence(flow: FlowField):
+    """Volumetric face fluxes (fx, fy) and every cell's net outflux."""
     fx = flow.face_velocity_x * flow.dy
     fy = flow.face_velocity_y * flow.dx
-    return (fx[1:, :] - fx[:-1, :]) + (fy[:, 1:] - fy[:, :-1])
+    div = fx[1:, :] - fx[:-1, :]
+    div += fy[:, 1:] - fy[:, :-1]
+    return fx, fy, div
+
+
+def cell_divergence(flow: FlowField) -> NDArray[np.float64]:
+    """Net volumetric outflux of every cell (zero for a conservative field)."""
+    return _fluxes_and_divergence(flow)[2]
 
 
 def max_relative_divergence(flow: FlowField) -> float:
     """Largest per-cell divergence relative to the mean face flux magnitude.
 
-    The face fluxes are formed once: the divergence is summed from them as
-    :func:`cell_divergence` sums it, then their magnitudes are taken in
-    place for the mean.
+    The face fluxes are formed once, with the divergence; their magnitudes
+    are then taken in place for the mean.
     """
-    fx = flow.face_velocity_x * flow.dy
-    fy = flow.face_velocity_y * flow.dx
-    div = fx[1:, :] - fx[:-1, :]
-    div += fy[:, 1:] - fy[:, :-1]
+    fx, fy, div = _fluxes_and_divergence(flow)
     peak = np.abs(div, out=div).max()
     mean_flux = ((np.abs(fx, out=fx).sum() + np.abs(fy, out=fy).sum())
                  / (fx.size + fy.size))

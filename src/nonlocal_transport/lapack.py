@@ -7,13 +7,15 @@ ILP64 names such as ``scipy_dgbsv_64_``.  :func:`banded_lapack` binds
 the stepper needs no LAPACK wrapper module.  Where none does (no
 ``/proc/self/maps``, or a numpy built on another BLAS), it binds the same
 routines from ``scipy.linalg.cython_lapack``, whose integers are LP64
-whatever the platform, the one case that imports scipy.
+whatever the platform, the one case that imports scipy.  The module also
+holds numpy's OpenBLAS at one thread for a block (:func:`one_blas_thread`).
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -40,6 +42,37 @@ def mapped_openblas() -> list[ctypes.CDLL]:
         except OSError:
             continue
     return libraries
+
+
+#: (get, set) thread-count functions of the ILP64 OpenBLAS that numpy's
+#: wheels ship, and of a plain OpenBLAS that numpy may be built on.
+_OPENBLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@contextmanager
+def one_blas_thread():
+    """Hold each OpenBLAS mapped with numpy's ILP64 or the plain thread
+    functions at one thread in the block, at no measured cost, so numpy's
+    products round alike on any host (two threads moved the Darcy sweep's
+    full-scale ``v_bar_cell`` from ...3258 to ...3257 on 2 vCPUs)."""
+    saved = []
+    for lib in mapped_openblas():
+        for get, put in _OPENBLAS_THREAD_FUNCTIONS:
+            if hasattr(lib, get) and hasattr(lib, put):
+                get, put = getattr(lib, get), getattr(lib, put)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                saved.append((put, get()))
+                put(1)
+                break
+    try:
+        yield
+    finally:
+        for put, threads in saved:
+            put(threads)
 
 
 def _check(name: str, array: np.ndarray, dtype, shape=None) -> None:

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import ConfigurationError, SolverError
 from .lapack import banded_lapack
 from .lbfgs import OptimizeResult, minimize
+from .medium import owning_cell
 from .nonlocal_diffusion import (
     DynamicKernel, assemble_operator, exchange_differences, march,
     theta_schedule, unit_spike,
@@ -113,8 +114,8 @@ class LearningProblem:
     @property
     def probe_cells(self):
         """Cell index (0-based) owning each training location."""
-        idx = (np.array([c.location for c in self.curves]) / self.cell_width)
-        return np.minimum(idx.astype(int), self.num_cells - 1)
+        return owning_cell([c.location for c in self.curves], self.cell_width,
+                           self.num_cells)
 
     @property
     def targets(self):

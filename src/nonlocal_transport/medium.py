@@ -96,6 +96,14 @@ def inclusion_mask(
     return np.abs(x_loc) / a + np.abs(y_loc) / b <= 1.0
 
 
+def owning_cell(x, cell_width: float, num_cells: int) -> NDArray[np.int64]:
+    """Index of the cell of width ``cell_width`` owning each ``x``: the floor
+    of ``x / cell_width`` clipped to ``0 .. num_cells - 1``, the one rule
+    that places particles, data probes and model probes alike."""
+    return np.clip((np.asarray(x) / cell_width).astype(np.int64), 0,
+                   num_cells - 1)
+
+
 def columns_per_cell(spec: MediumSpec, grid_nx: int) -> int:
     """Grid columns per unit cell; raises unless they are a whole number."""
     if grid_nx % spec.num_cells != 0:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .darcy import FlowField
 from .errors import ConfigurationError, InjectionError, NumericalError
-from .medium import MediumSpec
+from .medium import MediumSpec, owning_cell
 from .workers import run_tasks, usable_cpus
 
 #: Fraction of the mean face speed below which a particle is considered
@@ -97,9 +97,8 @@ class SnapshotReducer:
             mean = np.repeat(total / count, REDUCE_CHUNK)[:len(x)]
         square[:] = _chunk_sums(np.where(keep, x - mean, 0.0) ** 2)
         num_cells = self.cell_count.shape[1]
-        cells = np.clip((x[keep] / self.cell_width).astype(int),
-                        0, num_cells - 1)
-        self.cell_count[j] = np.bincount(cells, minlength=num_cells)
+        self.cell_count[j] = np.bincount(owning_cell(
+            x[keep], self.cell_width, num_cells), minlength=num_cells)
 
     def merge(self, other: SnapshotReducer) -> None:
         """Append the chunks of the next block; this one ends on a whole chunk."""
@@ -220,8 +219,8 @@ def velocity_at(flow: FlowField, x, y):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    ix = np.clip((x / flow.dx).astype(np.int64), 0, flow.grid_nx - 1)
-    iy = np.clip((y / flow.dy).astype(np.int64), 0, flow.grid_ny - 1)
+    ix = owning_cell(x, flow.dx, flow.grid_nx)
+    iy = owning_cell(y, flow.dy, flow.grid_ny)
     fx = x / flow.dx - ix
     fy = y / flow.dy - iy
     vx = (1.0 - fx) * flow.face_velocity_x[ix, iy] + fx * flow.face_velocity_x[ix + 1, iy]
@@ -289,7 +288,7 @@ def _axis_exit(vp, v_lo, v_hi, a, loc, width, v_floor):
     # and place
     dist = fwd * width
     dist -= loc
-    reach = (fwd & (v_hi * vp > 0.0)) | (bwd & (v_lo * vp > 0.0))
+    reach = (fwd & (v_hi > 0.0)) | (bwd & (v_lo < 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         # a*dist/vp equals v_face/vp - 1 up to rounding; clamp just above -1
         # so a same-sign face velocity at the rounding edge cannot produce NaN
@@ -463,8 +462,8 @@ def _track_block(flow: FlowField, pos, times, row, exit_time,
             freeze(idx[stalled], [v[stalled] for v in xy])
 
     compute_transit(np.arange(n), [pos[:, a].copy() for a in axes],
-                    np.zeros(n), [np.clip((pos[:, a] / width[a]).astype(
-                        np.int64), 0, cells[a] - 1) for a in axes])
+                    np.zeros(n), [owning_cell(pos[:, a], width[a], cells[a])
+                                  for a in axes])
 
     for j, ts in enumerate(times):
         due = np.flatnonzero(t_end <= ts)

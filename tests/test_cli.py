@@ -1,7 +1,6 @@
 """End-to-end command-line runs on a miniature experiment."""
 
 import contextlib
-import dataclasses
 import json
 import math
 import multiprocessing
@@ -106,8 +105,10 @@ def test_learn_outputs(pipeline):
 def test_predict_outputs(pipeline):
     _, out = pipeline
     table = (out / "mse_table.csv").read_text().splitlines()
-    assert table[1] == "model,location,window,location_role,n_samples,mse"
-    rows = [line.split(",") for line in table[2:]]
+    assert table[1].startswith("# scored fits: dataset_sha256=")
+    assert table[1].endswith(" tt=2.0")
+    assert table[2] == "model,location,window,location_role,n_samples,mse"
+    rows = [line.split(",") for line in table[3:]]
     # 3 models x 3 locations x 2 windows
     assert len(rows) == 18
     assert {r[0] for r in rows} == {"nonlocal", "classical", "mlp"}
@@ -141,10 +142,14 @@ def test_rerun_is_byte_identical(pipeline, tmp_path):
 def test_sweep_outputs(pipeline):
     path, out = pipeline
     assert cli.main(["sweep", "--config", str(path)]) == 0
-    for job in ("tt1_classical", "tt2_classical"):
+    scored = (out / "mse_table.csv").read_text().splitlines()[1]
+    for tt, job in ((1.0, "tt1_classical"), (2.0, "tt2_classical")):
         job_dir = out / "sweep" / job
         assert (job_dir / "fit_classical.json").exists()
-        assert (job_dir / "mse_table.csv").exists()
+        # each job's table names the fits it scored: its own window, the
+        # pipeline's dataset
+        table = (job_dir / "mse_table.csv").read_text().splitlines()
+        assert table[1] == scored.replace(" tt=2.0", f" tt={tt!r}")
     record = json.loads(
         (out / "sweep" / "tt1_classical" / "fit_classical.json").read_text())
     assert record["training"]["tt"] == 1.0
@@ -537,12 +542,14 @@ def test_tracking_worker_failure_exits_3(pipeline, tmp_path, monkeypatch,
     assert multiprocessing.active_children() == []
 
 
-def negate_coarse(coarse):
-    return dataclasses.replace(coarse, values=-coarse.values)
+def negate_cell_mass(ensemble):
+    ensemble.snapshots.cell_count *= -1
+    return ensemble
 
 
-def double_coarse(coarse):
-    return dataclasses.replace(coarse, values=2.0 * coarse.values)
+def double_cell_mass(ensemble):
+    ensemble.snapshots.cell_count *= 2
+    return ensemble
 
 
 def nan_exit_time(ensemble):
@@ -555,8 +562,8 @@ def nan_exit_time(ensemble):
      "relative divergence 2e-09"),
     ("track", nan_exit_time, "tracking",
      "active, exited and stagnant particles"),
-    ("coarse_from_ensemble", negate_coarse, "coarsening", "negative value"),
-    ("coarse_from_ensemble", double_coarse, "coarsening", "retains mass"),
+    ("track", negate_cell_mass, "coarsening", "negative value"),
+    ("track", double_cell_mass, "coarsening", "retains mass"),
 ], ids=["divergence", "status", "negative", "mass"])
 def test_generate_checks_invariants(pipeline, tmp_path, monkeypatch, capsys,
                                     target, corrupt, stage, message):
@@ -839,6 +846,33 @@ def test_fits_of_another_dataset_exit_4(pipeline, tmp_path, capsys):
         assert "fit_nonlocal.json" in err and "dataset_sha256" in err
         assert "learn" in err
     assert (target / "mse_table.csv").read_bytes() == before
+
+
+def test_report_on_a_table_of_other_fits_exits_4(pipeline, tmp_path,
+                                                capsys):
+    # fits of a regenerated dataset, scored by no table yet
+    path, out = pipeline
+    target = tmp_path / "stale_scores"
+    shutil.copytree(out, target)
+    args = ["--config", str(path), "--out", str(target), "--seed", "99"]
+    for command in ("generate", "learn"):
+        assert cli.main([command, *args]) == 0
+    before = (target / "report.json").read_bytes()
+    assert cli.main(["report", *args]) == 4
+    err = capsys.readouterr().err
+    assert "mse_table.csv" in err and "'predict'" in err
+    assert (target / "report.json").read_bytes() == before
+    assert cli.main(["predict", *args]) == 0
+    assert cli.main(["report", *args]) == 0
+
+
+def test_provenance_json_holds_the_provenance_once(pipeline):
+    path, out = pipeline
+    cfg = load_config(path)
+    assert json.loads((out / "provenance.json").read_text()) == {
+        "provenance": {"config_sha256": cfg.config_sha256,
+                       "package_version": nonlocal_transport.__version__,
+                       "schema": SCHEMA_ID, "seed": 11}}
 
 
 def test_report_without_predictions_exits_4(tmp_path, capsys):

@@ -220,6 +220,47 @@ def test_upscale_rejects_bad_window():
         coarse_from_ensemble(ens, spec, 5)
 
 
+class CellMasses:
+    """An ensemble that is only its unit-cell masses, (snapshots x cells)."""
+
+    def __init__(self, spec, mass):
+        self.length_x = spec.domain_length
+        self.snapshot_times = np.arange(len(mass)) * 0.5
+        self.mass = mass
+
+    def unit_cell_mass(self, spec):
+        return self.mass
+
+
+def nan_mass(mass):
+    mass[1, 2] = np.nan
+
+
+def negative_mass(mass):
+    # in the last cell, so that every window holding it is negative
+    mass[1, 7] = -0.01
+
+
+def excess_mass(mass):
+    mass[1, 5] += 0.5
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (nan_mass, "negative value nan"),
+    (negative_mass, "negative value -0.0173"),
+    (excess_mass, "retains mass 1.5"),
+], ids=["nan", "negative", "excess"])
+def test_upscale_checks_the_density_it_builds(corrupt, message):
+    spec = medium(num_cells=8)
+    mass = np.full((3, 8), 1.0 / 8)
+    for m in (1, 3, 8):
+        coarse_from_ensemble(CellMasses(spec, mass), spec, m)
+    corrupt(mass)
+    for m in (1, 3, 8):
+        with pytest.raises(NumericalError, match=message):
+            coarse_from_ensemble(CellMasses(spec, mass), spec, m)
+
+
 def test_upscale_rejects_misaligned_grid():
     spec = medium(num_cells=5)
     bad = ensemble(spec, [0.1, 0.2], length_x=1.01 * spec.domain_length)

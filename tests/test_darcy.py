@@ -259,7 +259,7 @@ def test_periodic_solver_solves_any_right_hand_side(
 #: Schur blocks) and once after it.
 BLAS_PROBE = """
 import ctypes, json, sys
-from nonlocal_transport import darcy
+from nonlocal_transport import darcy, lapack
 from nonlocal_transport.medium import MediumSpec
 
 def openblas_threads():
@@ -268,7 +268,7 @@ def openblas_threads():
     threads = {}
     for path in paths:
         lib = ctypes.CDLL(path)
-        for get, _ in darcy._OPENBLAS_THREAD_FUNCTIONS:
+        for get, _ in lapack._OPENBLAS_THREAD_FUNCTIONS:
             if hasattr(lib, get):
                 get = getattr(lib, get)
                 get.argtypes, get.restype = [], ctypes.c_int

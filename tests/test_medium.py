@@ -1,10 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonlocal_transport.coarsen import BreakthroughCurve, cell_traces
 from nonlocal_transport.errors import ConfigurationError
-from nonlocal_transport.medium import MediumSpec, build_conductivity, inclusion_mask
+from nonlocal_transport.learning import LearningProblem
+from nonlocal_transport.medium import (
+    MediumSpec, build_conductivity, inclusion_mask, owning_cell,
+)
+from nonlocal_transport.tracking import SnapshotReducer
 
 L1 = np.sqrt(3.0) / 3.0
 
@@ -127,3 +134,41 @@ def test_unit_cell_is_mirror_symmetric(grid_ny, inclusion_fraction):
     for per_cell in range(2, 41):
         cell = build_conductivity(spec, 3 * per_cell, grid_ny)[:per_cell]
         np.testing.assert_array_equal(cell, cell[::-1], err_msg=f"{per_cell}")
+
+
+@st.composite
+def located_probes(draw):
+    """(num_cells, cell_width, x) with x inside the open domain: anywhere,
+    on an interior cell face, or one ulp short of the domain's end."""
+    num_cells = draw(st.integers(3, 40))
+    width = draw(st.one_of(st.just(L1), st.floats(0.01, 10.0)))
+    length = num_cells * width
+    x = draw(st.one_of(
+        st.floats(0.0, length, exclude_min=True, exclude_max=True),
+        st.integers(1, num_cells - 1).map(lambda k: k * width),
+        st.just(float(np.nextafter(length, 0.0)))))
+    return num_cells, width, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(located_probes())
+def test_particles_data_and_fits_share_the_owning_cell(probe):
+    num_cells, width, x = probe
+    cell = int(owning_cell(x, width, num_cells))
+    assert cell == min(math.floor(x / width), num_cells - 1)
+
+    reducer = SnapshotReducer([0.0], 1, width, num_cells)
+    reducer.add(0, np.array([[x, 0.5]]), np.array([np.inf]))
+    assert list(np.flatnonzero(reducer.cell_count[0])) == [cell]
+
+    times = np.array([0.0, 0.1])
+    rows = np.repeat(np.arange(num_cells, dtype=float)[:, None], 2, axis=1)
+    (trace,) = cell_traces(rows, times, width, [x])
+    assert trace.values.tolist() == [cell]
+
+    problem = LearningProblem(
+        curves=(BreakthroughCurve(location=x, times=times[1:],
+                                  values=np.zeros(1)),),
+        horizon_cells=1, cell_width=width, num_cells=num_cells, dt=0.1,
+        n_steps=1)
+    assert problem.probe_cells.tolist() == [cell]

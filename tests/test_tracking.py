@@ -116,6 +116,50 @@ def test_exit_time_closed_form_property(v0, v1):
     assert ens.exit_time[0] == pytest.approx(oracle, rel=1e-9)
 
 
+def product_reach_axis_exit(vp, v_lo, v_hi, a, loc, width, v_floor):
+    """``tracking._axis_exit`` with reach tested by the sign of each face
+    velocity times the particle's, the form it replaced."""
+    fwd = vp > v_floor
+    bwd = vp < -v_floor
+    dist = fwd * width
+    dist -= loc
+    reach = (fwd & (v_hi * vp > 0.0)) | (bwd & (v_lo * vp > 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = a * dist
+        tau /= vp
+        np.maximum(tau, np.nextafter(-1.0, 0.0), out=tau)
+        np.log1p(tau, out=tau)
+        tau /= a
+        linear = a == 0.0
+        if linear.any():
+            tau[linear] = dist[linear] / vp[linear]
+    tau[~reach] = np.inf
+    return tau, fwd, bwd
+
+
+def test_axis_exit_reach_matches_the_product_form():
+    # every pair of signed-zero, small, reversed and large face velocities,
+    # with the particle velocity between them and at, just past and inside
+    # the stagnation floor on either side
+    v_floor, width = 1e-14, 0.7
+    faces = [0.0, -0.0, 1e-3, -1e-3, 0.5, -0.5, 2.0, -2.0]
+    lo, hi = np.array([(p, q) for p in faces for q in faces]).T
+    floor_speeds = [v_floor, -v_floor, np.nextafter(v_floor, 1.0),
+                    -np.nextafter(v_floor, 1.0), 0.5 * v_floor, 0.0, -0.0]
+    cases = [(lo + (hi - lo) * frac, np.full(lo.size, frac * width))
+             for frac in (0.0, 0.25, 1.0)]
+    cases += [(np.full(lo.size, speed), np.full(lo.size, 0.3))
+              for speed in floor_speeds]
+    vp, loc = (np.concatenate(part) for part in zip(*cases))
+    v_lo, v_hi = np.tile(lo, len(cases)), np.tile(hi, len(cases))
+    a = (v_hi - v_lo) / width
+    got = tracking._axis_exit(vp, v_lo, v_hi, a, loc, width, v_floor)
+    want = product_reach_axis_exit(vp, v_lo, v_hi, a, loc, width, v_floor)
+    assert np.isfinite(got[0]).any() and np.isinf(got[0]).any()
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
 def test_walls_confine_particles(small_hetero):
     spec, flow = small_hetero
     cfg = TrackingConfig(injection_cell=1, num_particles=300, dt=0.5, t_end=20.0,

@@ -78,7 +78,8 @@ def test_caller_failure_terminates_the_workers():
 
 def test_only_workers_starts_processes_and_only_cli_reads_the_config():
     # tasks get their configs as values: no module but config parses YAML,
-    # and no module but cli asks it for a file's config
+    # and no module but cli asks it for a file's config; no module but
+    # lapack binds native code (OpenBLAS's exports)
     imports, loads = {}, set()
     for path in sorted(Path(workers.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -96,4 +97,5 @@ def test_only_workers_starts_processes_and_only_cli_reads_the_config():
                 loads.add(path.stem)
     assert imports["multiprocessing"] == {"workers"}
     assert imports["yaml"] == {"config"}
+    assert imports["ctypes"] == {"lapack"}
     assert loads == {"cli"}
