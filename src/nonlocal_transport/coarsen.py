@@ -23,7 +23,7 @@ import numpy as np
 
 from .darcy import FlowField, cell_center_velocity
 from .errors import ArtifactError, ConfigurationError, NumericalError
-from .medium import MediumSpec, owning_cell
+from .medium import MediumSpec, check_cell, probe_cells
 
 
 @dataclass(frozen=True)
@@ -80,15 +80,12 @@ def coarse_from_ensemble(ensemble, spec: MediumSpec, m: int) -> CoarseDensity:
     it, stagnant ones count where they stalled.  The value at cell i is the
     mass in cells i..i+m-1 divided by the window volume m*l1*l2; windows
     extending past the last cell are clipped and the volume adjusted
-    accordingly.  A negative density raises NumericalError, as does more
-    than the injected unit mass in the tiling windows at cells 0, m, 2m, ...
+    accordingly.  A non-finite or negative density raises NumericalError,
+    as does more than the injected unit mass in the tiling windows at cells
+    0, m, 2m, ...
     """
-    if m < 1:
-        raise ConfigurationError("smoothing window must cover at least one cell")
     n_cells = spec.num_cells
-    if m > n_cells:
-        raise ConfigurationError(
-            f"smoothing window m={m} exceeds the {n_cells}-cell domain")
+    check_cell(m, n_cells, "smoothing window")
     if abs(ensemble.length_x - spec.domain_length) > 1e-9 * spec.domain_length:
         raise ConfigurationError("ensemble does not cover the medium domain")
     cell_mass = ensemble.unit_cell_mass(spec)
@@ -100,9 +97,11 @@ def coarse_from_ensemble(ensemble, spec: MediumSpec, m: int) -> CoarseDensity:
     window_mass = cum[:, idx + win] - cum[:, idx]
     volume = win * spec.cell_width * spec.layer_height
     values = (window_mass / volume).T
-    if not values.min() >= 0.0:
-        raise NumericalError(
-            f"coarse density has negative value {values.min():.3g}")
+    low = values.min()
+    if not np.isfinite(low):
+        raise NumericalError(f"coarse density has non-finite value {low:.3g}")
+    if not low >= 0.0:
+        raise NumericalError(f"coarse density has negative value {low:.3g}")
     tiled = window_mass[:, ::m].sum(axis=1)
     if not tiled.max() <= 1.0 + 1e-12:
         raise NumericalError(
@@ -125,17 +124,12 @@ def extract_btc(coarse: CoarseDensity, locations) -> list[BreakthroughCurve]:
 
 def cell_traces(values, times, cell_width, locations) -> list[BreakthroughCurve]:
     """Rows of a (cells, times) array owning each location, without t = 0."""
-    num_cells = values.shape[0]
-    length = num_cells * cell_width
+    locations = np.atleast_1d(np.asarray(locations, dtype=float))
+    cells = probe_cells(locations, cell_width, values.shape[0])
     keep = times > 0.0
-    curves = []
-    for x in np.atleast_1d(np.asarray(locations, dtype=float)):
-        if not 0.0 < x < length:
-            raise ConfigurationError(f"location {x} outside the open domain (0, {length})")
-        cell = owning_cell(x, cell_width, num_cells)
-        curves.append(BreakthroughCurve(location=float(x), times=times[keep].copy(),
-                                        values=values[cell, keep].copy()))
-    return curves
+    return [BreakthroughCurve(location=float(x), times=times[keep].copy(),
+                              values=values[cell, keep].copy())
+            for x, cell in zip(locations, cells)]
 
 
 def effective_advection(spec: MediumSpec, cell_flow: FlowField) -> EffectiveAdvection:

@@ -18,12 +18,14 @@ import yaml
 
 from . import __version__
 from .errors import ConfigurationError
-from .medium import MediumSpec
+from .learning import PDE_MODELS
+from .medium import MediumSpec, check_cell, columns_per_cell, probe_cells
+from .nonlocal_diffusion import check_horizon
 from .tracking import TrackingConfig
 
 SCHEMA_ID = "nonlocal-transport/config/v1"
 
-KNOWN_MODELS = ("nonlocal", "fractal", "classical", "mlp")
+KNOWN_MODELS = PDE_MODELS + ("mlp",)
 FRAME_SPEEDS = ("measured", "homogenized", "zero")
 
 CONFIG_SCHEMA = {
@@ -278,17 +280,11 @@ def _apply_overrides(data: dict, overrides: dict) -> dict:
 
 
 def _check_consistency(cfg: ExperimentConfig) -> None:
-    length = cfg.medium.domain_length
-    if cfg.grid_nx % cfg.medium.num_cells:
-        raise ConfigurationError(
-            f"grid nx={cfg.grid_nx} must be divisible by "
-            f"num_cells={cfg.medium.num_cells}")
-    if cfg.injection_cell > cfg.medium.num_cells:
-        raise ConfigurationError("tracking injection cell outside the domain")
-    if cfg.model_injection_cell > cfg.medium.num_cells:
-        raise ConfigurationError("learning injection cell outside the domain")
-    if cfg.window_cells > cfg.medium.num_cells:
-        raise ConfigurationError("smoothing window exceeds the domain")
+    num_cells = cfg.medium.num_cells
+    columns_per_cell(cfg.grid_nx, num_cells)
+    check_cell(cfg.injection_cell, num_cells, "tracking injection cell")
+    check_cell(cfg.model_injection_cell, num_cells, "model injection cell")
+    check_cell(cfg.window_cells, num_cells, "smoothing window")
     if not _whole_steps(cfg.t_end, cfg.record_dt):
         raise ConfigurationError(
             "t_end must be an integer number of recording steps")
@@ -298,18 +294,13 @@ def _check_consistency(cfg: ExperimentConfig) -> None:
     if not _whole_steps(cfg.tt, cfg.record_dt):
         raise ConfigurationError(
             "tt must be a positive integer number of recording steps")
-    for name, locations in (("train", cfg.train_locations),
-                            ("test", cfg.test_locations)):
-        for x in locations:
-            if not 0.0 < x < length:
-                raise ConfigurationError(
-                    f"{name} location {x} outside the open domain (0, {length})")
+    probe_cells(cfg.train_locations + cfg.test_locations,
+                cfg.medium.cell_width, num_cells)
     overlap = set(cfg.train_locations) & set(cfg.test_locations)
     if overlap:
         raise ConfigurationError(
             f"locations {sorted(overlap)} are both training and test probes")
-    if cfg.medium.num_cells <= 2 * cfg.horizon_cells:
-        raise ConfigurationError("kernel horizon too wide for the domain")
+    check_horizon(cfg.horizon_cells, num_cells)
     for tt in cfg.sweep_tt_values:
         if not 0.0 < tt < cfg.t_end:
             raise ConfigurationError(f"sweep tt={tt} outside (0, t_end)")

@@ -231,7 +231,7 @@ def solve_medium(spec: MediumSpec, grid_nx: int, grid_ny: int) -> FlowField:
     velocities scaled by the per-cell drop ``head_left / num_cells``, heads
     offset by it per cell.  This solves :func:`solve_darcy`'s system.
     """
-    per_cell = columns_per_cell(spec, grid_nx)
+    per_cell = columns_per_cell(grid_nx, spec.num_cells)
     dx = spec.domain_length / grid_nx
     dy = spec.layer_height / grid_ny
     cond = build_conductivity(unit_cell_spec(spec), per_cell, grid_ny)

@@ -27,13 +27,13 @@ import numpy as np
 from .errors import ConfigurationError, SolverError
 from .lapack import banded_lapack
 from .lbfgs import OptimizeResult, minimize
-from .medium import owning_cell
+from .medium import check_cell, probe_cells
 from .nonlocal_diffusion import (
-    DynamicKernel, assemble_operator, exchange_differences, march,
-    theta_schedule, unit_spike,
+    DynamicKernel, assemble_operator, check_horizon, exchange_differences,
+    march, theta_schedule, unit_spike,
 )
 
-_MODELS = ("nonlocal", "fractal", "classical")
+PDE_MODELS = ("nonlocal", "fractal", "classical")
 # Steps whose tangent right-hand-side terms are formed at once: enough to
 # amortize the whole-array calls, few enough to keep the terms in cache and
 # their memory independent of the number of steps.
@@ -76,9 +76,9 @@ class LearningProblem:
     gradient_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.model not in _MODELS:
+        if self.model not in PDE_MODELS:
             raise ConfigurationError(
-                f"unknown model {self.model!r}; expected one of {_MODELS}")
+                f"unknown model {self.model!r}; expected one of {PDE_MODELS}")
         if self.beta < 0:
             raise ConfigurationError("beta must be nonnegative")
         if not self.curves:
@@ -87,21 +87,14 @@ class LearningProblem:
             raise ConfigurationError("cell_width and dt must be positive")
         if self.n_steps < 1:
             raise ConfigurationError("n_steps must be at least 1")
-        if self.horizon_cells < 1:
-            raise ConfigurationError("horizon_cells must be at least 1")
-        if self.num_cells <= 2 * self.horizon_cells:
-            raise ConfigurationError(
-                "need more cells than the kernel is wide")
-        if not 1 <= self.injection_cell <= self.num_cells:
-            raise ConfigurationError("injection cell outside the domain")
+        check_horizon(self.horizon_cells, self.num_cells)
+        check_cell(self.injection_cell, self.num_cells, "model injection cell")
         ordered = tuple(sorted(self.curves, key=lambda c: c.location))
         object.__setattr__(self, "curves", ordered)
-        length = self.num_cells * self.cell_width
+        probe_cells([c.location for c in ordered], self.cell_width,
+                    self.num_cells)     # raises for a probe off the domain
         expected = self.time_grid[1:]
         for curve in ordered:
-            if not 0.0 < curve.location < length:
-                raise ConfigurationError(
-                    f"curve location {curve.location} outside (0, {length})")
             if curve.times.shape != expected.shape or not np.allclose(
                     curve.times, expected, rtol=0.0, atol=1e-9 * self.dt):
                 raise ConfigurationError(
@@ -113,8 +106,9 @@ class LearningProblem:
 
     @property
     def probe_cells(self):
-        """Cell index (0-based) owning each training location."""
-        return owning_cell([c.location for c in self.curves], self.cell_width,
+        """Cell index (0-based) owning each training location; raises for
+        one outside the domain."""
+        return probe_cells([c.location for c in self.curves], self.cell_width,
                            self.num_cells)
 
     @property

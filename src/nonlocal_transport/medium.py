@@ -104,13 +104,29 @@ def owning_cell(x, cell_width: float, num_cells: int) -> NDArray[np.int64]:
                    num_cells - 1)
 
 
-def columns_per_cell(spec: MediumSpec, grid_nx: int) -> int:
+def probe_cells(locations, cell_width: float, num_cells: int) -> NDArray[np.int64]:
+    """The owning cell of each probe location; raises for the first one
+    outside the open domain (0, num_cells * cell_width)."""
+    length = num_cells * cell_width
+    for x in np.atleast_1d(np.asarray(locations, dtype=float)):
+        if not 0.0 < x < length:
+            raise ConfigurationError(
+                f"location {x} outside the open domain (0, {length})")
+    return owning_cell(locations, cell_width, num_cells)
+
+
+def check_cell(cell: int, num_cells: int, what: str) -> None:
+    """Raise unless the unit-cell index or count ``cell`` lies in 1..num_cells."""
+    if not 1 <= cell <= num_cells:
+        raise ConfigurationError(f"{what} {cell} outside 1..{num_cells}")
+
+
+def columns_per_cell(grid_nx: int, num_cells: int) -> int:
     """Grid columns per unit cell; raises unless they are a whole number."""
-    if grid_nx % spec.num_cells != 0:
+    if grid_nx % num_cells != 0:
         raise ConfigurationError(
-            f"grid_nx={grid_nx} is not divisible by num_cells={spec.num_cells}"
-        )
-    return grid_nx // spec.num_cells
+            f"grid_nx={grid_nx} is not divisible by num_cells={num_cells}")
+    return grid_nx // num_cells
 
 
 def build_conductivity(
@@ -137,7 +153,7 @@ def build_conductivity(
     -------
     ndarray, shape (grid_nx, grid_ny)
     """
-    per_cell = columns_per_cell(spec, grid_nx)
+    per_cell = columns_per_cell(grid_nx, spec.num_cells)
     if grid_ny < 2:
         raise ConfigurationError("grid_ny must be at least 2")
 

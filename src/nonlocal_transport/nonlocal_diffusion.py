@@ -21,6 +21,7 @@ import numpy as np
 from .coarsen import BreakthroughCurve, cell_traces
 from .errors import ConfigurationError, SolverError
 from .lapack import banded_lapack
+from .medium import check_cell
 
 #: Steps per ``march`` call in :func:`solve`.
 SOLVE_BLOCK_STEPS = 64
@@ -109,6 +110,16 @@ def theta_schedule(p: float, times: np.ndarray):
     return theta, d_theta
 
 
+def check_horizon(horizon_cells: int, num_cells: int) -> None:
+    """Raise unless 1 <= N_delta and N > 2*N_delta: the kernel reaches at
+    least one cell, and at least one cell's whole stencil lies inside the
+    domain."""
+    if not (1 <= horizon_cells and num_cells > 2 * horizon_cells):
+        raise ConfigurationError(
+            f"kernel horizon {horizon_cells} outside 1..{(num_cells - 1) // 2}: "
+            f"empty, or horizon too wide for {num_cells} cells")
+
+
 def assemble_operator(kernel: DynamicKernel, num_cells: int) -> np.ndarray:
     """Banded (diagonal-ordered) form of the spatial exchange operator.
 
@@ -118,9 +129,7 @@ def assemble_operator(kernel: DynamicKernel, num_cells: int) -> np.ndarray:
     collar.
     """
     nd = kernel.horizon_cells
-    if num_cells <= 2 * nd:
-        raise ConfigurationError(
-            f"need more than {2 * nd} cells for a horizon of {nd}")
+    check_horizon(nd, num_cells)
     phi = kernel.phi
     band = np.zeros((2 * nd + 1, num_cells))
     # weights that overflow leave a non-finite band, which march rejects
@@ -212,9 +221,7 @@ def solve(kernel: DynamicKernel, initial: np.ndarray, times: np.ndarray) -> Nonl
 
 def unit_spike(num_cells: int, injection_cell: int) -> np.ndarray:
     """Initial profile with unit concentration in one (1-based) cell."""
-    if not 1 <= injection_cell <= num_cells:
-        raise ConfigurationError(
-            f"injection cell {injection_cell} outside 1..{num_cells}")
+    check_cell(injection_cell, num_cells, "model injection cell")
     c0 = np.zeros(num_cells)
     c0[injection_cell - 1] = 1.0
     return c0

@@ -18,7 +18,7 @@ import numpy as np
 
 from .darcy import FlowField
 from .errors import ConfigurationError, InjectionError, NumericalError
-from .medium import MediumSpec, owning_cell
+from .medium import MediumSpec, check_cell, columns_per_cell, owning_cell
 from .workers import run_tasks, usable_cpus
 
 #: Fraction of the mean face speed below which a particle is considered
@@ -241,12 +241,8 @@ def inject(flow: FlowField, cfg: TrackingConfig, num_cells: int) -> np.ndarray:
     num_cells : number of unit cells spanned by the flow domain; used to
         locate cell boundaries on the grid.
     """
-    if flow.grid_nx % num_cells:
-        raise ConfigurationError("flow grid does not align with unit cells")
-    if not 1 <= cfg.injection_cell <= num_cells:
-        raise ConfigurationError(
-            f"injection_cell {cfg.injection_cell} outside 1..{num_cells}")
-    cols = flow.grid_nx // num_cells
+    cols = columns_per_cell(flow.grid_nx, num_cells)
+    check_cell(cfg.injection_cell, num_cells, "tracking injection cell")
     j0 = (cfg.injection_cell - 1) * cols
     fvx = flow.face_velocity_x[j0:j0 + cols + 1, :]
     fvy = flow.face_velocity_y[j0:j0 + cols, :]

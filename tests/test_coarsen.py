@@ -246,7 +246,7 @@ def excess_mass(mass):
 
 
 @pytest.mark.parametrize("corrupt, message", [
-    (nan_mass, "negative value nan"),
+    (nan_mass, "non-finite value nan"),
     (negative_mass, "negative value -0.0173"),
     (excess_mass, "retains mass 1.5"),
 ], ids=["nan", "negative", "excess"])

@@ -4,12 +4,23 @@ import copy
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import yaml
 
 from nonlocal_transport import config
+from nonlocal_transport.coarsen import (
+    BreakthroughCurve, cell_traces, coarse_from_ensemble,
+)
 from nonlocal_transport.config import CONFIG_SCHEMA, SCHEMA_ID, load_config
+from nonlocal_transport.darcy import FlowField
 from nonlocal_transport.errors import ConfigurationError
+from nonlocal_transport.learning import LearningProblem
+from nonlocal_transport.medium import MediumSpec
+from nonlocal_transport.nonlocal_diffusion import (
+    DynamicKernel, assemble_operator, unit_spike,
+)
+from nonlocal_transport.tracking import TrackingConfig, inject
 
 BASE = {
     "schema": SCHEMA_ID,
@@ -208,3 +219,58 @@ def test_loading_a_config_imports_no_jsonschema(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+# The library calls below break one coarse-grid rule each, on BASE's grid:
+# 24 unit cells of width 0.5, 240 grid columns, a 30-step training window.
+BASE_MEDIUM = MediumSpec(**BASE["medium"])
+
+
+def base_flow(nx=240):
+    return FlowField(grid_nx=nx, grid_ny=2, dx=12.0 / nx, dy=0.5,
+                     face_velocity_x=np.ones((nx + 1, 2)),
+                     face_velocity_y=np.zeros((nx, 3)), head=np.zeros((nx, 2)))
+
+
+def base_tracking(injection_cell=4):
+    return TrackingConfig(injection_cell=injection_cell, num_particles=1,
+                          dt=0.1, t_end=6.0, rng_seed=0)
+
+
+def base_problem(location=3.0, **settings):
+    times = np.arange(1, 31) * 0.1
+    curve = BreakthroughCurve(location=location, times=times,
+                              values=np.zeros(30))
+    settings = {"injection_cell": 4, **settings}
+    return LearningProblem(curves=(curve,), cell_width=0.5, num_cells=24,
+                           dt=0.1, n_steps=30, **settings)
+
+
+@pytest.mark.parametrize("updates, library_call", [
+    ({"grid.nx": 250}, lambda: inject(base_flow(250), base_tracking(), 24)),
+    ({"tracking.injection_cell": 25},
+     lambda: inject(base_flow(), base_tracking(25), 24)),
+    ({"learning.injection_cell": 25}, lambda: unit_spike(24, 25)),
+    ({"learning.injection_cell": 25},
+     lambda: base_problem(injection_cell=25)),
+    # the window is checked before the ensemble is read
+    ({"coarse.window_cells": 30},
+     lambda: coarse_from_ensemble(None, BASE_MEDIUM, 30)),
+    ({"coarse.test_locations": [12.5]},
+     lambda: cell_traces(np.zeros((24, 2)), np.array([0.0, 0.1]), 0.5, [12.5])),
+    ({"coarse.test_locations": [12.5]}, lambda: base_problem(location=12.5)),
+    ({"learning.horizon_cells": 12}, lambda: base_problem(horizon_cells=12)),
+    ({"learning.horizon_cells": 12}, lambda: assemble_operator(
+        DynamicKernel(phi=np.ones(25), p=0.0, horizon_cells=12,
+                      cell_width=0.5), 24)),
+], ids=["columns-inject", "tracking-cell-inject", "model-cell-unit_spike",
+        "model-cell-LearningProblem", "window-coarse_from_ensemble",
+        "probe-cell_traces", "probe-LearningProblem",
+        "horizon-LearningProblem", "horizon-assemble_operator"])
+def test_config_and_library_say_one_message_per_rule(tmp_path, updates,
+                                                     library_call):
+    with pytest.raises(ConfigurationError) as from_config:
+        load_config(write_config(tmp_path, variant(**updates)))
+    with pytest.raises(ConfigurationError) as from_library:
+        library_call()
+    assert str(from_library.value) == str(from_config.value)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from nonlocal_transport.coarsen import BreakthroughCurve, cell_traces
 from nonlocal_transport.errors import ConfigurationError
 from nonlocal_transport.learning import LearningProblem
 from nonlocal_transport.medium import (
-    MediumSpec, build_conductivity, inclusion_mask, owning_cell,
+    MediumSpec, build_conductivity, inclusion_mask, owning_cell, probe_cells,
 )
 from nonlocal_transport.tracking import SnapshotReducer
 
@@ -139,13 +140,15 @@ def test_unit_cell_is_mirror_symmetric(grid_ny, inclusion_fraction):
 @st.composite
 def located_probes(draw):
     """(num_cells, cell_width, x) with x inside the open domain: anywhere,
-    on an interior cell face, or one ulp short of the domain's end."""
+    on an interior cell face, the smallest positive float, or one ulp short
+    of the domain's end."""
     num_cells = draw(st.integers(3, 40))
     width = draw(st.one_of(st.just(L1), st.floats(0.01, 10.0)))
     length = num_cells * width
     x = draw(st.one_of(
         st.floats(0.0, length, exclude_min=True, exclude_max=True),
         st.integers(1, num_cells - 1).map(lambda k: k * width),
+        st.just(float(np.nextafter(0.0, 1.0))),
         st.just(float(np.nextafter(length, 0.0)))))
     return num_cells, width, x
 
@@ -156,6 +159,7 @@ def test_particles_data_and_fits_share_the_owning_cell(probe):
     num_cells, width, x = probe
     cell = int(owning_cell(x, width, num_cells))
     assert cell == min(math.floor(x / width), num_cells - 1)
+    assert probe_cells([x], width, num_cells).tolist() == [cell]
 
     reducer = SnapshotReducer([0.0], 1, width, num_cells)
     reducer.add(0, np.array([[x, 0.5]]), np.array([np.inf]))
@@ -172,3 +176,20 @@ def test_particles_data_and_fits_share_the_owning_cell(probe):
         horizon_cells=1, cell_width=width, num_cells=num_cells, dt=0.1,
         n_steps=1)
     assert problem.probe_cells.tolist() == [cell]
+
+
+@pytest.mark.parametrize("edge", [
+    lambda length: 0.0,
+    lambda length: float(np.nextafter(0.0, -1.0)),
+    lambda length: length,
+    lambda length: float(np.nextafter(length, np.inf)),
+    lambda length: math.nan,
+], ids=["zero", "below-zero", "length", "above-length", "nan"])
+def test_probe_cells_refuse_the_first_probe_off_the_open_domain(edge):
+    num_cells = 24
+    length = num_cells * L1
+    x = edge(length)
+    with pytest.raises(ConfigurationError,
+                       match=rf"^location {re.escape(str(x))} outside the "
+                             rf"open domain \(0, {re.escape(str(length))}\)$"):
+        probe_cells([1.0, x, -1.0], L1, num_cells)
