@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coarsen import CoarseDensity
 from .errors import ConfigurationError
-from .nonlocal_diffusion import DynamicKernel, NonlocalSolution, solve
+from .nonlocal_diffusion import DynamicKernel, solve
 
 
 def fractal_kernel(D_bar: float, q: float, cell_width: float) -> DynamicKernel:
@@ -30,7 +31,7 @@ def fractal_kernel(D_bar: float, q: float, cell_width: float) -> DynamicKernel:
 
 
 def solve_fractal(D_bar: float, q: float, initial, times,
-                  cell_width: float) -> NonlocalSolution:
+                  cell_width: float) -> CoarseDensity:
     """Implicit solve of the power-law-coefficient diffusion equation.
 
     Requires q < 1 so the coefficient is integrable across the first step
@@ -40,7 +41,7 @@ def solve_fractal(D_bar: float, q: float, initial, times,
 
 
 def solve_classical(D0_bar: float, initial, times,
-                    cell_width: float) -> NonlocalSolution:
+                    cell_width: float) -> CoarseDensity:
     return solve_fractal(D0_bar, 0.0, initial, times, cell_width)
 
 

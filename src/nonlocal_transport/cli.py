@@ -8,8 +8,8 @@ Subcommands::
     nltrans report   --config experiment.yaml
     nltrans sweep    --config experiment.yaml
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 missing artifact or one built from other settings.
+Exit codes: 0 success, else ``errors.EXIT_CODES``: 2 configuration error,
+3 numerical failure, 4 missing artifact or one built from other settings.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import argparse
 import sys
 
 from .config import load_config
-from .errors import ArtifactError, ConfigurationError, NumericalError
+from .errors import EXIT_CODES
 from .experiment import (
     run_generate, run_learn_split, run_predict, run_report, run_sweep,
 )
@@ -72,15 +72,10 @@ def main(argv=None) -> int:
         elif args.command == "sweep":
             out = run_sweep(cfg)
             print(f"sweep: job outputs under {out}")
-    except ConfigurationError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ArtifactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for error, code in EXIT_CODES.items()
+                    if isinstance(exc, error))
     return 0
 
 

@@ -28,11 +28,11 @@ from .medium import MediumSpec, check_cell, probe_cells
 
 @dataclass(frozen=True)
 class CoarseDensity:
-    """Window-averaged 1D density, one value per unit cell per snapshot."""
+    """Density on unit cells over time: the window-averaged particle data,
+    or a model's solve (whose exterior collar is zero)."""
 
-    values: np.ndarray          # (num_cells, n_snapshots)
-    smoothing_cells: int
-    snapshot_times: np.ndarray
+    values: np.ndarray          # (num_cells, n_times)
+    times: np.ndarray
     cell_width: float
 
     @property
@@ -107,8 +107,7 @@ def coarse_from_ensemble(ensemble, spec: MediumSpec, m: int) -> CoarseDensity:
         raise NumericalError(
             f"coarse density retains mass {tiled.max():.17g}, above the "
             "injected unit mass")
-    return CoarseDensity(values=values, smoothing_cells=m,
-                         snapshot_times=ensemble.snapshot_times.copy(),
+    return CoarseDensity(values=values, times=ensemble.snapshot_times.copy(),
                          cell_width=spec.cell_width)
 
 
@@ -118,7 +117,7 @@ def extract_btc(coarse: CoarseDensity, locations) -> list[BreakthroughCurve]:
     The injection instant t = 0 carries no breakthrough information and is
     dropped, so a run recorded at 0, dt, ..., T yields T/dt samples.
     """
-    return cell_traces(coarse.values, coarse.snapshot_times, coarse.cell_width,
+    return cell_traces(coarse.values, coarse.times, coarse.cell_width,
                        locations)
 
 
@@ -165,11 +164,10 @@ def shift_frame(coarse: CoarseDensity, v_bar: float) -> CoarseDensity:
         raise ConfigurationError("frame speed must be nonnegative")
     centers = coarse.cell_centers
     shifted = np.empty_like(coarse.values)
-    for j, t in enumerate(coarse.snapshot_times):
+    for j, t in enumerate(coarse.times):
         shifted[:, j] = np.interp(centers + v_bar * t, centers,
                                   coarse.values[:, j], left=0.0, right=0.0)
-    return CoarseDensity(values=shifted, smoothing_cells=coarse.smoothing_cells,
-                         snapshot_times=coarse.snapshot_times.copy(),
+    return CoarseDensity(values=shifted, times=coarse.times.copy(),
                          cell_width=coarse.cell_width)
 
 

@@ -1,9 +1,4 @@
-"""Exception hierarchy shared across the pipeline.
-
-The CLI maps these onto process exit codes: configuration problems exit
-with 2, numerical failures with 3, missing or mismatched input artifacts
-with 4.
-"""
+"""Exception hierarchy shared across the pipeline, and the CLI's exit codes."""
 
 
 class ConfigurationError(ValueError):
@@ -25,3 +20,8 @@ class InjectionError(NumericalError):
 class ArtifactError(FileNotFoundError):
     """A required input artifact (dataset, fit result) is missing or was
     built from other settings than the config."""
+
+
+#: The CLI's exit code for each domain error and its subclasses:
+#: configuration problems, numerical failures, missing or mismatched inputs.
+EXIT_CODES = {ConfigurationError: 2, NumericalError: 3, ArtifactError: 4}

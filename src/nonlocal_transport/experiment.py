@@ -30,7 +30,7 @@ from .coarsen import (
 )
 from .config import ExperimentConfig, build_config
 from .darcy import max_relative_divergence, solve_medium
-from .errors import ArtifactError, ConfigurationError, NumericalError
+from .errors import EXIT_CODES, ArtifactError, ConfigurationError, NumericalError
 from .learning import LearningProblem, fit, warm_start_raw
 from .nonlocal_diffusion import (
     DynamicKernel, model_btc, solution_moments, solve, unit_spike,
@@ -48,7 +48,7 @@ def _stage(name: str):
     """Attach the failing pipeline stage to any domain error."""
     try:
         yield
-    except (ConfigurationError, NumericalError, ArtifactError) as exc:
+    except tuple(EXIT_CODES) as exc:
         raise type(exc)(f"stage '{name}' failed: {exc}") from exc
 
 
@@ -137,7 +137,7 @@ def run_generate(cfg: ExperimentConfig) -> Path:
         # one snapshot's rows at a time, as Python floats
         centers = shifted.cell_centers.tolist()
         _write_csv(out / "density_profiles.csv", cfg, ["t", "x", "value"],
-                   (row for t, column in zip(shifted.snapshot_times.tolist(),
+                   (row for t, column in zip(shifted.times.tolist(),
                                              shifted.values.T)
                     for row in zip(repeat(t), centers,
                                    (column * scale).tolist())))
@@ -330,11 +330,9 @@ def _predict_curves(cfg: ExperimentConfig, model: str, record: dict,
     elif model == "fractal":
         solution = solve_fractal(float(params["D_bar"]), float(params["q"]),
                                  c0, times, cfg.medium.cell_width)
-    elif model == "classical":
+    else:
         solution = solve_classical(float(params["D0_bar"]), c0, times,
                                    cfg.medium.cell_width)
-    else:
-        raise ConfigurationError(f"unknown model {model!r}")
     return model_btc(solution, list(locations)), solution
 
 
@@ -370,7 +368,8 @@ def run_predict(cfg: ExperimentConfig, dataset_dir=None) -> Path:
                     raise NumericalError(
                         "prediction and data time grids diverged")
                 residual_sq = (predicted.values - reference.values) ** 2
-                in_train = reference.times <= cfg.tt + 1e-9 * cfg.record_dt
+                # the first n_train_steps samples, as learn takes them
+                in_train = np.arange(len(reference.times)) < cfg.n_train_steps
                 for window, mask in (("train", in_train),
                                      ("test", ~in_train)):
                     mse_rows.append((

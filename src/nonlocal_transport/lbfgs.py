@@ -19,6 +19,9 @@ ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 45
 STAGNATION_TOLERANCE = 1e-14
 
+#: The stops that report a converged fit.
+CONVERGED_STOPS = ("gradient tolerance", "loss stagnation")
+
 
 @dataclass
 class OptimizeResult:
@@ -68,13 +71,13 @@ def minimize(fun_and_grad, x0, *, fun_only=None, history: int = 10,
     trace = [(0, float(f), float(np.linalg.norm(g)))]
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
+    iterations, message = max_iterations, "iteration limit"
 
     for iteration in range(1, max_iterations + 1):
         grad_norm = np.linalg.norm(g)
         if grad_norm <= gradient_tolerance:
-            return OptimizeResult(x=x, fun=f, grad=g, iterations=iteration - 1,
-                                  converged=True, message="gradient tolerance",
-                                  trace=trace)
+            iterations, message = iteration - 1, "gradient tolerance"
+            break
         direction = _two_loop_direction(g, s_hist, y_hist)
         descent = np.dot(direction, g)
         if not np.isfinite(descent) or descent >= 0:
@@ -90,9 +93,8 @@ def minimize(fun_and_grad, x0, *, fun_only=None, history: int = 10,
                 break
             step *= 0.5
         else:
-            return OptimizeResult(x=x, fun=f, grad=g, iterations=iteration - 1,
-                                  converged=False, message="line search failed",
-                                  trace=trace)
+            iterations, message = iteration - 1, "line search failed"
+            break
         if step == 1.0:
             # The loose Armijo slope cannot see curvature, so a unit step can
             # land far short along a shallow valley.  Double while the Armijo
@@ -123,10 +125,9 @@ def minimize(fun_and_grad, x0, *, fun_only=None, history: int = 10,
         x, f, g = x_new, f_new, g_new
         trace.append((iteration, float(f), float(np.linalg.norm(g))))
         if stalled:
-            return OptimizeResult(x=x, fun=f, grad=g, iterations=iteration,
-                                  converged=True, message="loss stagnation",
-                                  trace=trace)
+            iterations, message = iteration, "loss stagnation"
+            break
 
-    return OptimizeResult(x=x, fun=f, grad=g, iterations=max_iterations,
-                          converged=False, message="iteration limit",
-                          trace=trace)
+    return OptimizeResult(x=x, fun=f, grad=g, iterations=iterations,
+                          converged=message in CONVERGED_STOPS,
+                          message=message, trace=trace)

@@ -8,7 +8,7 @@ boundary, zero head on the right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -67,15 +67,7 @@ class MediumSpec:
 
 def unit_cell_spec(spec: MediumSpec) -> MediumSpec:
     """Single-cell medium with unit head drop, for homogenization solves."""
-    return MediumSpec(
-        kappa_matrix=spec.kappa_matrix,
-        kappa_inclusion=spec.kappa_inclusion,
-        cell_width=spec.cell_width,
-        layer_height=spec.layer_height,
-        num_cells=1,
-        head_left=1.0,
-        inclusion_fraction=spec.inclusion_fraction,
-    )
+    return replace(spec, num_cells=1, head_left=1.0)
 
 
 def inclusion_mask(

@@ -10,6 +10,8 @@ step average is used so that exponents down to (but not including) -1 remain
 usable.  ``march`` is the only time loop: it factors every step matrix once
 and returns the states with the factors, so fitting solves the parameter
 tangents of each step with the factors of the march that produced the state.
+A solve is a :class:`~nonlocal_transport.coarsen.CoarseDensity`, the type of
+the data it is fitted to and scored against.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coarsen import BreakthroughCurve, cell_traces
+from .coarsen import BreakthroughCurve, CoarseDensity, cell_traces
 from .errors import ConfigurationError, SolverError
 from .lapack import banded_lapack
 from .medium import check_cell
@@ -45,8 +47,6 @@ class DynamicKernel:
     def __post_init__(self) -> None:
         phi = np.atleast_1d(np.asarray(self.phi, dtype=float))
         object.__setattr__(self, "phi", phi)
-        if self.horizon_cells < 1:
-            raise ConfigurationError("kernel horizon must span at least one cell")
         if phi.shape != (2 * self.horizon_cells + 1,):
             raise ConfigurationError(
                 f"phi must have {2 * self.horizon_cells + 1} entries for "
@@ -64,23 +64,6 @@ class DynamicKernel:
     def from_record(cls, record) -> "DynamicKernel":
         return cls(phi=np.asarray(record["phi"], dtype=float), p=float(record["p"]),
                    horizon_cells=int(record["N_delta"]), cell_width=float(record["l1"]))
-
-
-@dataclass(frozen=True)
-class NonlocalSolution:
-    """Cell values over time for one solve; the exterior collar is zero."""
-
-    values: np.ndarray          # (num_cells, n_times)
-    times: np.ndarray
-    cell_width: float
-
-    @property
-    def num_cells(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cell_centers(self) -> np.ndarray:
-        return (np.arange(self.num_cells) + 0.5) * self.cell_width
 
 
 def first_step_theta(p: float, dt: float) -> float:
@@ -191,7 +174,7 @@ def exchange_differences(c: np.ndarray, horizon_cells: int) -> np.ndarray:
                   + np.arange(2 * horizon_cells + 1)] - c[..., None]
 
 
-def solve(kernel: DynamicKernel, initial: np.ndarray, times: np.ndarray) -> NonlocalSolution:
+def solve(kernel: DynamicKernel, initial: np.ndarray, times: np.ndarray) -> CoarseDensity:
     """March the implicit scheme over a uniform grid starting at t = 0.
 
     ``march`` runs on blocks of ``SOLVE_BLOCK_STEPS`` steps, each starting
@@ -215,8 +198,8 @@ def solve(kernel: DynamicKernel, initial: np.ndarray, times: np.ndarray) -> Nonl
         stop = min(start + SOLVE_BLOCK_STEPS, len(theta))
         states, _, _ = march(band, theta[start:stop], dt, values[:, start])
         values[:, start + 1:stop + 1] = states.T
-    return NonlocalSolution(values=values, times=times.copy(),
-                            cell_width=kernel.cell_width)
+    return CoarseDensity(values=values, times=times.copy(),
+                         cell_width=kernel.cell_width)
 
 
 def unit_spike(num_cells: int, injection_cell: int) -> np.ndarray:
@@ -227,8 +210,9 @@ def unit_spike(num_cells: int, injection_cell: int) -> np.ndarray:
     return c0
 
 
-def model_btc(solution: NonlocalSolution, locations) -> list[BreakthroughCurve]:
-    """Time traces of the cells owning each location, excluding t = 0."""
+def model_btc(solution: CoarseDensity, locations) -> list[BreakthroughCurve]:
+    """Time traces of the cells owning each location, excluding t = 0: for
+    a model's solve, the rows ``coarsen.extract_btc`` reads from the data."""
     return cell_traces(solution.values, solution.times, solution.cell_width,
                        locations)
 
@@ -243,7 +227,7 @@ class ModelMoments:
     msd: np.ndarray
 
 
-def solution_moments(solution: NonlocalSolution) -> ModelMoments:
+def solution_moments(solution: CoarseDensity) -> ModelMoments:
     """Mass, mean position and variance of the cell profile over time."""
     x = solution.cell_centers[:, None]
     mass = solution.values.sum(axis=0)

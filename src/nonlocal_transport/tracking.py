@@ -37,7 +37,8 @@ INJECTION_BATCH = 8192
 
 @dataclass(frozen=True)
 class TrackingConfig:
-    """Ensemble size, injection cell and recording cadence for one run."""
+    """Ensemble size, injection cell and recording cadence for one run;
+    ``inject`` holds the injection cell to the medium's cells."""
 
     injection_cell: int
     num_particles: int
@@ -46,8 +47,6 @@ class TrackingConfig:
     rng_seed: int
 
     def __post_init__(self) -> None:
-        if self.injection_cell < 1:
-            raise ConfigurationError("injection_cell is 1-based and must be >= 1")
         if self.num_particles < 1:
             raise ConfigurationError("num_particles must be >= 1")
         if not self.dt > 0:

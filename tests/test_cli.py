@@ -16,9 +16,12 @@ import pytest
 import yaml
 
 import nonlocal_transport
-from nonlocal_transport import cli, darcy, experiment, tracking, workers
+from nonlocal_transport import cli, darcy, errors, experiment, tracking, workers
 from nonlocal_transport.config import SCHEMA_ID, load_config
-from nonlocal_transport.errors import ConfigurationError, NumericalError
+from nonlocal_transport.errors import (
+    ArtifactError, ConfigurationError, InjectionError, NumericalError,
+    SolverError,
+)
 from test_tracking import running
 
 
@@ -904,6 +907,24 @@ def test_numerical_failure_exits_3(pipeline, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_generate", boom)
     assert cli.main(["generate", "--config", str(path)]) == 3
     assert "synthetic instability" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, code", [
+    (ConfigurationError, 2), (NumericalError, 3), (SolverError, 3),
+    (InjectionError, 3), (ArtifactError, 4)])
+def test_each_domain_error_exits_with_its_code(error, code, tmp_path,
+                                               monkeypatch, capsys):
+    assert errors.EXIT_CODES == {ConfigurationError: 2, NumericalError: 3,
+                                 ArtifactError: 4}
+    path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+
+    def failing(cfg):
+        with experiment._stage("probe"):
+            raise error("synthetic failure")
+
+    monkeypatch.setattr(cli, "run_report", failing)
+    assert cli.main(["report", "--config", str(path)]) == code
+    assert "stage 'probe' failed: synthetic failure" in capsys.readouterr().err
 
 
 def test_overflowing_kernel_exits_3(pipeline, tmp_path, capsys):

@@ -16,11 +16,15 @@ from nonlocal_transport.coarsen import (
     shift_frame,
     write_table,
 )
+from nonlocal_transport.baselines import solve_classical
 from nonlocal_transport.darcy import solve_medium, solve_unit_cell
 from nonlocal_transport.errors import (
     ArtifactError, ConfigurationError, NumericalError,
 )
 from nonlocal_transport.medium import MediumSpec, build_conductivity
+from nonlocal_transport.nonlocal_diffusion import (
+    model_btc, solution_moments, unit_spike,
+)
 from nonlocal_transport.tracking import (
     TrackingConfig,
     displacement_stats,
@@ -105,7 +109,7 @@ def test_upscale_matches_brute_force():
         coarse = coarse_from_ensemble(ens, spec, m)
         np.testing.assert_allclose(coarse.values, brute_force_upscale(ens, spec, m),
                                    rtol=1e-13, atol=1e-15)
-        assert coarse.smoothing_cells == m
+        np.testing.assert_array_equal(coarse.times, ens.snapshot_times)
         assert np.all(coarse.values >= 0)
 
 
@@ -272,15 +276,14 @@ def test_extract_btc_traces_owning_cell():
     spec = medium(num_cells=4)
     times = np.arange(5) * 0.5           # 0, 0.5, ..., 2.0
     values = np.arange(20, dtype=float).reshape(4, 5)
-    coarse = CoarseDensity(values=values, smoothing_cells=1,
-                           snapshot_times=times, cell_width=spec.cell_width)
+    coarse = CoarseDensity(values=values, times=times, cell_width=spec.cell_width)
     (curve,) = extract_btc(coarse, [1.5 * spec.cell_width])
     np.testing.assert_array_equal(curve.times, times[1:])   # t = 0 dropped
     np.testing.assert_array_equal(curve.values, values[1, 1:])
     assert len(curve.times) == 4
 
-    zero_cell = CoarseDensity(values=np.zeros((4, 5)), smoothing_cells=1,
-                              snapshot_times=times, cell_width=spec.cell_width)
+    zero_cell = CoarseDensity(values=np.zeros((4, 5)), times=times,
+                              cell_width=spec.cell_width)
     (flat,) = extract_btc(zero_cell, [0.2])
     np.testing.assert_array_equal(flat.values, 0.0)
 
@@ -350,6 +353,27 @@ def test_shift_frame_identity_at_zero_speed():
     assert same.values.tobytes() == coarse.values.tobytes()
 
 
+def test_data_and_model_share_one_coarse_density():
+    # the particle data and a model's solve are one type: either reader of
+    # curves, and the moments, take either
+    spec = medium(num_cells=8)
+    data = coarse_from_ensemble(synthetic_ensemble(spec, seed=3), spec, 3)
+    solved = solve_classical(0.05, unit_spike(8, 3), np.arange(6) * 0.5,
+                             spec.cell_width)
+    assert isinstance(solved, CoarseDensity)
+    locations = [0.5 * spec.cell_width, 4.2 * spec.cell_width]
+    for coarse in (data, solved):
+        for extracted, modelled in zip(extract_btc(coarse, locations),
+                                       model_btc(coarse, locations),
+                                       strict=True):
+            assert extracted.location == modelled.location
+            np.testing.assert_array_equal(extracted.times, modelled.times)
+            np.testing.assert_array_equal(extracted.values, modelled.values)
+        moments = solution_moments(coarse)
+        np.testing.assert_array_equal(moments.times, coarse.times)
+        np.testing.assert_array_equal(moments.mass, coarse.values.sum(axis=0))
+
+
 def test_shift_frame_undoes_whole_cell_translation():
     # profile translating by exactly one cell per snapshot: the shifted frame
     # sees a stationary profile, with no interpolation error at all
@@ -357,8 +381,7 @@ def test_shift_frame_undoes_whole_cell_translation():
     times = np.arange(4) * 1.0
     base = np.array([0.0, 0.0, 1.0, 3.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     values = np.stack([np.roll(base, j) for j in range(4)], axis=1)
-    coarse = CoarseDensity(values=values, smoothing_cells=1,
-                           snapshot_times=times, cell_width=width)
+    coarse = CoarseDensity(values=values, times=times, cell_width=width)
     shifted = shift_frame(coarse, v_bar=width / 1.0)
     for j in range(4):
         np.testing.assert_array_equal(shifted.values[:, j], base)
@@ -371,8 +394,7 @@ def test_shift_frame_mass_preserved_for_interior_support():
     values = np.empty((40, 5))
     for j, t in enumerate(times):
         values[:, j] = np.exp(-((centers - (6.0 + 0.37 * t)) / 0.8) ** 2)
-    coarse = CoarseDensity(values=values, smoothing_cells=1,
-                           snapshot_times=times, cell_width=width)
+    coarse = CoarseDensity(values=values, times=times, cell_width=width)
     shifted = shift_frame(coarse, v_bar=0.37)
     mass_before = coarse.values.sum(axis=0)
     mass_after = shifted.values.sum(axis=0)

@@ -849,8 +849,12 @@ def test_slope_helpers():
 
 
 def test_tracking_config_validation():
-    with pytest.raises(ConfigurationError):
-        TrackingConfig(injection_cell=0, num_particles=10, dt=0.1, t_end=1.0, rng_seed=0)
+    # the injection cell is held to the medium's cells where they are known
+    zero = TrackingConfig(injection_cell=0, num_particles=10, dt=0.1, t_end=1.0,
+                          rng_seed=0)
+    with pytest.raises(ConfigurationError,
+                       match=r"^tracking injection cell 0 outside 1\.\.2$"):
+        inject(uniform_flow(), zero, num_cells=2)
     with pytest.raises(ConfigurationError):
         TrackingConfig(injection_cell=1, num_particles=0, dt=0.1, t_end=1.0, rng_seed=0)
     with pytest.raises(ConfigurationError):
