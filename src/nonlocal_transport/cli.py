@@ -9,7 +9,8 @@ Subcommands::
     nltrans sweep    --config experiment.yaml
 
 Exit codes: 0 success, else ``errors.EXIT_CODES``: 2 configuration error,
-3 numerical failure, 4 missing artifact or one built from other settings.
+3 numerical failure, 4 missing or malformed artifact or one built from other
+settings.
 """
 
 from __future__ import annotations

@@ -223,17 +223,13 @@ def load_btc_dataset(path) -> tuple[list[BreakthroughCurve], dict]:
     for row in read_table(path):
         by_location.setdefault(float(row["location"]), []).append(
             (float(row["t"]), float(row["value"])))
-    curves = []
-    for loc in sorted(by_location):
-        samples = sorted(by_location[loc])
-        curves.append(BreakthroughCurve(
-            location=loc,
-            times=np.array([s[0] for s in samples]),
-            values=np.array([s[1] for s in samples]),
-        ))
+    # each location's (t, value) samples in time order, as two arrays
+    curves = [BreakthroughCurve(loc, *map(np.array, zip(*sorted(samples))))
+              for loc, samples in sorted(by_location.items())]
     sidecar = path.with_suffix(path.suffix + ".json")
     if not sidecar.exists():
         raise ArtifactError(f"missing dataset sidecar {sidecar}")
-    with open(sidecar) as fh:
-        metadata = json.load(fh)
-    return curves, metadata
+    try:
+        return curves, json.loads(sidecar.read_text())
+    except ValueError as exc:
+        raise ValueError(f"sidecar {sidecar.name}: {exc}") from exc

@@ -213,7 +213,7 @@ class ExperimentConfig:
     record_dt: float
     t_end: float
     window_cells: int
-    train_locations: tuple
+    train_locations: tuple  # sorted floats, as are test_locations
     test_locations: tuple
     frame_speed: str
     tt: float
@@ -224,7 +224,7 @@ class ExperimentConfig:
     gradient_tolerance: float
     history: int
     model_injection_cell: int
-    mlp: dict
+    mlp: dict  # epochs, hidden_layers, width: int; learning_rate: float
     sweep_tt_values: tuple = ()
     sweep_models: tuple = ()
     sweep_max_workers: int = 1
@@ -263,8 +263,6 @@ class ExperimentConfig:
 
 
 def _apply_overrides(data: dict, overrides: dict) -> dict:
-    if not overrides:
-        return data
     unknown = set(overrides) - {"seed", "tt", "model", "out"}
     if unknown:
         raise ConfigurationError(f"unknown overrides: {sorted(unknown)}")
@@ -294,12 +292,14 @@ def _check_consistency(cfg: ExperimentConfig) -> None:
     if not _whole_steps(cfg.tt, cfg.record_dt):
         raise ConfigurationError(
             "tt must be a positive integer number of recording steps")
-    probe_cells(cfg.train_locations + cfg.test_locations,
-                cfg.medium.cell_width, num_cells)
+    probes = cfg.train_locations + cfg.test_locations
+    probe_cells(probes, cfg.medium.cell_width, num_cells)
     overlap = set(cfg.train_locations) & set(cfg.test_locations)
-    if overlap:
-        raise ConfigurationError(
-            f"locations {sorted(overlap)} are both training and test probes")
+    repeated = {x for x in probes if probes.count(x) > 1}
+    for bad, what in ((overlap, "both training and test probes"),
+                      (repeated, "listed twice")):
+        if bad:
+            raise ConfigurationError(f"locations {sorted(bad)} are {what}")
     check_horizon(cfg.horizon_cells, num_cells)
     for tt in cfg.sweep_tt_values:
         if not 0.0 < tt < cfg.t_end:
@@ -350,9 +350,7 @@ def build_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
         head_left=float(med["head_left"]),
         inclusion_fraction=float(med.get("inclusion_fraction", 1.0)),
     )
-    learn = data["learning"]
-    mlp = dict(_MLP_DEFAULTS)
-    mlp.update(learn.get("mlp", {}))
+    coarse, learn = data["coarse"], data["learning"]
     sweep = data.get("sweep", {})
     cfg = ExperimentConfig(
         seed=int(data["seed"]),
@@ -364,12 +362,10 @@ def build_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
         injection_cell=int(data["tracking"]["injection_cell"]),
         record_dt=float(data["tracking"]["dt"]),
         t_end=float(data["tracking"]["t_end"]),
-        window_cells=int(data["coarse"]["window_cells"]),
-        train_locations=tuple(float(x)
-                              for x in data["coarse"]["train_locations"]),
-        test_locations=tuple(float(x)
-                             for x in data["coarse"]["test_locations"]),
-        frame_speed=data["coarse"].get("frame_speed", "measured"),
+        window_cells=int(coarse["window_cells"]),
+        train_locations=tuple(sorted(map(float, coarse["train_locations"]))),
+        test_locations=tuple(sorted(map(float, coarse["test_locations"]))),
+        frame_speed=coarse.get("frame_speed", "measured"),
         tt=float(learn["tt"]),
         beta=float(learn.get("beta", 100.0)),
         horizon_cells=int(learn.get("horizon_cells", 4)),
@@ -379,7 +375,8 @@ def build_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
         history=int(learn.get("history", 10)),
         model_injection_cell=int(learn.get(
             "injection_cell", data["tracking"]["injection_cell"])),
-        mlp=mlp,
+        mlp={key: type(default)(learn.get("mlp", {}).get(key, default))
+             for key, default in _MLP_DEFAULTS.items()},
         sweep_tt_values=tuple(float(v) for v in sweep.get("tt_values", ())),
         sweep_models=tuple(sweep.get("models", ())),
         sweep_max_workers=int(sweep.get("max_workers", 1)),

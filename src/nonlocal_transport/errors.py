@@ -18,10 +18,11 @@ class InjectionError(NumericalError):
 
 
 class ArtifactError(FileNotFoundError):
-    """A required input artifact (dataset, fit result) is missing or was
-    built from other settings than the config."""
+    """A required input artifact (dataset, fit result) is missing, cannot
+    be parsed, or was built from other settings than the config."""
 
 
 #: The CLI's exit code for each domain error and its subclasses:
-#: configuration problems, numerical failures, missing or mismatched inputs.
+#: configuration problems, numerical failures, missing, malformed or
+#: mismatched inputs.
 EXIT_CODES = {ConfigurationError: 2, NumericalError: 3, ArtifactError: 4}

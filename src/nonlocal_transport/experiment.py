@@ -61,6 +61,20 @@ def _write_json(path: Path, cfg: ExperimentConfig, record: dict) -> None:
     write_json(path, {"provenance": cfg.provenance(), **record})
 
 
+def _read(path: Path, command: str, parse):
+    """``parse(path)`` for an artifact that ``command`` writes; a missing
+    file, or one ``parse`` cannot parse, raises ArtifactError naming both."""
+    if not path.exists():
+        raise ArtifactError(
+            f"missing {path}; run the '{command}' command first")
+    try:
+        return parse(path)
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ArtifactError(
+            f"cannot parse {path} ({type(exc).__name__}: {exc}); run the "
+            f"'{command}' command again") from exc
+
+
 # --- generate -------------------------------------------------------------
 
 
@@ -144,13 +158,11 @@ def run_generate(cfg: ExperimentConfig) -> Path:
 
         btc_dir = out / "btc"
         btc_dir.mkdir(exist_ok=True)
-        train_sorted = sorted(cfg.train_locations)
-        by_location = {c.location: c for c in curves}
-        for k, loc in enumerate(train_sorted, start=1):
-            curve = by_location[float(loc)]
+        train = [c for c in curves if c.location in cfg.train_locations]
+        for k, curve in enumerate(train, start=1):
             _write_csv(btc_dir / f"train_btc_{k}.csv", cfg, ["t", "value"],
                        zip(curve.times, curve.values),
-                       [f"# location = {float(loc)!r}"])
+                       [f"# location = {curve.location!r}"])
     return out
 
 
@@ -167,8 +179,8 @@ def _dataset_settings(cfg: ExperimentConfig) -> dict:
         "record_dt": cfg.record_dt,
         "t_end": cfg.t_end,
         "smoothing_cells": cfg.window_cells,
-        "train_locations": [float(x) for x in sorted(cfg.train_locations)],
-        "test_locations": [float(x) for x in sorted(cfg.test_locations)],
+        "train_locations": list(cfg.train_locations),
+        "test_locations": list(cfg.test_locations),
     }
 
 
@@ -189,10 +201,7 @@ def _dataset_curves(cfg: ExperimentConfig, dataset_dir, locations,
     compared exactly with what its sidecar records.
     """
     path = Path(dataset_dir or cfg.output_dir) / "dataset.csv"
-    if not path.exists():
-        raise ArtifactError(
-            f"dataset not found: {path}; run the 'generate' command first")
-    curves, metadata = load_btc_dataset(path)
+    curves, metadata = _read(path, "generate", load_btc_dataset)
     recorded = {**metadata,
                 "seed": metadata.get("provenance", {}).get("seed"),
                 "frame_speed": metadata.get("frame", {}).get("choice")}
@@ -204,7 +213,7 @@ def _dataset_curves(cfg: ExperimentConfig, dataset_dir, locations,
             "than the config; run the 'generate' command again")
     by_location = {c.location: c for c in curves}
     selected = []
-    for x in sorted(locations):
+    for x in locations:
         curve = by_location.get(x)
         if curve is None or len(curve.times) < n_steps:
             raise ArtifactError(
@@ -235,12 +244,9 @@ def run_learn(cfg: ExperimentConfig, dataset_dir=None, models=None) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     train = _dataset_curves(cfg, dataset_dir, cfg.train_locations,
                             cfg.n_train_steps)
-    training_block = {
-        "tt": cfg.tt,
-        "n_samples_per_curve": cfg.n_train_steps,
-        "train_locations": [c.location for c in train],
-        "dataset_sha256": _dataset_key(cfg)[1],
-    }
+    training_block = {"tt": cfg.tt, "n_samples_per_curve": cfg.n_train_steps,
+                      "train_locations": list(cfg.train_locations),
+                      "dataset_sha256": _dataset_key(cfg)[1]}
     fits = {}
 
     def fitted(model):
@@ -262,16 +268,10 @@ def run_learn(cfg: ExperimentConfig, dataset_dir=None, models=None) -> Path:
     for model in models:
         with _stage(f"learn[{model}]"):
             if model == "mlp":
-                net = train_surrogate(
-                    train, epochs=int(cfg.mlp["epochs"]),
-                    learning_rate=float(cfg.mlp["learning_rate"]),
-                    seed=cfg.seed,
-                    hidden_layers=int(cfg.mlp["hidden_layers"]),
-                    width=int(cfg.mlp["width"]))
-                record = {**net.record(),
-                          "training": {**training_block,
-                                       "epochs": int(cfg.mlp["epochs"]),
-                                       "seed": cfg.seed}}
+                net = train_surrogate(train, seed=cfg.seed, **cfg.mlp)
+                record = {**net.record(), "training": {
+                    **training_block, "epochs": cfg.mlp["epochs"],
+                    "seed": cfg.seed}}
             else:
                 record = {**fitted(model).to_json(),
                           "training": training_block}
@@ -296,22 +296,24 @@ def run_learn_split(cfg: ExperimentConfig) -> Path:
 # --- predict --------------------------------------------------------------
 
 
-def _load_fit(cfg: ExperimentConfig, model: str) -> dict:
+def _load_fit(cfg: ExperimentConfig, model: str, pick=dict) -> dict:
+    """``pick`` of ``model``'s fit record, which must be fitted on ``cfg``'s
+    training window of its dataset."""
     path = cfg.output_dir / f"fit_{model}.json"
-    if not path.exists():
-        raise ArtifactError(
-            f"missing fit for model '{model}': {path}; "
-            "run the 'learn' command first")
-    with open(path) as fh:
-        record = json.load(fh)
     expected = {"tt": cfg.tt, "dataset_sha256": _dataset_key(cfg)[1],
-                "train_locations": [float(x) for x in sorted(cfg.train_locations)]}
-    differ = [k for k, v in expected.items() if record["training"].get(k) != v]
+                "train_locations": list(cfg.train_locations)}
+
+    def parse(path):
+        record = json.loads(path.read_text())
+        return pick(record), [k for k, v in expected.items()
+                              if record["training"].get(k) != v]
+
+    picked, differ = _read(path, "learn", parse)
     if differ:
         raise ArtifactError(
             f"{path} was fitted with another {', '.join(differ)} than the "
             "config; run the 'learn' command again")
-    return record
+    return picked
 
 
 def _predict_curves(cfg: ExperimentConfig, model: str, record: dict,
@@ -319,8 +321,8 @@ def _predict_curves(cfg: ExperimentConfig, model: str, record: dict,
     if model == "mlp":
         net = SurrogateNet.from_record(record)
         curves = [BreakthroughCurve(
-            location=float(x), times=times[1:].copy(),
-            values=surrogate_eval(net, float(x), times[1:]))
+            location=x, times=times[1:].copy(),
+            values=surrogate_eval(net, x, times[1:]))
             for x in locations]
         return curves, None
     params = record["parameters"]
@@ -344,7 +346,6 @@ def run_predict(cfg: ExperimentConfig, dataset_dir=None) -> Path:
                            cfg.n_record_steps)
     times = np.arange(cfg.n_record_steps + 1) * cfg.record_dt
 
-    train_set = {float(x) for x in cfg.train_locations}
     mse_rows = []
     for model in cfg.models:
         with _stage(f"predict[{model}]"):
@@ -374,7 +375,7 @@ def run_predict(cfg: ExperimentConfig, dataset_dir=None) -> Path:
                                      ("test", ~in_train)):
                     mse_rows.append((
                         model, reference.location, window,
-                        "train" if reference.location in train_set
+                        "train" if reference.location in cfg.train_locations
                         else "held-out",
                         int(mask.sum()), float(residual_sq[mask].mean())))
 
@@ -397,13 +398,7 @@ def run_report(cfg: ExperimentConfig) -> Path:
     """Summarize fits, misfit tables and MSD behavior into report.json."""
     out = cfg.output_dir
     mse_path = out / "mse_table.csv"
-    if not mse_path.exists():
-        raise ArtifactError(
-            f"missing {mse_path}; run the 'predict' command first")
-    mse_nested = {}
-    for row in read_table(mse_path):
-        mse_nested.setdefault(row["model"], {}).setdefault(
-            row["location"], {})[row["window"]] = float(row["mse"])
+    mse_nested = _read(mse_path, "predict", _mse_by_model)
 
     def held_out_mse(model, x):
         try:
@@ -414,22 +409,18 @@ def run_report(cfg: ExperimentConfig) -> Path:
                 f"{x!r}, window 'test'; run the 'predict' command "
                 "again") from None
 
-    msd_block = {}
-    for name, path in [("fine", out / "msd_fine.csv"),
-                       *((m, out / f"msd_model_{m}.csv") for m in cfg.models)]:
-        if path.exists():
-            series = read_table(path)
-            msd_block[f"{name}_slope_loglog"] = log_log_slope_or_none(
-                np.array([float(r["t"]) for r in series]),
-                np.array([float(r["msd"]) for r in series]))
+    msd_files = {"fine": (out / "msd_fine.csv", "generate"), **{
+        m: (out / f"msd_model_{m}.csv", "predict") for m in cfg.models}}
+    msd_block = {f"{name}_slope_loglog": _read(path, command, _msd_slope)
+                 for name, (path, command) in msd_files.items()
+                 if path.exists()}
 
-    held_out = sorted(float(x) for x in cfg.test_locations)
     lo, hi = min(cfg.train_locations), max(cfg.train_locations)
     comparisons = {}
     for rival in ("classical", "fractal", "mlp"):
         if "nonlocal" in cfg.models and rival in cfg.models:
             wins = {x: held_out_mse("nonlocal", x) < held_out_mse(rival, x)
-                    for x in held_out}
+                    for x in cfg.test_locations}
             inside = {x: w for x, w in wins.items() if lo <= x <= hi}
             comparisons[f"nonlocal_beats_{rival}_test_mse"] = {
                 **_tally(wins), "inside": _tally(inside),
@@ -438,20 +429,8 @@ def run_report(cfg: ExperimentConfig) -> Path:
 
     # the fits are read after every compared row and before the table's
     # scored line: a missing row is named first, then a stale fit's dataset
-    fitted = {}
-    for model in cfg.models:
-        record = _load_fit(cfg, model)
-        if model == "mlp":
-            fitted[model] = {"model": "mlp",
-                             "normalization": record["normalization"],
-                             "fit_file": f"fit_{model}.json"}
-        else:
-            fitted[model] = {**record["parameters"],
-                             "loss": record["loss"],
-                             "misfit": record["misfit"],
-                             "penalty": record["penalty"],
-                             "converged": record["converged"],
-                             "fit_file": f"fit_{model}.json"}
+    fitted = {m: {**_load_fit(cfg, m, _fit_summary),
+                  "fit_file": f"fit_{m}.json"} for m in cfg.models}
     if _scored_line(cfg) not in mse_path.read_text().splitlines():
         raise ArtifactError(
             f"{mse_path} scored fits of another dataset or training window "
@@ -467,8 +446,8 @@ def run_report(cfg: ExperimentConfig) -> Path:
         "comparisons": comparisons,
         "unconverged_fits": [m for m in sorted(fitted)
                              if fitted[m].get("converged") is False],
-        "train_locations": [float(x) for x in sorted(cfg.train_locations)],
-        "test_locations": held_out,
+        "train_locations": cfg.train_locations,
+        "test_locations": cfg.test_locations,
         "tt": cfg.tt,
         "files": files,
     })
@@ -483,9 +462,29 @@ def _tally(wins: dict) -> dict:
             "majority": sum(wins.values()) > len(wins) / 2 if wins else None}
 
 
-def log_log_slope_or_none(times, values):
+def _fit_summary(record: dict) -> dict:
+    """What report.json keeps of a fit record."""
+    if record["model"] == "mlp":
+        return {"model": "mlp", "normalization": record["normalization"]}
+    return {**record["parameters"], **{key: record[key] for key in (
+        "loss", "misfit", "penalty", "converged")}}
+
+
+def _mse_by_model(path: Path) -> dict:
+    """``mse_table.csv`` as {model: {location: {window: mse}}}."""
+    nested = {}
+    for row in read_table(path):
+        nested.setdefault(row["model"], {}).setdefault(
+            row["location"], {})[row["window"]] = float(row["mse"])
+    return nested
+
+
+def _msd_slope(path: Path):
+    """An MSD series' log-log slope, or None where it has none."""
+    rows = read_table(path)
+    t, msd = (np.array([float(r[key]) for r in rows]) for key in ("t", "msd"))
     try:
-        return float(log_log_slope(times, values))
+        return float(log_log_slope(t, msd))
     except ConfigurationError:
         return None
 
@@ -501,16 +500,21 @@ def _sweep_job(cfg: ExperimentConfig, dataset_dir: Path) -> Path:
 def run_sweep(cfg: ExperimentConfig) -> Path:
     """Learn+predict over the (tt, model) grid, one subdirectory per job,
     the jobs on ``sweep.max_workers`` slots of :func:`workers.run_tasks`, each
-    with its config built from ``cfg.raw`` before any job runs."""
+    with its config built from ``cfg.raw`` and its subdirectory checked to
+    be its own before any job runs."""
     if not cfg.sweep_tt_values or not cfg.sweep_models:
         raise ConfigurationError(
             "sweep requires a 'sweep' config section with tt_values and models")
     dataset_dir = cfg.output_dir
-    _dataset_curves(cfg, dataset_dir, cfg.all_locations, cfg.n_record_steps)
     jobs = [build_config(copy.deepcopy(cfg.raw), {
         "tt": tt, "model": model,
         "out": str(dataset_dir / "sweep" / f"tt{tt:g}_{model}")})
         for tt in cfg.sweep_tt_values for model in cfg.sweep_models]
+    dirs = [str(job.output_dir) for job in jobs]
+    shared = sorted({d for d in dirs if dirs.count(d) > 1})
+    if shared:
+        raise ConfigurationError(f"sweep jobs share directories {shared}")
+    _dataset_curves(cfg, dataset_dir, cfg.all_locations, cfg.n_record_steps)
     run_tasks([partial(_sweep_job, job, dataset_dir) for job in jobs],
               cfg.sweep_max_workers,
               lambda i: f"sweep job {jobs[i].output_dir.name}")

@@ -944,3 +944,112 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         cli.main(["evaporate", "--config", "x.yaml"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("role, locations", [
+    ("train_locations", [1.7, 1.7, 2.0]), ("test_locations", [2.6, 2.6])])
+def test_a_probe_listed_twice_exits_2_at_load(tmp_path, capsys, role,
+                                              locations):
+    data = tiny_config(tmp_path / "out")
+    data["coarse"][role] = locations
+    path = write_config(tmp_path, data)
+    assert cli.main(["generate", "--config", str(path)]) == 2
+    repeated = locations[0]
+    assert f"locations [{repeated}] are listed twice" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sweep, job", [
+    ({"tt_values": [2.0, 2.0], "models": ["classical"]}, "tt2_classical"),
+    ({"tt_values": [1.0], "models": ["classical", "classical"]},
+     "tt1_classical")])
+def test_sweep_jobs_sharing_a_directory_exit_2_before_any_job(
+        pipeline, tmp_path, monkeypatch, capsys, sweep, job):
+    _, out = pipeline
+    target = tmp_path / "shared"
+    fresh_dataset(out, target)
+    data = tiny_config(target)
+    data["sweep"] = {**sweep, "max_workers": 2}
+    started = []
+    monkeypatch.setattr(experiment, "run_tasks",
+                        lambda *args: started.append(args))
+    assert cli.main(["sweep", "--config",
+                     str(write_config(tmp_path, data))]) == 2
+    assert str(target / "sweep" / job) in capsys.readouterr().err
+    assert started == []
+    assert not (target / "sweep").exists()
+
+
+def truncated(path):
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2])
+
+
+def without_training(path):
+    record = json.loads(path.read_text())
+    del record["training"]
+    path.write_text(json.dumps(record))
+
+
+def non_numeric(column):
+    """A corruption of a table: ``column`` of its first row reads ``abc``."""
+    def corrupt(path):
+        lines = path.read_text().splitlines(keepends=True)
+        header = next(i for i, line in enumerate(lines)
+                      if not line.startswith("#"))
+        row = lines[header + 1].rstrip("\n").split(",")
+        row[lines[header].rstrip("\n").split(",").index(column)] = "abc"
+        lines[header + 1] = ",".join(row) + "\n"
+        path.write_text("".join(lines))
+    return corrupt
+
+
+@pytest.mark.parametrize("name, corrupt, command, writer", [
+    pytest.param("fit_nonlocal.json", truncated, "predict", "learn",
+                 id="truncated-fit"),
+    pytest.param("fit_nonlocal.json", without_training, "predict", "learn",
+                 id="fit-without-training"),
+    pytest.param("fit_mlp.json", without_training, "report", "learn",
+                 id="mlp-fit-without-training"),
+    pytest.param("dataset.csv.json", lambda path: path.write_text("{"),
+                 "learn", "generate", id="open-brace-sidecar"),
+    pytest.param("mse_table.csv", non_numeric("mse"), "report", "predict",
+                 id="non-numeric-mse"),
+    pytest.param("msd_fine.csv", non_numeric("msd"), "report", "generate",
+                 id="non-numeric-fine-msd"),
+    pytest.param("msd_model_classical.csv", non_numeric("t"), "report",
+                 "predict", id="non-numeric-model-msd-time"),
+])
+def test_a_malformed_artifact_exits_4_naming_it(pipeline, tmp_path, capsys,
+                                                name, corrupt, command,
+                                                writer):
+    path, out = pipeline
+    target = tmp_path / "malformed"
+    shutil.copytree(out, target)
+    corrupt(target / name)
+    assert cli.main([command, "--config", str(path),
+                     "--out", str(target)]) == 4
+    err = capsys.readouterr().err
+    assert name in err and f"run the '{writer}' command" in err
+
+
+@pytest.mark.parametrize("choice", ["homogenized", "zero"])
+def test_generate_in_the_homogenized_and_the_fixed_frame(pipeline, tmp_path,
+                                                         capsys, choice):
+    out = tmp_path / choice
+    data = tiny_config(out)
+    data["coarse"]["frame_speed"] = choice
+    assert cli.main(["generate", "--config",
+                     str(write_config(tmp_path, data))]) == 0
+    frame = json.loads((out / "dataset.csv.json").read_text())["frame"]
+    expected = frame["v_bar_homogenized"] if choice == "homogenized" else 0.0
+    assert frame["choice"] == choice and frame["v_bar_used"] == expected
+    advection = json.loads((out / "effective_advection.json").read_text())
+    assert advection["frame_choice"] == choice
+    assert advection["v_bar_used"] == expected
+    assert advection["v_bar_rescaled"] == frame["v_bar_homogenized"] > 0
+    # the pipeline's config differs only in the frame choice
+    measured, _ = pipeline
+    assert cli.main(["learn", "--config", str(measured),
+                     "--out", str(out)]) == 4
+    assert "frame_speed" in capsys.readouterr().err

@@ -274,3 +274,22 @@ def test_config_and_library_say_one_message_per_rule(tmp_path, updates,
     with pytest.raises(ConfigurationError) as from_library:
         library_call()
     assert str(from_library.value) == str(from_config.value)
+
+
+def test_probes_are_sorted_floats_and_mlp_settings_typed(tmp_path):
+    data = variant(**{"coarse.train_locations": [4, 3.0],
+                      "coarse.test_locations": [5.5, 5],
+                      "learning.mlp": {"epochs": 10.0, "learning_rate": 1,
+                                       "width": 2.0}})
+    cfg = load_config(write_config(tmp_path, data))
+    assert cfg.train_locations == (3.0, 4.0)
+    assert cfg.test_locations == (5.0, 5.5)
+    assert cfg.mlp == {"epochs": 10, "learning_rate": 1.0,
+                       "hidden_layers": 3, "width": 2}
+    assert [type(v) for v in (*cfg.train_locations, *cfg.test_locations)] \
+        == [float] * 4
+    assert {k: type(v) for k, v in cfg.mlp.items()} == {
+        "epochs": int, "learning_rate": float, "hidden_layers": int,
+        "width": int}
+    # the hash is of the mapping as written
+    assert cfg.raw["coarse"]["train_locations"] == [4, 3.0]
