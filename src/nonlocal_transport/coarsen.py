@@ -186,11 +186,15 @@ def write_table(path, header, rows, comments=()) -> None:
         writer.writerows(rows)
 
 
-def read_table(path) -> list[dict]:
-    """Rows of a table written by :func:`write_table`, comment lines skipped."""
+def read_table(path, comments=None) -> list[dict]:
+    """Rows of a table written by :func:`write_table`; its comment lines go
+    into the list ``comments`` if one is given."""
     with open(path, newline="") as fh:
-        return list(csv.DictReader(line for line in fh
-                                   if not line.startswith("#")))
+        lines = fh.readlines()
+    if comments is not None:
+        comments += [line for line in lines if line.startswith("#")]
+    return list(csv.DictReader(line for line in lines
+                               if not line.startswith("#")))
 
 
 def write_json(path, record: dict) -> None:
@@ -230,6 +234,9 @@ def load_btc_dataset(path) -> tuple[list[BreakthroughCurve], dict]:
     if not sidecar.exists():
         raise ArtifactError(f"missing dataset sidecar {sidecar}")
     try:
-        return curves, json.loads(sidecar.read_text())
+        metadata = json.loads(sidecar.read_text())
     except ValueError as exc:
         raise ValueError(f"sidecar {sidecar.name}: {exc}") from exc
+    if not isinstance(metadata, dict):
+        raise ValueError(f"sidecar {sidecar.name} holds no JSON object")
+    return curves, metadata

@@ -295,11 +295,12 @@ def _check_consistency(cfg: ExperimentConfig) -> None:
     probes = cfg.train_locations + cfg.test_locations
     probe_cells(probes, cfg.medium.cell_width, num_cells)
     overlap = set(cfg.train_locations) & set(cfg.test_locations)
-    repeated = {x for x in probes if probes.count(x) > 1}
-    for bad, what in ((overlap, "both training and test probes"),
-                      (repeated, "listed twice")):
+    for bad, what in (
+            (overlap, "locations {} are both training and test probes"),
+            (_repeated(probes), "locations {} are listed twice"),
+            (_repeated(cfg.models), "learning.models {} are listed twice")):
         if bad:
-            raise ConfigurationError(f"locations {sorted(bad)} are {what}")
+            raise ConfigurationError(what.format(sorted(bad)))
     check_horizon(cfg.horizon_cells, num_cells)
     for tt in cfg.sweep_tt_values:
         if not 0.0 < tt < cfg.t_end:
@@ -307,6 +308,11 @@ def _check_consistency(cfg: ExperimentConfig) -> None:
         if not _whole_steps(tt, cfg.record_dt):
             raise ConfigurationError(
                 f"sweep tt={tt} is not a whole number of recording steps")
+
+
+def _repeated(values) -> set:
+    """The values listed more than once in ``values``."""
+    return {v for v in values if values.count(v) > 1}
 
 
 def _whole_steps(t: float, dt: float) -> bool:

@@ -61,18 +61,34 @@ def _write_json(path: Path, cfg: ExperimentConfig, record: dict) -> None:
     write_json(path, {"provenance": cfg.provenance(), **record})
 
 
-def _read(path: Path, command: str, parse):
+def _read(path: Path, command: str, parse, key=None):
     """``parse(path)`` for an artifact that ``command`` writes; a missing
-    file, or one ``parse`` cannot parse, raises ArtifactError naming both."""
+    file, one ``parse`` cannot parse, or one whose recorded key (given
+    ``key``, ``parse``'s second value) is not ``key`` raises ArtifactError."""
     if not path.exists():
         raise ArtifactError(
             f"missing {path}; run the '{command}' command first")
     try:
-        return parse(path)
+        parsed = parse(path)
+    except ArtifactError as exc:   # a file that ``path`` comes with is missing
+        raise ArtifactError(
+            f"{exc}; run the '{command}' command first") from exc
     except (LookupError, TypeError, ValueError) as exc:
         raise ArtifactError(
             f"cannot parse {path} ({type(exc).__name__}: {exc}); run the "
             f"'{command}' command again") from exc
+    if key is not None:
+        parsed, recorded = parsed
+        _check_key(path, command, recorded, key)
+    return parsed
+
+
+def _check_key(path: Path, command: str, recorded: dict, key: dict) -> None:
+    """ArtifactError naming each entry of ``key`` that ``recorded`` lacks."""
+    differ = ", ".join(name for name in key if recorded.get(name) != key[name])
+    if differ:
+        raise ArtifactError(f"{path} was built from another {differ} than the "
+                            f"config; run the '{command}' command again")
 
 
 # --- generate -------------------------------------------------------------
@@ -195,34 +211,37 @@ def _dataset_key(cfg: ExperimentConfig) -> tuple[dict, str]:
 
 def _dataset_curves(cfg: ExperimentConfig, dataset_dir, locations,
                     n_steps: int) -> list[BreakthroughCurve]:
-    """The dataset's first ``n_steps`` samples at ``locations``, in order.
-
-    The dataset must come from ``cfg``'s settings, seed and frame choice,
-    compared exactly with what its sidecar records.
-    """
+    """The dataset's first ``n_steps`` samples at ``locations``, in order;
+    the dataset must record ``cfg``'s :func:`_dataset_key`, and the samples
+    lie on the time grid ``k * record_dt``, k = 1..n_steps."""
     path = Path(dataset_dir or cfg.output_dir) / "dataset.csv"
-    curves, metadata = _read(path, "generate", load_btc_dataset)
-    recorded = {**metadata,
-                "seed": metadata.get("provenance", {}).get("seed"),
-                "frame_speed": metadata.get("frame", {}).get("choice")}
-    expected, _ = _dataset_key(cfg)
-    differ = [key for key in expected if recorded.get(key) != expected[key]]
-    if differ:
-        raise ArtifactError(
-            f"dataset {path} was generated with another {', '.join(differ)} "
-            "than the config; run the 'generate' command again")
+
+    def parse(path):
+        curves, metadata = load_btc_dataset(path)
+        return curves, {**metadata, "seed": metadata["provenance"]["seed"],
+                        "frame_speed": metadata["frame"]["choice"]}
+
+    curves = _read(path, "generate", parse, _dataset_key(cfg)[0])
     by_location = {c.location: c for c in curves}
+    grid = np.arange(1, n_steps + 1) * cfg.record_dt
     selected = []
     for x in locations:
         curve = by_location.get(x)
-        if curve is None or len(curve.times) < n_steps:
+        times = grid[:0] if curve is None else curve.times[:n_steps]
+        if len(times) < n_steps or not np.allclose(
+                times, grid, rtol=0.0, atol=1e-9 * cfg.record_dt):
             raise ArtifactError(
                 f"dataset {path} has no {n_steps}-sample curve at location "
-                f"{x!r}; run the 'generate' command again")
-        selected.append(BreakthroughCurve(location=x,
-                                          times=curve.times[:n_steps],
-                                          values=curve.values[:n_steps]))
+                f"{x!r} on the config's time grid; run the 'generate' command again")
+        selected.append(BreakthroughCurve(x, times, curve.values[:n_steps]))
     return selected
+
+
+def _fit_key(cfg: ExperimentConfig) -> dict:
+    """A fit's ``training`` block: the window and dataset it is fitted on."""
+    return {"tt": cfg.tt, "n_samples_per_curve": cfg.n_train_steps,
+            "train_locations": list(cfg.train_locations),
+            "dataset_sha256": _dataset_key(cfg)[1]}
 
 
 def run_learn(cfg: ExperimentConfig, dataset_dir=None, models=None) -> Path:
@@ -244,9 +263,6 @@ def run_learn(cfg: ExperimentConfig, dataset_dir=None, models=None) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     train = _dataset_curves(cfg, dataset_dir, cfg.train_locations,
                             cfg.n_train_steps)
-    training_block = {"tt": cfg.tt, "n_samples_per_curve": cfg.n_train_steps,
-                      "train_locations": list(cfg.train_locations),
-                      "dataset_sha256": _dataset_key(cfg)[1]}
     fits = {}
 
     def fitted(model):
@@ -269,12 +285,10 @@ def run_learn(cfg: ExperimentConfig, dataset_dir=None, models=None) -> Path:
         with _stage(f"learn[{model}]"):
             if model == "mlp":
                 net = train_surrogate(train, seed=cfg.seed, **cfg.mlp)
-                record = {**net.record(), "training": {
-                    **training_block, "epochs": cfg.mlp["epochs"],
-                    "seed": cfg.seed}}
+                record = {**net.record(), "training": {**_fit_key(cfg),
+                          "epochs": cfg.mlp["epochs"], "seed": cfg.seed}}
             else:
-                record = {**fitted(model).to_json(),
-                          "training": training_block}
+                record = {**fitted(model).to_json(), "training": _fit_key(cfg)}
             _write_json(out / f"fit_{model}.json", cfg, record)
     return out
 
@@ -296,45 +310,46 @@ def run_learn_split(cfg: ExperimentConfig) -> Path:
 # --- predict --------------------------------------------------------------
 
 
-def _load_fit(cfg: ExperimentConfig, model: str, pick=dict) -> dict:
-    """``pick`` of ``model``'s fit record, which must be fitted on ``cfg``'s
-    training window of its dataset."""
-    path = cfg.output_dir / f"fit_{model}.json"
-    expected = {"tt": cfg.tt, "dataset_sha256": _dataset_key(cfg)[1],
-                "train_locations": list(cfg.train_locations)}
-
+def _load_fit(cfg: ExperimentConfig, model: str, pick):
+    """``pick`` of ``model``'s fit record, which must record ``cfg``'s
+    :func:`_fit_key`."""
     def parse(path):
         record = json.loads(path.read_text())
-        return pick(record), [k for k, v in expected.items()
-                              if record["training"].get(k) != v]
+        return pick(record), {**record["training"]}   # TypeError unless a dict
 
-    picked, differ = _read(path, "learn", parse)
-    if differ:
-        raise ArtifactError(
-            f"{path} was fitted with another {', '.join(differ)} than the "
-            "config; run the 'learn' command again")
-    return picked
+    return _read(cfg.output_dir / f"fit_{model}.json", "learn", parse,
+                 _fit_key(cfg))
 
 
-def _predict_curves(cfg: ExperimentConfig, model: str, record: dict,
-                    times: np.ndarray, locations):
+def _fitted_model(model: str, record: dict):
+    """What :func:`_predict_curves` runs for ``model``'s fit record: the
+    MLP's net, the nonlocal kernel, or the fractal ``(D_bar, q)`` or
+    classical ``D0_bar``."""
     if model == "mlp":
-        net = SurrogateNet.from_record(record)
+        return SurrogateNet.from_record(record)
+    params = record["parameters"]
+    if model == "nonlocal":
+        return DynamicKernel.from_record(params)
+    if model == "fractal":
+        return float(params["D_bar"]), float(params["q"])
+    return float(params["D0_bar"])
+
+
+def _predict_curves(cfg: ExperimentConfig, model: str, fitted, times,
+                    locations):
+    if model == "mlp":
         curves = [BreakthroughCurve(
             location=x, times=times[1:].copy(),
-            values=surrogate_eval(net, x, times[1:]))
+            values=surrogate_eval(fitted, x, times[1:]))
             for x in locations]
         return curves, None
-    params = record["parameters"]
     c0 = unit_spike(cfg.medium.num_cells, cfg.model_injection_cell)
     if model == "nonlocal":
-        solution = solve(DynamicKernel.from_record(params), c0, times)
+        solution = solve(fitted, c0, times)
     elif model == "fractal":
-        solution = solve_fractal(float(params["D_bar"]), float(params["q"]),
-                                 c0, times, cfg.medium.cell_width)
+        solution = solve_fractal(*fitted, c0, times, cfg.medium.cell_width)
     else:
-        solution = solve_classical(float(params["D0_bar"]), c0, times,
-                                   cfg.medium.cell_width)
+        solution = solve_classical(fitted, c0, times, cfg.medium.cell_width)
     return model_btc(solution, list(locations)), solution
 
 
@@ -349,9 +364,9 @@ def run_predict(cfg: ExperimentConfig, dataset_dir=None) -> Path:
     mse_rows = []
     for model in cfg.models:
         with _stage(f"predict[{model}]"):
-            record = _load_fit(cfg, model)
+            fitted = _load_fit(cfg, model, partial(_fitted_model, model))
             predictions, solution = _predict_curves(
-                cfg, model, record, times, [c.location for c in data])
+                cfg, model, fitted, times, [c.location for c in data])
             _write_csv(
                 out / f"predictions_{model}.csv", cfg,
                 ["location", "t", "value"],
@@ -364,10 +379,6 @@ def run_predict(cfg: ExperimentConfig, dataset_dir=None) -> Path:
                            zip(moments.times, moments.mass, moments.mean_x,
                                moments.msd))
             for reference, predicted in zip(data, predictions):
-                if not np.allclose(reference.times, predicted.times,
-                                   rtol=0.0, atol=1e-9 * cfg.record_dt):
-                    raise NumericalError(
-                        "prediction and data time grids diverged")
                 residual_sq = (predicted.values - reference.values) ** 2
                 # the first n_train_steps samples, as learn takes them
                 in_train = np.arange(len(reference.times)) < cfg.n_train_steps
@@ -382,13 +393,14 @@ def run_predict(cfg: ExperimentConfig, dataset_dir=None) -> Path:
     mse_rows.sort(key=lambda r: (r[0], r[1], r[2]))
     _write_csv(out / "mse_table.csv", cfg,
                ["model", "location", "window", "location_role",
-                "n_samples", "mse"], mse_rows, [_scored_line(cfg)])
+                "n_samples", "mse"], mse_rows, ["# scored fits: " + " ".join(
+                    f"{name}={value}" for name, value in _scored_key(cfg).items())])
     return out
 
 
-def _scored_line(cfg: ExperimentConfig) -> str:
-    """``mse_table.csv``'s line naming the dataset and window of its fits."""
-    return f"# scored fits: dataset_sha256={_dataset_key(cfg)[1]} tt={cfg.tt!r}"
+def _scored_key(cfg: ExperimentConfig) -> dict:
+    """``mse_table.csv``'s second line: the dataset and window of its fits."""
+    return {"dataset_sha256": _dataset_key(cfg)[1], "tt": repr(cfg.tt)}
 
 
 # --- report ---------------------------------------------------------------
@@ -398,7 +410,7 @@ def run_report(cfg: ExperimentConfig) -> Path:
     """Summarize fits, misfit tables and MSD behavior into report.json."""
     out = cfg.output_dir
     mse_path = out / "mse_table.csv"
-    mse_nested = _read(mse_path, "predict", _mse_by_model)
+    mse_nested, scored = _read(mse_path, "predict", _mse_by_model)
 
     def held_out_mse(model, x):
         try:
@@ -428,13 +440,10 @@ def run_report(cfg: ExperimentConfig) -> Path:
                                   if x not in inside})}
 
     # the fits are read after every compared row and before the table's
-    # scored line: a missing row is named first, then a stale fit's dataset
+    # key: a missing row is named first, then a stale fit, then the table
     fitted = {m: {**_load_fit(cfg, m, _fit_summary),
                   "fit_file": f"fit_{m}.json"} for m in cfg.models}
-    if _scored_line(cfg) not in mse_path.read_text().splitlines():
-        raise ArtifactError(
-            f"{mse_path} scored fits of another dataset or training window "
-            "than the config; run the 'predict' command again")
+    _check_key(mse_path, "predict", scored, _scored_key(cfg))
 
     files = sorted(str(p.relative_to(out))
                    for p in out.rglob("*") if p.is_file()
@@ -470,13 +479,15 @@ def _fit_summary(record: dict) -> dict:
         "loss", "misfit", "penalty", "converged")}}
 
 
-def _mse_by_model(path: Path) -> dict:
-    """``mse_table.csv`` as {model: {location: {window: mse}}}."""
-    nested = {}
-    for row in read_table(path):
+def _mse_by_model(path: Path) -> tuple[dict, dict]:
+    """``mse_table.csv`` as {model: {location: {window: mse}}}, and the
+    :func:`_scored_key` its second line records."""
+    comments, nested = [], {}
+    for row in read_table(path, comments):
         nested.setdefault(row["model"], {}).setdefault(
             row["location"], {})[row["window"]] = float(row["mse"])
-    return nested
+    pairs = comments[1].partition(": ")[2].split()
+    return nested, dict(pair.split("=", 1) for pair in pairs)
 
 
 def _msd_slope(path: Path):

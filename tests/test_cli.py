@@ -959,6 +959,15 @@ def test_a_probe_listed_twice_exits_2_at_load(tmp_path, capsys, role,
     assert not (tmp_path / "out").exists()
 
 
+def test_a_model_listed_twice_exits_2_at_load(tmp_path, capsys):
+    data = tiny_config(tmp_path / "out")
+    data["learning"]["models"] = ["classical", "mlp", "classical"]
+    path = write_config(tmp_path, data)
+    assert cli.main(["generate", "--config", str(path)]) == 2
+    assert "models ['classical'] are listed twice" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("sweep, job", [
     ({"tt_values": [2.0, 2.0], "models": ["classical"]}, "tt2_classical"),
     ({"tt_values": [1.0], "models": ["classical", "classical"]},
@@ -1004,6 +1013,27 @@ def non_numeric(column):
     return corrupt
 
 
+def edited_fit(change):
+    """A corruption of a fit record: ``change`` applied to its dict."""
+    def corrupt(path):
+        record = json.loads(path.read_text())
+        change(record)
+        path.write_text(json.dumps(record))
+    return corrupt
+
+
+def off_the_time_grid(path):
+    """A corruption of ``dataset.csv``: every ``t`` scaled by 1.001."""
+    lines = path.read_text().splitlines(keepends=True)
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    column = lines[header].rstrip("\n").split(",").index("t")
+    for i in range(header + 1, len(lines)):
+        row = lines[i].rstrip("\n").split(",")
+        row[column] = repr(float(row[column]) * 1.001)
+        lines[i] = ",".join(row) + "\n"
+    path.write_text("".join(lines))
+
+
 @pytest.mark.parametrize("name, corrupt, command, writer", [
     pytest.param("fit_nonlocal.json", truncated, "predict", "learn",
                  id="truncated-fit"),
@@ -1019,6 +1049,20 @@ def non_numeric(column):
                  id="non-numeric-fine-msd"),
     pytest.param("msd_model_classical.csv", non_numeric("t"), "report",
                  "predict", id="non-numeric-model-msd-time"),
+    pytest.param("fit_classical.json",
+                 edited_fit(lambda record: record.pop("parameters")),
+                 "predict", "learn", id="fit-without-parameters"),
+    pytest.param("dataset.csv.json", lambda path: path.write_text("[]"),
+                 "learn", "generate", id="list-sidecar"),
+    pytest.param("dataset.csv.json", Path.unlink, "learn", "generate",
+                 id="missing-sidecar"),
+    pytest.param("fit_nonlocal.json", edited_fit(lambda record: record.update(
+        training=list(record["training"]))), "predict", "learn",
+                 id="fit-with-a-list-for-training"),
+    pytest.param("dataset.csv", off_the_time_grid, "learn", "generate",
+                 id="dataset-off-the-time-grid-then-learn"),
+    pytest.param("dataset.csv", off_the_time_grid, "predict", "generate",
+                 id="dataset-off-the-time-grid-then-predict"),
 ])
 def test_a_malformed_artifact_exits_4_naming_it(pipeline, tmp_path, capsys,
                                                 name, corrupt, command,
