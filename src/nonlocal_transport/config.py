@@ -237,7 +237,7 @@ class ExperimentConfig:
 
     @property
     def n_record_steps(self) -> int:
-        return int(round(self.t_end / self.record_dt))
+        return len(self.tracking_config().snapshot_times) - 1
 
     @property
     def n_train_steps(self) -> int:

@@ -205,15 +205,21 @@ def _dataset_key(cfg: ExperimentConfig) -> tuple[dict, str]:
     its canonical JSON's sha256, each fit's ``training.dataset_sha256``."""
     key = {**_dataset_settings(cfg), "seed": cfg.seed,
            "frame_speed": cfg.frame_speed}
-    canonical = json.dumps(key, sort_keys=True, separators=(",", ":"))
-    return key, hashlib.sha256(canonical.encode()).hexdigest()
+    return key, _sha256(key)
+
+
+def _sha256(value) -> str:
+    """The sha256 of ``value``'s canonical JSON."""
+    canonical = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def _dataset_curves(cfg: ExperimentConfig, dataset_dir, locations,
                     n_steps: int) -> list[BreakthroughCurve]:
     """The dataset's first ``n_steps`` samples at ``locations``, in order;
     the dataset must record ``cfg``'s :func:`_dataset_key`, and the samples
-    lie on the time grid ``k * record_dt``, k = 1..n_steps."""
+    lie on the first ``n_steps`` instants after t = 0 of the recording grid,
+    ``TrackingConfig.snapshot_times``."""
     path = Path(dataset_dir or cfg.output_dir) / "dataset.csv"
 
     def parse(path):
@@ -223,7 +229,7 @@ def _dataset_curves(cfg: ExperimentConfig, dataset_dir, locations,
 
     curves = _read(path, "generate", parse, _dataset_key(cfg)[0])
     by_location = {c.location: c for c in curves}
-    grid = np.arange(1, n_steps + 1) * cfg.record_dt
+    grid = cfg.tracking_config().snapshot_times[1:n_steps + 1]
     selected = []
     for x in locations:
         curve = by_location.get(x)
@@ -237,11 +243,27 @@ def _dataset_curves(cfg: ExperimentConfig, dataset_dir, locations,
     return selected
 
 
-def _fit_key(cfg: ExperimentConfig) -> dict:
-    """A fit's ``training`` block: the window and dataset it is fitted on."""
+def _fit_settings(cfg: ExperimentConfig, model: str) -> dict:
+    """The keywords :func:`run_learn` fits ``model`` with, besides the
+    curves: ``train_surrogate``'s for the MLP, else ``LearningProblem``'s."""
+    if model == "mlp":
+        return {"seed": cfg.seed, **cfg.mlp}
+    return dict(beta=cfg.beta, model=model, horizon_cells=cfg.horizon_cells,
+                cell_width=cfg.medium.cell_width,
+                num_cells=cfg.medium.num_cells,
+                injection_cell=cfg.model_injection_cell, dt=cfg.record_dt,
+                n_steps=cfg.n_train_steps, history=cfg.history,
+                max_iterations=cfg.max_iterations,
+                gradient_tolerance=cfg.gradient_tolerance)
+
+
+def _fit_key(cfg: ExperimentConfig, model: str) -> dict:
+    """A fit's ``training`` block: the window and dataset it is fitted on,
+    and the hash of its :func:`_fit_settings`."""
     return {"tt": cfg.tt, "n_samples_per_curve": cfg.n_train_steps,
             "train_locations": list(cfg.train_locations),
-            "dataset_sha256": _dataset_key(cfg)[1]}
+            "dataset_sha256": _dataset_key(cfg)[1],
+            "settings_sha256": _sha256(_fit_settings(cfg, model))}
 
 
 def run_learn(cfg: ExperimentConfig, dataset_dir=None, models=None) -> Path:
@@ -267,15 +289,8 @@ def run_learn(cfg: ExperimentConfig, dataset_dir=None, models=None) -> Path:
 
     def fitted(model):
         if model not in fits:
-            problem = LearningProblem(
-                curves=tuple(train), beta=cfg.beta, model=model,
-                horizon_cells=cfg.horizon_cells,
-                cell_width=cfg.medium.cell_width,
-                num_cells=cfg.medium.num_cells,
-                injection_cell=cfg.model_injection_cell,
-                dt=cfg.record_dt, n_steps=cfg.n_train_steps,
-                history=cfg.history, max_iterations=cfg.max_iterations,
-                gradient_tolerance=cfg.gradient_tolerance)
+            problem = LearningProblem(curves=tuple(train),
+                                      **_fit_settings(cfg, model))
             start = (warm_start_raw(problem, fitted("classical"))
                      if model == "nonlocal" else None)
             fits[model] = fit(problem, start)
@@ -284,11 +299,12 @@ def run_learn(cfg: ExperimentConfig, dataset_dir=None, models=None) -> Path:
     for model in models:
         with _stage(f"learn[{model}]"):
             if model == "mlp":
-                net = train_surrogate(train, seed=cfg.seed, **cfg.mlp)
-                record = {**net.record(), "training": {**_fit_key(cfg),
+                net = train_surrogate(train, **_fit_settings(cfg, model))
+                record = {**net.record(), "training": {**_fit_key(cfg, model),
                           "epochs": cfg.mlp["epochs"], "seed": cfg.seed}}
             else:
-                record = {**fitted(model).to_json(), "training": _fit_key(cfg)}
+                record = {**fitted(model).to_json(),
+                          "training": _fit_key(cfg, model)}
             _write_json(out / f"fit_{model}.json", cfg, record)
     return out
 
@@ -312,44 +328,37 @@ def run_learn_split(cfg: ExperimentConfig) -> Path:
 
 def _load_fit(cfg: ExperimentConfig, model: str, pick):
     """``pick`` of ``model``'s fit record, which must record ``cfg``'s
-    :func:`_fit_key`."""
+    :func:`_fit_key` for ``model``."""
     def parse(path):
         record = json.loads(path.read_text())
         return pick(record), {**record["training"]}   # TypeError unless a dict
 
     return _read(cfg.output_dir / f"fit_{model}.json", "learn", parse,
-                 _fit_key(cfg))
+                 _fit_key(cfg, model))
 
 
-def _fitted_model(model: str, record: dict):
-    """What :func:`_predict_curves` runs for ``model``'s fit record: the
-    MLP's net, the nonlocal kernel, or the fractal ``(D_bar, q)`` or
-    classical ``D0_bar``."""
+def _fitted_model(cfg: ExperimentConfig, model: str, record: dict):
+    """The call :func:`_predict_curves` makes for ``model``'s fit record:
+    the MLP's net, or the PDE solve ``fitted(c0, times)`` with the fitted
+    kernel, fractal ``(D_bar, q)`` or classical ``D0_bar`` bound."""
     if model == "mlp":
         return SurrogateNet.from_record(record)
-    params = record["parameters"]
+    params, width = record["parameters"], cfg.medium.cell_width
     if model == "nonlocal":
-        return DynamicKernel.from_record(params)
+        return partial(solve, DynamicKernel.from_record(params))
     if model == "fractal":
-        return float(params["D_bar"]), float(params["q"])
-    return float(params["D0_bar"])
+        return partial(solve_fractal, float(params["D_bar"]),
+                       float(params["q"]), cell_width=width)
+    return partial(solve_classical, float(params["D0_bar"]), cell_width=width)
 
 
-def _predict_curves(cfg: ExperimentConfig, model: str, fitted, times,
-                    locations):
-    if model == "mlp":
-        curves = [BreakthroughCurve(
-            location=x, times=times[1:].copy(),
-            values=surrogate_eval(fitted, x, times[1:]))
-            for x in locations]
-        return curves, None
-    c0 = unit_spike(cfg.medium.num_cells, cfg.model_injection_cell)
-    if model == "nonlocal":
-        solution = solve(fitted, c0, times)
-    elif model == "fractal":
-        solution = solve_fractal(*fitted, c0, times, cfg.medium.cell_width)
-    else:
-        solution = solve_classical(fitted, c0, times, cfg.medium.cell_width)
+def _predict_curves(cfg: ExperimentConfig, fitted, times, locations):
+    if isinstance(fitted, SurrogateNet):
+        return [BreakthroughCurve(x, times[1:].copy(),
+                                  surrogate_eval(fitted, x, times[1:]))
+                for x in locations], None
+    solution = fitted(unit_spike(cfg.medium.num_cells,
+                                 cfg.model_injection_cell), times)
     return model_btc(solution, list(locations)), solution
 
 
@@ -359,14 +368,14 @@ def run_predict(cfg: ExperimentConfig, dataset_dir=None) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     data = _dataset_curves(cfg, dataset_dir, cfg.all_locations,
                            cfg.n_record_steps)
-    times = np.arange(cfg.n_record_steps + 1) * cfg.record_dt
+    times = cfg.tracking_config().snapshot_times
 
     mse_rows = []
     for model in cfg.models:
         with _stage(f"predict[{model}]"):
-            fitted = _load_fit(cfg, model, partial(_fitted_model, model))
+            fitted = _load_fit(cfg, model, partial(_fitted_model, cfg, model))
             predictions, solution = _predict_curves(
-                cfg, model, fitted, times, [c.location for c in data])
+                cfg, fitted, times, [c.location for c in data])
             _write_csv(
                 out / f"predictions_{model}.csv", cfg,
                 ["location", "t", "value"],
@@ -399,8 +408,12 @@ def run_predict(cfg: ExperimentConfig, dataset_dir=None) -> Path:
 
 
 def _scored_key(cfg: ExperimentConfig) -> dict:
-    """``mse_table.csv``'s second line: the dataset and window of its fits."""
-    return {"dataset_sha256": _dataset_key(cfg)[1], "tt": repr(cfg.tt)}
+    """``mse_table.csv``'s second line: the dataset, the settings of every
+    configured model and the window of its fits."""
+    return {"dataset_sha256": _dataset_key(cfg)[1],
+            "settings_sha256": _sha256(
+                {m: _fit_settings(cfg, m) for m in cfg.models}),
+            "tt": repr(cfg.tt)}
 
 
 # --- report ---------------------------------------------------------------

@@ -370,20 +370,25 @@ def test_09_surrogate_overfits_training_window(desk_run):
           f"(need >= 2x at >= 1 location)")
 
 
-def test_10_rerun_reproduces_csv_outputs_byte_for_byte(desk_run):
+def test_10_rerun_reproduces_outputs_byte_for_byte(desk_run):
     start = time.perf_counter()
     out = desk_run.out
-    csv_files = sorted(p for p in out.rglob("*.csv")
-                       if "sweep" not in p.parts)
-    before = {p: p.read_bytes() for p in csv_files}
-    for command in ("generate", "learn", "predict"):
+
+    def artifacts():
+        """Every file under the desk output but the sweep's, by path."""
+        return {p: p.read_bytes() for p in out.rglob("*")
+                if p.is_file() and "sweep" not in p.parts}
+
+    before = artifacts()
+    for command in ("generate", "learn", "predict", "report"):
         assert cli.main([command, "--config", str(DESK_CONFIG),
                          "--out", str(out)]) == 0
-    mismatched = [p.name for p, blob in before.items()
-                  if p.read_bytes() != blob]
+    after = artifacts()
+    mismatched = sorted(str(p.relative_to(out)) for p in before.keys()
+                        | after.keys() if before.get(p) != after.get(p))
     elapsed = time.perf_counter() - start
     ok = not mismatched
     check("determinism", ok,
-          f"{len(before)} CSV files byte-identical after rerun"
+          f"{len(before)} CSV and JSON files byte-identical after rerun"
           + (f"; mismatched: {mismatched}" if mismatched else "")
           + f" [{elapsed:.1f}s]")

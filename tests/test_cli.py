@@ -12,15 +12,21 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import nonlocal_transport
 from nonlocal_transport import cli, darcy, errors, experiment, tracking, workers
+from nonlocal_transport.baselines import solve_classical
+from nonlocal_transport.coarsen import read_table
 from nonlocal_transport.config import SCHEMA_ID, load_config
 from nonlocal_transport.errors import (
     ArtifactError, ConfigurationError, InjectionError, NumericalError,
     SolverError,
+)
+from nonlocal_transport.nonlocal_diffusion import (
+    DynamicKernel, model_btc, solve, unit_spike,
 )
 from test_tracking import running
 
@@ -120,6 +126,39 @@ def test_predict_outputs(pipeline):
     assert not (out / "msd_model_mlp.csv").exists()
 
 
+def test_predictions_sample_the_recorded_instants(pipeline):
+    _, out = pipeline
+    recorded = [(r["location"], r["t"])
+                for r in read_table(out / "dataset.csv")]
+    for model in ("nonlocal", "classical", "mlp"):
+        rows = read_table(out / f"predictions_{model}.csv")
+        assert [(r["location"], r["t"]) for r in rows] == recorded, model
+    fine = [r["t"] for r in read_table(out / "msd_fine.csv")]
+    for model in ("nonlocal", "classical"):
+        rows = read_table(out / f"msd_model_{model}.csv")
+        assert [r["t"] for r in rows] == fine, model
+
+
+def test_predictions_equal_the_library_solve(pipeline):
+    path, out = pipeline
+    cfg = load_config(path)
+    times = np.array([float(r["t"]) for r in read_table(out / "msd_fine.csv")])
+    c0 = unit_spike(cfg.medium.num_cells, cfg.model_injection_cell)
+    params = {m: json.loads((out / f"fit_{m}.json").read_text())["parameters"]
+              for m in ("nonlocal", "classical")}
+    solutions = {
+        "nonlocal": solve(DynamicKernel.from_record(params["nonlocal"]), c0,
+                          times),
+        "classical": solve_classical(float(params["classical"]["D0_bar"]),
+                                     c0, times, cfg.medium.cell_width)}
+    for model, solution in solutions.items():
+        expected = np.concatenate([
+            c.values for c in model_btc(solution, list(cfg.all_locations))])
+        written = [float(r["value"])
+                   for r in read_table(out / f"predictions_{model}.csv")]
+        np.testing.assert_array_equal(written, expected, err_msg=model)
+
+
 def test_report_outputs(pipeline):
     _, out = pipeline
     report = json.loads((out / "report.json").read_text())
@@ -146,13 +185,19 @@ def test_sweep_outputs(pipeline):
     path, out = pipeline
     assert cli.main(["sweep", "--config", str(path)]) == 0
     scored = (out / "mse_table.csv").read_text().splitlines()[1]
+    settings = experiment._scored_key(load_config(path))["settings_sha256"]
+    assert f" settings_sha256={settings} " in scored
     for tt, job in ((1.0, "tt1_classical"), (2.0, "tt2_classical")):
         job_dir = out / "sweep" / job
         assert (job_dir / "fit_classical.json").exists()
-        # each job's table names the fits it scored: its own window, the
-        # pipeline's dataset
+        # each job's table names the fits it scored: its own window and
+        # learning settings, the pipeline's dataset
         table = (job_dir / "mse_table.csv").read_text().splitlines()
-        assert table[1] == scored.replace(" tt=2.0", f" tt={tt!r}")
+        own = experiment._scored_key(load_config(
+            path, {"tt": tt, "model": "classical"}))["settings_sha256"]
+        assert own != settings
+        assert table[1] == scored.replace(" tt=2.0", f" tt={tt!r}").replace(
+            settings, own)
     record = json.loads(
         (out / "sweep" / "tt1_classical" / "fit_classical.json").read_text())
     assert record["training"]["tt"] == 1.0
@@ -867,6 +912,46 @@ def test_report_on_a_table_of_other_fits_exits_4(pipeline, tmp_path,
     assert (target / "report.json").read_bytes() == before
     assert cli.main(["predict", *args]) == 0
     assert cli.main(["report", *args]) == 0
+
+
+@pytest.mark.parametrize("changes, stale", [
+    ({"horizon_cells": 2, "beta": 0.0, "mlp": {"epochs": 10}},
+     "fit_nonlocal.json"),
+    ({"horizon_cells": 2}, "fit_nonlocal.json"),
+    ({"mlp": {"epochs": 10}}, "fit_mlp.json"),
+], ids=["horizon-beta-and-epochs", "horizon", "epochs"])
+def test_fits_of_other_learning_settings_exit_4(pipeline, tmp_path, capsys,
+                                                changes, stale):
+    _, out = pipeline
+    target = tmp_path / "stale_settings"
+    shutil.copytree(out, target)
+    before = (target / "mse_table.csv").read_bytes()
+    data = tiny_config(target)
+    data["learning"].update(changes)
+    path = write_config(tmp_path, data)
+    for command in ("predict", "report"):
+        assert cli.main([command, "--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert stale in err and "settings_sha256" in err and "'learn'" in err
+    assert (target / "mse_table.csv").read_bytes() == before
+
+
+def test_report_on_a_table_of_other_learning_settings_exits_4(
+        pipeline, tmp_path, capsys):
+    # the MLP is retrained with fewer epochs, the table is not rescored
+    _, out = pipeline
+    target = tmp_path / "stale_table_settings"
+    shutil.copytree(out, target)
+    data = tiny_config(target)
+    data["learning"]["mlp"]["epochs"] = 10
+    path = write_config(tmp_path, data)
+    assert cli.main(["learn", "--config", str(path), "--model", "mlp"]) == 0
+    assert cli.main(["report", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert "mse_table.csv" in err and "settings_sha256" in err
+    assert "'predict'" in err
+    assert cli.main(["predict", "--config", str(path)]) == 0
+    assert cli.main(["report", "--config", str(path)]) == 0
 
 
 def test_provenance_json_holds_the_provenance_once(pipeline):
