@@ -153,13 +153,14 @@ class BandedLapack:
         return 0, n_steps
 
     def gbtrs_steps(self, factors: np.ndarray, pivots: np.ndarray,
-                    rhs: np.ndarray):
+                    rhs: np.ndarray, transpose: bool = False):
         """A function of ``step`` that solves ``rhs[step].T`` in place and
         returns LAPACK's ``info``; it keeps its arrays alive in ``arrays``.
 
         ``factors`` and ``pivots`` are as :meth:`gbsv_chain` left them;
         ``rhs`` is (n_steps, k, N), so each ``rhs[step].T`` is a
         Fortran-ordered (N, k) block of right-hand sides for that step.
+        With ``transpose`` it solves with the transposed step matrix.
         """
         n_steps, n, nd = _check_band(factors)
         _check("pivots", pivots, self.int_dtype, (n_steps, n))
@@ -170,7 +171,7 @@ class BandedLapack:
         held, (n_, kl, ku, nrhs, ldab, ldb, info_at) = self._integers(
             n, nd, nd, rhs.shape[1], 3 * nd + 1, n, 0)
         info = held[-1]
-        trans = ctypes.c_char(b"N")
+        trans = ctypes.c_char(b"T" if transpose else b"N")
         trans_at = ctypes.addressof(trans)
         gbtrs, lengths = self._gbtrs, self._lengths
         ab, ab_step = factors.ctypes.data, factors.strides[0]

@@ -11,10 +11,10 @@ a softplus map so the optimizer works on unconstrained variables.  The time
 exponent of the power-law baseline is parameterized as ``softplus(s) - 1``,
 which keeps the early-time singularity integrable by construction.
 
-Gradients are exact: tangents of the concentration field with respect to
-every raw parameter are propagated through the same banded implicit time
-stepper that produces the field itself, so the only error against a finite
-difference oracle is floating-point roundoff.
+Gradients are exact: one adjoint field is swept backward through the
+transposed steps of the same banded implicit stepper that produces the
+concentration field, on that march's LU factors, so the only error against
+a finite difference oracle is floating-point roundoff.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ from .nonlocal_diffusion import (
 )
 
 PDE_MODELS = ("nonlocal", "fractal", "classical")
-# Steps whose tangent right-hand-side terms are formed at once: enough to
-# amortize the whole-array calls, few enough to keep the terms in cache and
-# their memory independent of the number of steps.
-_TANGENT_BLOCK = 64
+# Steps whose exchange differences the adjoint gradient forms at once:
+# enough to amortize the whole-array calls, few enough to keep them in cache
+# and their memory independent of the number of steps.
+_GRADIENT_BLOCK = 64
 
 
 def softplus(z):
@@ -186,7 +186,7 @@ def initial_raw(problem: LearningProblem) -> np.ndarray:
     return raw
 
 
-# --- forward model and tangents ------------------------------------------
+# --- forward model and adjoint -------------------------------------------
 
 
 def _march(problem: LearningProblem, phi, p):
@@ -204,56 +204,14 @@ def _march(problem: LearningProblem, phi, p):
                  unit_spike(n, problem.injection_cell))
 
 
-def _forward(problem: LearningProblem, phi, p, d_phi=None, d_p=None,
-             marched=None):
-    """The modelled curves and, when Jacobians are given, their tangents.
+def _forward(problem: LearningProblem, phi, p, marched=None):
+    """The modelled curve matrix, (n_curves, n_steps).
 
-    Returns (btc, btc_tangent): the modelled curve matrix with shape
-    (n_curves, n_steps) and, if requested, its derivative with respect to
-    each raw parameter with shape (n_curves, n_steps, n_par).  ``marched``
-    is the state pass at (phi, p), marched here if omitted; the tangents
-    reuse its factors, one solve per step.
+    ``marched`` is the state pass at (phi, p), marched here if omitted.
     """
-    states, factors, pivots = (_march(problem, phi, p) if marched is None
-                               else marched)
-    probes = problem.probe_cells
+    states = (_march(problem, phi, p) if marched is None else marched)[0]
     # C order, since the order in which np.sum adds follows the layout
-    btc = np.ascontiguousarray(states[:, probes].T)
-    if d_phi is None:
-        return btc, None
-
-    nd = problem.horizon_cells
-    dt = problem.dt
-    n_par = d_phi.shape[1]
-    theta, d_theta = theta_schedule(p, problem.time_grid)
-    rate = d_theta[:, None] * d_p
-    # tangents[n].T is the (N, n_par) Fortran-ordered tangent block of
-    # step n + 1, solved in place on the factors of that step
-    tangents = np.empty((problem.n_steps, n_par, problem.num_cells))
-    solve_step = banded_lapack().gbtrs_steps(factors, pivots, tangents)
-    previous = np.zeros((n_par, problem.num_cells))
-    # (I - dt*theta*A) cdot_{n+1} = cdot_n + dt*(theta_dot*A + theta*A_dot) c_{n+1}
-    # with A c = diffs @ phi and A_dot c = diffs @ d_phi, a block of steps at
-    # once, laid out (steps, n_par, N) like the tangents
-    for start in range(0, problem.n_steps, _TANGENT_BLOCK):
-        block = slice(start, start + _TANGENT_BLOCK)
-        diffs = exchange_differences(states[block], nd)
-        y_terms = np.multiply((diffs @ d_phi).transpose(0, 2, 1),
-                              (dt * theta[block])[:, None, None], order="C")
-        x_terms = rate[block, :, None] * (diffs @ phi)[:, None, :]
-        x_terms *= dt
-        for step, current, x, y in zip(range(start, problem.n_steps),
-                                       tangents[block], x_terms, y_terms):
-            np.add(previous, x, out=current)
-            current += y
-            if solve_step(step) != 0:
-                raise SolverError("implicit tangent solve failed")
-            previous = current
-    # C order, as for btc
-    btc_tan = np.ascontiguousarray(tangents[:, :, probes].transpose(2, 0, 1))
-    if not np.isfinite(btc_tan).all():
-        raise SolverError("implicit step produced non-finite tangents")
-    return btc, btc_tan
+    return np.ascontiguousarray(states[:, problem.probe_cells].T)
 
 
 def _penalty_terms(problem, phi, d_phi=None):
@@ -272,19 +230,49 @@ def evaluate_loss(problem: LearningProblem, raw,
     ``marched`` is the state pass at ``raw`` if already marched.
     """
     phi, p, _, _ = _map_parameters(problem, raw)
-    btc, _ = _forward(problem, phi, p, marched=marched)
+    btc = _forward(problem, phi, p, marched)
     misfit = float(np.sum((btc - problem.targets) ** 2))
     penalty, _ = _penalty_terms(problem, phi)
     return misfit + problem.beta * penalty, misfit, penalty
 
 
 def loss_and_gradient(problem: LearningProblem, raw, marched=None):
-    """Return (loss, gradient); ``marched`` as for :func:`evaluate_loss`."""
+    """Return (loss, gradient); ``marched`` as for :func:`evaluate_loss`.
+
+    Step n solves (I - dt*theta_n*A) c_{n+1} = c_n.  The adjoint solves
+    (I - dt*theta_n*A)^T mu_n = g_n + mu_{n+1}, g_n the misfit's derivative
+    in c_{n+1}, from the last step to the first on the march's factors; the
+    misfit's gradient is sum_n mu_n . dt*(theta_dot_n*A + theta_n*A_dot) c_{n+1}.
+    """
     phi, p, d_phi, d_p = _map_parameters(problem, raw)
-    btc, btc_tan = _forward(problem, phi, p, d_phi, d_p, marched)
-    residual = btc - problem.targets
+    if marched is None:
+        marched = _march(problem, phi, p)
+    states, factors, pivots = marched
+    residual = _forward(problem, phi, p, marched) - problem.targets
     misfit = float(np.sum(residual ** 2))
-    grad = 2.0 * np.einsum("ct,ctk->k", residual, btc_tan)
+    # row n holds g_n, added since two probes may share a cell, then mu_n;
+    # the last row is mu_{n_steps} = 0
+    mu = np.zeros((problem.n_steps + 1, problem.num_cells))
+    np.add.at(mu[:-1].T, problem.probe_cells, 2.0 * residual)
+    solve_step = banded_lapack().gbtrs_steps(factors, pivots, mu[:-1, None],
+                                             transpose=True)
+    for step in reversed(range(problem.n_steps)):
+        mu[step] += mu[step + 1]
+        if solve_step(step) != 0:
+            raise SolverError("implicit adjoint solve failed")
+    # A c = diffs @ phi and A_dot c = diffs @ d_phi, so step n adds
+    # mu_n^T diffs_n weighted by theta_n to d_phi's and theta_dot_n to p's
+    theta, d_theta = theta_schedule(p, problem.time_grid)
+    exchange, rate = np.zeros(2 * problem.horizon_cells + 1), 0.0
+    for start in range(0, problem.n_steps, _GRADIENT_BLOCK):
+        block = slice(start, min(start + _GRADIENT_BLOCK, problem.n_steps))
+        diffs = exchange_differences(states[block], problem.horizon_cells)
+        weighted = np.matmul(mu[block, None, :], diffs)[:, 0, :]
+        exchange += theta[block] @ weighted
+        rate += d_theta[block] @ (weighted @ phi)
+    grad = problem.dt * (exchange @ d_phi + rate * d_p)
+    if not np.isfinite(grad).all():
+        raise SolverError("implicit step produced a non-finite gradient")
     penalty, d_penalty = _penalty_terms(problem, phi, d_phi)
     return misfit + problem.beta * penalty, grad + problem.beta * d_penalty
 

@@ -8,8 +8,8 @@ t^p; time stepping is first-order implicit with the temporal factor evaluated
 at the new level, except across the singular first step from t = 0 where its
 step average is used so that exponents down to (but not including) -1 remain
 usable.  ``march`` is the only time loop: it factors every step matrix once
-and returns the states with the factors, so fitting solves the parameter
-tangents of each step with the factors of the march that produced the state.
+and returns the states with the factors, so fitting solves each step's
+transposed system, for the adjoint, on the factors of the march it follows.
 A solve is a :class:`~nonlocal_transport.coarsen.CoarseDensity`, the type of
 the data it is fitted to and scored against.
 """
@@ -133,8 +133,8 @@ def march(band: np.ndarray, theta: np.ndarray, dt: float, initial: np.ndarray):
     in ``states[n]`` (``BandedLapack.gbsv_chain``).  Returns (states,
     factors, pivots): c_1 .. c_{n_steps} as rows of an (n_steps, N) array,
     the factored systems and LAPACK's 1-based pivots in its own integer
-    width, so more right-hand sides of step n (tangents) solve with
-    ``banded_lapack().gbtrs_steps``.
+    width, so more right-hand sides of step n, or of its transpose (the
+    fit's adjoint), solve with ``banded_lapack().gbtrs_steps``.
     """
     nd = (band.shape[0] - 1) // 2
     with np.errstate(over="ignore", invalid="ignore"):

@@ -10,6 +10,7 @@ from scipy.special import expit
 from kernel_moments import second_moment_rate
 from nonlocal_transport.baselines import (
     SurrogateNet,
+    _column_sums,
     _forward,
     _normalize,
     dataset_arrays,
@@ -189,6 +190,33 @@ def test_flat_adam_matches_per_array_reference(seed):
     for got, want in zip(net.weights + net.biases, weights + biases):
         assert got.shape == want.shape
         np.testing.assert_array_equal(got, want)
+
+
+def test_adam_at_the_shipped_shape_matches_the_reference():
+    # three curves of 360 samples, as the desk data's training probes give,
+    # and the shipped network (3 hidden layers of width 4) and step size
+    times = np.arange(1, 361) * 0.1
+    rng = np.random.default_rng(21)
+    data = [BreakthroughCurve(location=x, times=times,
+                              values=np.exp(-(times - 8.0 * x) ** 2 / 20.0)
+                              + rng.uniform(0, 0.01, times.size))
+            for x in (0.5, 1.5, 3.5)]
+    net = train_surrogate(data, epochs=200, seed=7)
+    weights, biases = reference_train_surrogate(data, 200, 1e-3, 7)
+    assert [w.shape for w in net.weights] == [(2, 4), (4, 4), (4, 4), (4, 1)]
+    for got, want in zip(net.weights + net.biases, weights + biases):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 7])
+def test_column_sums_are_np_sum_bit_for_bit(width):
+    rng = np.random.default_rng(width)
+    for rows in (1, 5, 360, 1080, 4321):
+        array = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-6, 6)
+        got, want = np.empty(width), np.empty(width)
+        _column_sums(array, got)
+        np.sum(array, axis=0, out=want)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_surrogate_json_round_trip(tmp_path):

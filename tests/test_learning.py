@@ -15,6 +15,7 @@ from nonlocal_transport.learning import (
 from nonlocal_transport.nonlocal_diffusion import (
     DynamicKernel, model_btc, solve, unit_spike,
 )
+from reference_gradient import tangent_loss_and_gradient
 
 
 def test_logistic_is_expit_bit_for_bit():
@@ -92,6 +93,48 @@ def test_gradient_matches_finite_differences_classical():
     assert abs(g[0] - fd) <= 1e-5 * abs(fd)
 
 
+def random_raw(problem, rng):
+    """A raw point with weights in (0.05, 0.31) and p in (-0.5, 1.5)."""
+    raw = rng.uniform(-3.0, -1.0, problem.n_parameters())
+    if problem.model == "nonlocal":
+        raw[-1] = rng.uniform(-0.5, 1.5)
+    elif problem.model == "fractal":
+        raw[-1] = softplus_inverse(rng.uniform(0.5, 2.5))
+    return raw
+
+
+def assert_adjoint_matches_tangents(problem, raw):
+    loss, grad = loss_and_gradient(problem, raw)
+    want_loss, want_grad = tangent_loss_and_gradient(problem, raw)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert np.linalg.norm(grad - want_grad) <= 1e-12 * np.linalg.norm(want_grad)
+
+
+@pytest.mark.parametrize("horizon", [2, 4])
+@pytest.mark.parametrize("model", ["nonlocal", "fractal", "classical"])
+def test_adjoint_gradient_matches_the_tangent_oracle(model, horizon):
+    rng = np.random.default_rng(horizon)
+    phi_star = rng.uniform(0.02, 0.3, 2 * horizon + 1)
+    phi_star[horizon] = 0.0
+    problem, _ = make_problem(phi_star, 0.4, model=model,
+                              horizon_cells=horizon)
+    for _ in range(3):
+        assert_adjoint_matches_tangents(problem, random_raw(problem, rng))
+
+
+def test_adjoint_adds_the_misfit_of_probes_sharing_a_cell():
+    problem, _ = make_problem([0.05, 0.3, 0.0, 0.2, 0.1], 0.4,
+                              locations=[7.2, 7.7, 13.5])
+    assert problem.probe_cells[0] == problem.probe_cells[1]
+    # unequal targets in the shared cell, so each probe has its own residual
+    curves = tuple(BreakthroughCurve(c.location, c.times, c.values * scale)
+                   for c, scale in zip(problem.curves, (0.8, 1.3, 1.0)))
+    problem = replace(problem, curves=curves)
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        assert_adjoint_matches_tangents(problem, random_raw(problem, rng))
+
+
 def test_fitted_curves_equal_predicted_curves():
     # fitting and prediction march the same stepper, so the curves the loss
     # sees are bit for bit the curves a forward solve reports
@@ -100,7 +143,7 @@ def test_fitted_curves_equal_predicted_curves():
     p = 1.7
     kernel = DynamicKernel(phi=phi, p=p, horizon_cells=problem.horizon_cells,
                            cell_width=problem.cell_width)
-    btc, _ = _forward(problem, phi, p)
+    btc = _forward(problem, phi, p)
     solution = solve(kernel, unit_spike(problem.num_cells,
                                         problem.injection_cell),
                      problem.time_grid)

@@ -92,7 +92,7 @@ def test_apply_operator_matches_dense():
 
 
 def test_exchange_differences_of_a_stack_equal_each_state():
-    # the tangent pass gathers every step's differences in one call
+    # the adjoint gradient gathers a block of steps' differences in one call
     rng = np.random.default_rng(4)
     stack = rng.normal(size=(2, 5, 15))
     stacked = exchange_differences(stack, 3)
@@ -419,6 +419,41 @@ def test_banded_lapack_matches_scipy_bit_for_bit(source, nd):
             assert solve_step(step) == 0
             assert (tangents[step].T.tobytes(order="F")
                     == want.tobytes(order="F"))
+        assert (pivots != np.arange(1, n + 1)).any(), "no row was interchanged"
+
+
+@pytest.mark.parametrize("source", ["openblas", "cython_lapack"])
+@pytest.mark.parametrize("nd", [1, 4])
+def test_transposed_banded_solve_matches_scipy_bit_for_bit(source, nd):
+    from scipy.linalg.lapack import dgbtrs
+
+    n_steps, n, k = 5, 23, 3
+    for binding in lapack_bindings(source):
+        rng = np.random.default_rng(10 + nd)
+        systems = random_band_systems(rng, n_steps, n, nd)
+        # A[i, j] sits at column j, row 2*Nd + i - j of the band storage
+        rows, cols = np.nonzero(np.abs(np.subtract.outer(np.arange(n),
+                                                         np.arange(n))) <= nd)
+        dense = np.zeros((n_steps, n, n))
+        dense[:, rows, cols] = systems[:, cols, 2 * nd + rows - cols]
+        states = np.empty((n_steps, n))
+        pivots = np.empty((n_steps, n), dtype=binding.int_dtype)
+        assert binding.gbsv_chain(systems, states, pivots,
+                                  rng.standard_normal(n)) == (0, n_steps)
+        adjoints = rng.standard_normal((n_steps, k, n))
+        blocks = adjoints.copy()
+        solve_step = binding.gbtrs_steps(systems, pivots, adjoints,
+                                         transpose=True)
+        for step in range(n_steps):
+            # scipy takes pivots 0-based, LAPACK wrote them 1-based
+            want, info = dgbtrs(systems[step].T, nd, nd, blocks[step].T,
+                                (pivots[step] - 1).astype(np.int32), trans=1)
+            assert info == 0
+            assert solve_step(step) == 0
+            assert (adjoints[step].T.tobytes(order="F")
+                    == want.tobytes(order="F"))
+            np.testing.assert_allclose(dense[step].T @ adjoints[step].T,
+                                       blocks[step].T, atol=1e-9)
         assert (pivots != np.arange(1, n + 1)).any(), "no row was interchanged"
 
 
