@@ -87,15 +87,23 @@ def _normalize(value, lo, hi):
     return 2.0 * (np.asarray(value, dtype=float) - lo) / (hi - lo) - 1.0
 
 
+def _softplus(z):
+    """``log(1 + exp(z))`` and its slope ``1 / (1 + exp(-z))``, both from
+    one ``e = exp(-|z|)``, which cannot overflow."""
+    e = np.exp(-np.abs(z))
+    return np.maximum(z, 0.0) + np.log1p(e), np.where(z >= 0.0, 1.0, e) / (1.0 + e)
+
+
 def _forward(weights, biases, inputs: np.ndarray):
-    """Forward pass returning the output and per-layer activations."""
+    """Forward pass on feature-major inputs, shape (2, n): the output (1, n),
+    its slope in the output layer's pre-activation, and every activation
+    that feeds a layer."""
     activations = [inputs]
     a = inputs
     for w, b in zip(weights[:-1], biases[:-1]):
-        a = np.tanh(a @ w + b)
+        a = np.tanh(w.T @ a + b[:, None])
         activations.append(a)
-    z_out = a @ weights[-1] + biases[-1]
-    return np.logaddexp(0.0, z_out), z_out, activations
+    return (*_softplus(weights[-1].T @ a + biases[-1][:, None]), activations)
 
 
 def surrogate_eval(net: SurrogateNet, x, t) -> np.ndarray:
@@ -105,8 +113,8 @@ def surrogate_eval(net: SurrogateNet, x, t) -> np.ndarray:
     shape = np.broadcast_shapes(x.shape, t.shape)
     xn = np.broadcast_to(_normalize(x, *net.x_range), shape).ravel()
     tn = np.broadcast_to(_normalize(t, *net.t_range), shape).ravel()
-    out, _, _ = _forward(net.weights, net.biases, np.column_stack([xn, tn]))
-    return out[:, 0].reshape(shape)
+    out, _, _ = _forward(net.weights, net.biases, np.stack([xn, tn]))
+    return out[0].reshape(shape)
 
 
 def init_surrogate(seed: int, x_range, t_range,
@@ -148,16 +156,13 @@ def train_surrogate(curves, *, epochs: int = 20_000, learning_rate: float = 1e-3
     and the gradients in a second one, so each Adam update is one pass of
     elementwise operations over every parameter.
     """
-    from scipy.special import expit
-
     inputs_raw, targets = dataset_arrays(curves)
     x_range = (float(inputs_raw[:, 0].min()), float(inputs_raw[:, 0].max()))
     t_range = (float(inputs_raw[:, 1].min()), float(inputs_raw[:, 1].max()))
     net = init_surrogate(seed, x_range, t_range, hidden_layers, width)
-    inputs = np.column_stack([_normalize(inputs_raw[:, 0], *x_range),
-                              _normalize(inputs_raw[:, 1], *t_range)])
-    y = targets[:, None]
-    n = inputs.shape[0]
+    inputs = np.stack([_normalize(inputs_raw[:, 0], *x_range),
+                       _normalize(inputs_raw[:, 1], *t_range)])
+    n = inputs.shape[1]
 
     initial = net.weights + net.biases
     params = np.concatenate([p.ravel() for p in initial])
@@ -170,19 +175,20 @@ def train_surrogate(curves, *, epochs: int = 20_000, learning_rate: float = 1e-3
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     for step in range(1, epochs + 1):
-        out, z_out, activations = _forward(weights, biases, inputs)
-        # backward, written straight into the gradient buffer
-        delta = (2.0 / n) * (out - y) * expit(z_out)
-        np.matmul(activations[-1].T, delta, out=grads_w[-1])
-        _column_sums(delta, grads_b[-1])
-        # one output column: a broadcast product, with no sum to round
-        back = delta * weights[-1].T
+        out, slope, activations = _forward(weights, biases, inputs)
+        # backward, written straight into the gradient buffer; each bias
+        # gradient is the sum of one contiguous row
+        delta = (2.0 / n) * (out - targets) * slope
+        np.matmul(activations[-1], delta.T, out=grads_w[-1])
+        np.sum(delta, axis=1, out=grads_b[-1])
+        # one output row: a broadcast product, with no sum to round
+        back = weights[-1] * delta
         for layer in range(n_layers - 2, -1, -1):
-            back = back * (1.0 - activations[layer + 1] ** 2)
-            np.matmul(activations[layer].T, back, out=grads_w[layer])
-            _column_sums(back, grads_b[layer])
+            back *= 1.0 - activations[layer + 1] ** 2
+            np.matmul(activations[layer], back.T, out=grads_w[layer])
+            np.sum(back, axis=1, out=grads_b[layer])
             if layer:
-                back = back @ weights[layer].T
+                back = weights[layer] @ back
         # Adam update with bias correction
         moment1 *= beta1
         moment1 += (1 - beta1) * grads
@@ -194,16 +200,6 @@ def train_surrogate(curves, *, epochs: int = 20_000, learning_rate: float = 1e-3
 
     return SurrogateNet(weights=weights, biases=biases,
                         x_range=x_range, t_range=t_range)
-
-
-def _column_sums(array: np.ndarray, out: np.ndarray) -> None:
-    """``np.sum(array, axis=0, out=out)``, bit for bit: np.sum adds two or
-    more columns row after row, as einsum does in a quarter of the time,
-    and one column pairwise."""
-    if array.shape[1] == 1:
-        np.sum(array, axis=0, out=out)
-    else:
-        np.einsum("ij->j", array, out=out)
 
 
 def _unflatten(buffer: np.ndarray, shapes_of, n_layers: int):

@@ -216,7 +216,8 @@ def save_btc_dataset(path, curves, *, metadata: dict, comments=()) -> None:
     curves = sorted(curves, key=lambda c: c.location)
     write_table(path, ["location", "t", "value"],
                 ((curve.location, t, v) for curve in curves
-                 for t, v in zip(curve.times, curve.values)), comments)
+                 for t, v in zip(curve.times.tolist(), curve.values.tolist())),
+                comments)
     write_json(path.with_suffix(path.suffix + ".json"), metadata)
 
 

@@ -161,8 +161,9 @@ def run_generate(cfg: ExperimentConfig) -> Path:
 
         _write_csv(out / "msd_fine.csv", cfg,
                    ["t", "mean_x", "msd", "n_active", "n_exited", "n_stagnant"],
-                   zip(stats.times, stats.mean_x, stats.msd, stats.n_active,
-                       stats.n_exited, stats.n_stagnant))
+                   zip(stats.times.tolist(), stats.mean_x.tolist(),
+                       stats.msd.tolist(), stats.n_active.tolist(),
+                       stats.n_exited.tolist(), stats.n_stagnant.tolist()))
 
         # one snapshot's rows at a time, as Python floats
         centers = shifted.cell_centers.tolist()
@@ -177,7 +178,7 @@ def run_generate(cfg: ExperimentConfig) -> Path:
         train = [c for c in curves if c.location in cfg.train_locations]
         for k, curve in enumerate(train, start=1):
             _write_csv(btc_dir / f"train_btc_{k}.csv", cfg, ["t", "value"],
-                       zip(curve.times, curve.values),
+                       zip(curve.times.tolist(), curve.values.tolist()),
                        [f"# location = {curve.location!r}"])
     return out
 
@@ -380,13 +381,13 @@ def run_predict(cfg: ExperimentConfig, dataset_dir=None) -> Path:
                 out / f"predictions_{model}.csv", cfg,
                 ["location", "t", "value"],
                 ((c.location, t, v) for c in predictions
-                 for t, v in zip(c.times, c.values)))
+                 for t, v in zip(c.times.tolist(), c.values.tolist())))
             if solution is not None:
                 moments = solution_moments(solution)
                 _write_csv(out / f"msd_model_{model}.csv", cfg,
                            ["t", "mass", "mean_x", "msd"],
-                           zip(moments.times, moments.mass, moments.mean_x,
-                               moments.msd))
+                           zip(moments.times.tolist(), moments.mass.tolist(),
+                               moments.mean_x.tolist(), moments.msd.tolist()))
             for reference, predicted in zip(data, predictions):
                 residual_sq = (predicted.values - reference.values) ** 2
                 # the first n_train_steps samples, as learn takes them

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from scipy.special import expit
 from kernel_moments import second_moment_rate
 from nonlocal_transport.baselines import (
     SurrogateNet,
-    _column_sums,
     _forward,
     _normalize,
+    _softplus,
     dataset_arrays,
     fractal_kernel,
     init_surrogate,
@@ -23,6 +24,7 @@ from nonlocal_transport.baselines import (
 )
 from nonlocal_transport.coarsen import BreakthroughCurve
 from nonlocal_transport.errors import ConfigurationError
+from nonlocal_transport.learning import logistic
 from nonlocal_transport.nonlocal_diffusion import solution_moments, unit_spike
 from nonlocal_transport.tracking import linear_slope, log_log_slope
 
@@ -144,10 +146,9 @@ def reference_train_surrogate(curves, epochs, learning_rate, seed):
     x_range = (float(inputs_raw[:, 0].min()), float(inputs_raw[:, 0].max()))
     t_range = (float(inputs_raw[:, 1].min()), float(inputs_raw[:, 1].max()))
     net = init_surrogate(seed, x_range, t_range)
-    inputs = np.column_stack([_normalize(inputs_raw[:, 0], *x_range),
-                              _normalize(inputs_raw[:, 1], *t_range)])
-    y = targets[:, None]
-    n = inputs.shape[0]
+    inputs = np.stack([_normalize(inputs_raw[:, 0], *x_range),
+                       _normalize(inputs_raw[:, 1], *t_range)])
+    n = inputs.shape[1]
     params = [w.copy() for w in net.weights] + [b.copy() for b in net.biases]
     n_layers = len(net.weights)
     moment1 = [np.zeros_like(p) for p in params]
@@ -155,19 +156,19 @@ def reference_train_surrogate(curves, epochs, learning_rate, seed):
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     for step in range(1, epochs + 1):
         weights = params[:n_layers]
-        out, z_out, activations = _forward(weights, params[n_layers:], inputs)
-        delta = (2.0 / n) * (out - y) * expit(z_out)
+        out, slope, activations = _forward(weights, params[n_layers:], inputs)
+        delta = (2.0 / n) * (out - targets) * slope
         grads_w = [None] * n_layers
         grads_b = [None] * n_layers
-        grads_w[-1] = activations[-1].T @ delta
-        grads_b[-1] = delta.sum(axis=0)
-        back = delta @ weights[-1].T
+        grads_w[-1] = activations[-1] @ delta.T
+        grads_b[-1] = delta.sum(axis=1)
+        back = weights[-1] @ delta
         for layer in range(n_layers - 2, -1, -1):
             back = back * (1.0 - activations[layer + 1] ** 2)
-            grads_w[layer] = activations[layer].T @ back
-            grads_b[layer] = back.sum(axis=0)
+            grads_w[layer] = activations[layer] @ back.T
+            grads_b[layer] = back.sum(axis=1)
             if layer:
-                back = back @ weights[layer].T
+                back = weights[layer] @ back
         for i, g in enumerate(grads_w + grads_b):
             moment1[i] = beta1 * moment1[i] + (1 - beta1) * g
             moment2[i] = beta2 * moment2[i] + (1 - beta2) * g ** 2
@@ -175,6 +176,57 @@ def reference_train_surrogate(curves, epochs, learning_rate, seed):
             v_hat = moment2[i] / (1 - beta2 ** step)
             params[i] = params[i] - learning_rate * m_hat / (np.sqrt(v_hat) + eps)
     return params[:n_layers], params[n_layers:]
+
+
+def row_major_train_surrogate(curves, epochs, learning_rate, seed):
+    """The sample-major trainer: inputs (n, 2), ``a @ w + b`` per layer,
+    ``np.logaddexp`` for the softplus and ``expit`` for its slope.  It adds
+    in other orders than the feature-major one, so it is a roundoff oracle."""
+    inputs_raw, targets = dataset_arrays(curves)
+    x_range = (float(inputs_raw[:, 0].min()), float(inputs_raw[:, 0].max()))
+    t_range = (float(inputs_raw[:, 1].min()), float(inputs_raw[:, 1].max()))
+    net = init_surrogate(seed, x_range, t_range)
+    inputs = np.column_stack([_normalize(inputs_raw[:, 0], *x_range),
+                              _normalize(inputs_raw[:, 1], *t_range)])
+    y = targets[:, None]
+    n = inputs.shape[0]
+    weights = [w.copy() for w in net.weights]
+    biases = [b.copy() for b in net.biases]
+    params = weights + biases
+    moment1 = [np.zeros_like(p) for p in params]
+    moment2 = [np.zeros_like(p) for p in params]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    for step in range(1, epochs + 1):
+        activations = [inputs]
+        for w, b in zip(weights[:-1], biases[:-1]):
+            activations.append(np.tanh(activations[-1] @ w + b))
+        z_out = activations[-1] @ weights[-1] + biases[-1]
+        delta = (2.0 / n) * (np.logaddexp(0.0, z_out) - y) * expit(z_out)
+        grads_w = [activations[-1].T @ delta]
+        grads_b = [delta.sum(axis=0)]
+        back = delta @ weights[-1].T
+        for layer in range(len(weights) - 2, -1, -1):
+            back = back * (1.0 - activations[layer + 1] ** 2)
+            grads_w.insert(0, activations[layer].T @ back)
+            grads_b.insert(0, back.sum(axis=0))
+            back = back @ weights[layer].T
+        for i, g in enumerate(grads_w + grads_b):
+            moment1[i] = beta1 * moment1[i] + (1 - beta1) * g
+            moment2[i] = beta2 * moment2[i] + (1 - beta2) * g ** 2
+            m_hat = moment1[i] / (1 - beta1 ** step)
+            v_hat = moment2[i] / (1 - beta2 ** step)
+            params[i] -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    return weights, biases
+
+
+def shipped_shape_data():
+    """Three curves of 360 samples, as the desk data's training probes give."""
+    times = np.arange(1, 361) * 0.1
+    rng = np.random.default_rng(21)
+    return [BreakthroughCurve(location=x, times=times,
+                              values=np.exp(-(times - 8.0 * x) ** 2 / 20.0)
+                              + rng.uniform(0, 0.01, times.size))
+            for x in (0.5, 1.5, 3.5)]
 
 
 @pytest.mark.parametrize("seed", [3, 8])
@@ -193,14 +245,8 @@ def test_flat_adam_matches_per_array_reference(seed):
 
 
 def test_adam_at_the_shipped_shape_matches_the_reference():
-    # three curves of 360 samples, as the desk data's training probes give,
-    # and the shipped network (3 hidden layers of width 4) and step size
-    times = np.arange(1, 361) * 0.1
-    rng = np.random.default_rng(21)
-    data = [BreakthroughCurve(location=x, times=times,
-                              values=np.exp(-(times - 8.0 * x) ** 2 / 20.0)
-                              + rng.uniform(0, 0.01, times.size))
-            for x in (0.5, 1.5, 3.5)]
+    # the shipped network (3 hidden layers of width 4) and step size
+    data = shipped_shape_data()
     net = train_surrogate(data, epochs=200, seed=7)
     weights, biases = reference_train_surrogate(data, 200, 1e-3, 7)
     assert [w.shape for w in net.weights] == [(2, 4), (4, 4), (4, 4), (4, 1)]
@@ -208,15 +254,28 @@ def test_adam_at_the_shipped_shape_matches_the_reference():
         np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("width", [1, 2, 4, 7])
-def test_column_sums_are_np_sum_bit_for_bit(width):
-    rng = np.random.default_rng(width)
-    for rows in (1, 5, 360, 1080, 4321):
-        array = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-6, 6)
-        got, want = np.empty(width), np.empty(width)
-        _column_sums(array, got)
-        np.sum(array, axis=0, out=want)
-        assert got.tobytes() == want.tobytes()
+def test_feature_major_adam_rounds_like_the_row_major_trainer():
+    data = shipped_shape_data()
+    net = train_surrogate(data, epochs=200, seed=7)
+    weights, biases = row_major_train_surrogate(data, 200, 1e-3, 7)
+    for got, want in zip(net.weights + net.biases, weights + biases):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_softplus_and_its_slope_stay_finite_at_extreme_inputs():
+    z = np.array([-800.0, -700.0, -40.0, -1e-300, 0.0, 40.0, 700.0, 800.0])
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise",
+                                                divide="raise"):
+        warnings.simplefilter("error")
+        value, slope = _softplus(z)
+    assert np.all(np.isfinite(value)) and np.all(np.isfinite(slope))
+    moderate = np.abs(z) <= 700.0
+    np.testing.assert_array_max_ulp(value[moderate],
+                                    np.logaddexp(0.0, z[moderate]), maxulp=4)
+    np.testing.assert_array_max_ulp(slope[moderate], logistic(z[moderate]),
+                                    maxulp=4)
+    assert value[0] < 1e-300 and slope[0] < 1e-300
+    assert (value[-1], slope[-1]) == (800.0, 1.0)
 
 
 def test_surrogate_json_round_trip(tmp_path):
