@@ -282,10 +282,14 @@ def run_learn(cfg: ExperimentConfig, dataset_dir=None, models=None) -> Path:
     if unknown:
         raise ConfigurationError(
             f"models {unknown} are not among the configured {list(cfg.models)}")
+    return _fit_models(cfg, _dataset_curves(
+        cfg, dataset_dir, cfg.train_locations, cfg.n_train_steps), models)
+
+
+def _fit_models(cfg: ExperimentConfig, train, models) -> Path:
+    """Fit ``models`` to the curves ``train``; write each one's fit file."""
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    train = _dataset_curves(cfg, dataset_dir, cfg.train_locations,
-                            cfg.n_train_steps)
     fits = {}
 
     def fitted(model):
@@ -314,12 +318,14 @@ def run_learn_split(cfg: ExperimentConfig) -> Path:
     """:func:`run_learn` with its independent fit groups as tasks of
     :func:`workers.run_tasks`, one slot per usable CPU, this process fitting
     the first: classical then nonlocal (one task, so the nonlocal warm start
-    reuses the classical fit), the MLP, and fractal.  Each group writes its
-    own fit files from the same ``cfg``."""
+    reuses the classical fit), the MLP, and fractal.  The dataset is read
+    once, before the tasks; each group writes its own fit files from the
+    same ``cfg``."""
+    train = _dataset_curves(cfg, None, cfg.train_locations, cfg.n_train_steps)
     chain = tuple(m for m in cfg.models if m in ("classical", "nonlocal"))
     groups = [chain] if chain else []
     groups += [(m,) for m in ("mlp", "fractal") if m in cfg.models]
-    run_tasks([partial(run_learn, cfg, None, group) for group in groups],
+    run_tasks([partial(_fit_models, cfg, train, group) for group in groups],
               usable_cpus(), lambda i: f"learn group {'+'.join(groups[i])}")
     return cfg.output_dir
 

@@ -1,10 +1,9 @@
-"""Limited-memory BFGS with Armijo backtracking line search.
+"""Limited-memory BFGS with a weak-Wolfe line search.
 
 Small and dependency-free on purpose: the fits in this package have at most
 a dozen parameters, and a self-contained optimizer keeps results stable
-across library versions.  The caller supplies a combined value-and-gradient
-callable; an optional value-only callable makes the line search cheaper when
-gradients are expensive.
+across library versions.  The caller supplies one value-and-gradient
+callable, which the weak-Wolfe line search calls once per trial point.
 """
 
 from __future__ import annotations
@@ -13,9 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Armijo sufficient-decrease constant, step halvings before the line search
-#: fails, and the loss change (relative above a loss of 1) that ends a fit.
+#: Armijo and curvature constants, trial steps before the line search fails,
+#: and the loss change (relative above a loss of 1) that ends a fit.
 ARMIJO_C = 1e-4
+CURVATURE_C = 0.9
 MAX_BACKTRACKS = 45
 STAGNATION_TOLERANCE = 1e-14
 
@@ -51,20 +51,20 @@ def _two_loop_direction(grad, s_hist, y_hist):
     return -q
 
 
-def minimize(fun_and_grad, x0, *, fun_only=None, history: int = 10,
+def minimize(fun_and_grad, x0, *, history: int = 10,
              max_iterations: int = 500,
              gradient_tolerance: float = 1e-8) -> OptimizeResult:
     """Minimize a smooth function of a few variables.
 
-    ``fun_and_grad(x) -> (f, g)`` is evaluated at accepted iterates;
-    ``fun_only(x) -> f`` (defaults to the former) drives the backtracking.
-    Terminates on the gradient norm, relative loss stagnation, the iteration
-    cap, or an exhausted line search; the last two leave converged False.
+    ``fun_and_grad(x) -> (f, g)`` is called once at the start and once per
+    line-search trial; ``g`` is not read where ``f`` is not finite.  From the
+    unit step, a trial failing the Armijo bound becomes the upper bound, one
+    whose slope is below ``CURVATURE_C`` times the initial slope the lower
+    bound; the next doubles the lower bound until there is an upper bound,
+    then bisects.  Terminates on the gradient norm, relative loss stagnation,
+    the iteration cap, or an exhausted line search; the last two leave
+    converged False.
     """
-    if fun_only is None:
-        def fun_only(x):
-            return fun_and_grad(x)[0]
-
     x = np.asarray(x0, dtype=float).copy()
     f, g = fun_and_grad(x)
     g = np.asarray(g, dtype=float)
@@ -84,34 +84,20 @@ def minimize(fun_and_grad, x0, *, fun_only=None, history: int = 10,
             direction = -g
             descent = -grad_norm ** 2
 
-        step = 1.0
-        f_new = np.inf
+        step, lower, upper = 1.0, 0.0, np.inf
         for _ in range(MAX_BACKTRACKS):
-            candidate = x + step * direction
-            f_new = fun_only(candidate)
-            if np.isfinite(f_new) and f_new <= f + ARMIJO_C * step * descent:
+            x_new = x + step * direction
+            f_new, g_new = fun_and_grad(x_new)
+            if not np.isfinite(f_new) or f_new > f + ARMIJO_C * step * descent:
+                upper = step
+            elif np.dot(g_new, direction) < CURVATURE_C * descent:
+                lower = step
+            else:
                 break
-            step *= 0.5
+            step = 2.0 * lower if upper == np.inf else 0.5 * (lower + upper)
         else:
             iterations, message = iteration - 1, "line search failed"
             break
-        if step == 1.0:
-            # The loose Armijo slope cannot see curvature, so a unit step can
-            # land far short along a shallow valley.  Double while the Armijo
-            # bound still holds and the value keeps improving; near a minimum
-            # the first doubling already fails and the unit step is kept.
-            trial = 2.0
-            for _ in range(20):
-                f_trial = fun_only(x + trial * direction)
-                if not (np.isfinite(f_trial)
-                        and f_trial <= f + ARMIJO_C * trial * descent
-                        and f_trial < f_new):
-                    break
-                step, f_new = trial, f_trial
-                trial *= 2.0
-
-        x_new = x + step * direction
-        f_new, g_new = fun_and_grad(x_new)
         g_new = np.asarray(g_new, dtype=float)
         s = x_new - x
         y = g_new - g

@@ -14,7 +14,8 @@ which keeps the early-time singularity integrable by construction.
 Gradients are exact: one adjoint field is swept backward through the
 transposed steps of the same banded implicit stepper that produces the
 concentration field, on that march's LU factors, so the only error against
-a finite difference oracle is floating-point roundoff.
+a finite difference oracle is floating-point roundoff.  A fit asks for the
+loss with its gradient at every line-search trial, so each trial marches once.
 """
 
 from __future__ import annotations
@@ -223,21 +224,18 @@ def _penalty_terms(problem, phi, d_phi=None):
     return penalty, 2.0 * first_moment * (offsets @ d_phi)
 
 
-def evaluate_loss(problem: LearningProblem, raw,
-                  marched=None) -> tuple[float, float, float]:
-    """Return (loss, misfit, penalty) with loss = misfit + beta * penalty.
-
-    ``marched`` is the state pass at ``raw`` if already marched.
-    """
+def evaluate_loss(problem: LearningProblem,
+                  raw) -> tuple[float, float, float]:
+    """Return (loss, misfit, penalty) with loss = misfit + beta * penalty."""
     phi, p, _, _ = _map_parameters(problem, raw)
-    btc = _forward(problem, phi, p, marched)
+    btc = _forward(problem, phi, p)
     misfit = float(np.sum((btc - problem.targets) ** 2))
     penalty, _ = _penalty_terms(problem, phi)
     return misfit + problem.beta * penalty, misfit, penalty
 
 
-def loss_and_gradient(problem: LearningProblem, raw, marched=None):
-    """Return (loss, gradient); ``marched`` as for :func:`evaluate_loss`.
+def loss_and_gradient(problem: LearningProblem, raw):
+    """Return (loss, gradient).
 
     Step n solves (I - dt*theta_n*A) c_{n+1} = c_n.  The adjoint solves
     (I - dt*theta_n*A)^T mu_n = g_n + mu_{n+1}, g_n the misfit's derivative
@@ -245,9 +243,7 @@ def loss_and_gradient(problem: LearningProblem, raw, marched=None):
     misfit's gradient is sum_n mu_n . dt*(theta_dot_n*A + theta_n*A_dot) c_{n+1}.
     """
     phi, p, d_phi, d_p = _map_parameters(problem, raw)
-    if marched is None:
-        marched = _march(problem, phi, p)
-    states, factors, pivots = marched
+    marched = states, factors, pivots = _march(problem, phi, p)
     residual = _forward(problem, phi, p, marched) - problem.targets
     misfit = float(np.sum(residual ** 2))
     # row n holds g_n, added since two probes may share a cell, then mu_n;
@@ -321,10 +317,10 @@ class FitResult:
         }
 
 
-def _package_result(problem: LearningProblem, opt: OptimizeResult,
-                    marched) -> FitResult:
+def _package_result(problem: LearningProblem,
+                    opt: OptimizeResult) -> FitResult:
     phi, p, _, _ = _map_parameters(problem, opt.x)
-    loss, misfit, penalty = evaluate_loss(problem, opt.x, marched)
+    loss, misfit, penalty = evaluate_loss(problem, opt.x)
     return FitResult(
         model=problem.model,
         raw_parameters=np.asarray(opt.x, dtype=float),
@@ -375,29 +371,16 @@ def fit(problem: LearningProblem, raw0=None) -> FitResult:
     else:
         x0 = np.asarray(raw0, float)
 
-    # The state pass of the last two raw vectors marched, by their bytes.
-    # The line search accepts its last candidate, or the one before when a
-    # doubling fails, so the gradient at the accepted step marches nothing.
-    recent = {}
-
-    def state_pass(x):
-        key = x.tobytes()
-        if key not in recent:
-            recent[key] = _march(problem, *_map_parameters(problem, x)[:2])
-            if len(recent) > 2:
-                del recent[next(iter(recent))]
-        return recent[key]
-
     def fg(x):
-        return loss_and_gradient(problem, x, state_pass(x))
-
-    def f_only(x):
+        # a trial the model cannot march is rejected; a start, an error
         try:
-            return evaluate_loss(problem, x, state_pass(x))[0]
+            return loss_and_gradient(problem, x)
         except SolverError:
-            return np.inf
+            if np.array_equal(x, x0):
+                raise
+            return np.inf, None
 
-    opt = minimize(fg, x0, fun_only=f_only, history=problem.history,
+    opt = minimize(fg, x0, history=problem.history,
                    max_iterations=problem.max_iterations,
                    gradient_tolerance=problem.gradient_tolerance)
-    return _package_result(problem, opt, state_pass(opt.x))
+    return _package_result(problem, opt)

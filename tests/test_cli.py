@@ -452,6 +452,30 @@ def test_learn_on_one_cpu_starts_no_worker(pipeline, tmp_path, monkeypatch):
     assert set().union(*pids_by_label(log).values()) == {os.getpid()}
 
 
+def test_learn_reads_the_dataset_once(pipeline, tmp_path, monkeypatch):
+    _, out = pipeline
+    target = tmp_path / "one_read"
+    fresh_dataset(out, target)
+    data = tiny_config(target)
+    data["learning"]["models"] = ["nonlocal", "classical", "mlp", "fractal"]
+    path = write_config(tmp_path, data)
+    reads = []
+    load_btc_dataset = experiment.load_btc_dataset
+
+    def counting(path):
+        reads.append(path)
+        return load_btc_dataset(path)
+
+    monkeypatch.setattr(experiment, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(experiment, "load_btc_dataset", counting)
+    assert cli.main(["learn", "--config", str(path)]) == 0
+    assert set(fit_files(target)) == {
+        "fit_nonlocal.json", "fit_classical.json", "fit_mlp.json",
+        "fit_fractal.json"}
+    # three fit groups, one read
+    assert reads == [target / "dataset.csv"]
+
+
 def test_learn_without_affinity_counts_every_cpu(pipeline, tmp_path,
                                                 monkeypatch):
     # hosts without sched_getaffinity use os.cpu_count(), which may be None

@@ -101,3 +101,46 @@ def test_deterministic_given_same_inputs():
     second = minimize(fg, np.array([5.0, 5.0]))
     np.testing.assert_array_equal(first.x, second.x)
     assert first.trace == second.trace
+
+
+def rosenbrock(x):
+    a, b = x
+    return ((1 - a) ** 2 + 100 * (b - a * a) ** 2,
+            np.array([-2 * (1 - a) - 400 * a * (b - a * a),
+                      200 * (b - a * a)]))
+
+
+def recorded_rosenbrock_run():
+    """A Rosenbrock minimization and every (x, f, g) it evaluated, in order."""
+    calls = []
+
+    def fg(x):
+        f, g = rosenbrock(x)
+        calls.append((x.copy(), f, g))
+        return f, g
+
+    return minimize(fg, np.array([-1.2, 1.0])), calls
+
+
+def test_no_point_is_evaluated_twice():
+    res, calls = recorded_rosenbrock_run()
+    assert res.converged
+    points = [x.tobytes() for x, _, _ in calls]
+    assert len(set(points)) == len(points)
+
+
+def test_accepted_steps_meet_the_armijo_and_curvature_conditions():
+    res, calls = recorded_rosenbrock_run()
+    # the accepted points: the calls whose losses the trace records, in order
+    accepted, i = [], 0
+    for _, f, _ in res.trace:
+        while calls[i][1] != f:
+            i += 1
+        accepted.append(calls[i])
+    assert len(accepted) == res.iterations + 1 > 1
+    np.testing.assert_array_equal(accepted[-1][0], res.x)
+    for (x, f, g), (x_new, f_new, g_new) in zip(accepted, accepted[1:]):
+        slope = g @ (x_new - x)
+        assert slope < 0
+        assert f_new <= f + lbfgs.ARMIJO_C * slope
+        assert g_new @ (x_new - x) >= lbfgs.CURVATURE_C * slope

@@ -280,23 +280,6 @@ def test_drift_penalty_weight_shrinks_kernel_first_moment():
 # --- one march per candidate ---------------------------------------------
 
 
-@pytest.mark.parametrize("model, raw", [
-    ("nonlocal", [-2.2, -1.5, -2.8, -1.1, 0.1]),
-    ("fractal", [-1.5, 0.4]),
-    ("classical", [-1.5]),
-])
-def test_passed_march_gives_the_self_marching_loss_and_gradient(model, raw):
-    problem, _ = make_problem([0.05, 0.3, 0.0, 0.2, 0.1], 0.4, model=model)
-    raw = np.array(raw)
-    phi, p, _, _ = learning._map_parameters(problem, raw)
-    marched = learning._march(problem, phi, p)
-    loss, grad = loss_and_gradient(problem, raw, marched)
-    own_loss, own_grad = loss_and_gradient(problem, raw)
-    assert np.float64(loss).tobytes() == np.float64(own_loss).tobytes()
-    assert grad.tobytes() == own_grad.tobytes()
-    assert evaluate_loss(problem, raw, marched) == evaluate_loss(problem, raw)
-
-
 def test_fit_marches_each_raw_vector_once(monkeypatch):
     # desk sizes: 60 cells, 360 steps, a horizon of 4 cells
     phi_star = [0.01, 0.02, 0.05, 0.3, 0.0, 0.2, 0.05, 0.02, 0.01]
@@ -310,34 +293,25 @@ def test_fit_marches_each_raw_vector_once(monkeypatch):
         marches.append(1)
         return real_march(*args)
 
-    raws, gradient_marches = [], []
-    real_minimize = learning.minimize
+    raws = []
+    real_loss_and_gradient = learning.loss_and_gradient
 
-    def watching_minimize(fun_and_grad, x0, *, fun_only, **kwargs):
-        def fg(x):
-            before = len(marches)
-            raws.append(x.tobytes())
-            value = fun_and_grad(x)
-            gradient_marches.append(len(marches) - before)
-            return value
-
-        def f_only(x):
-            raws.append(x.tobytes())
-            return fun_only(x)
-
-        return real_minimize(fg, x0, fun_only=f_only, **kwargs)
+    def watching_loss_and_gradient(problem, raw):
+        raws.append(raw.tobytes())
+        return real_loss_and_gradient(problem, raw)
 
     monkeypatch.setattr(learning, "march", counting_march)
-    monkeypatch.setattr(learning, "minimize", watching_minimize)
-    # a start from which no line-search candidate reads inf, so every
-    # value call marches
+    monkeypatch.setattr(learning, "loss_and_gradient",
+                        watching_loss_and_gradient)
+    # a start from which no line-search trial reads inf, so every call
+    # marches
     raw0 = np.append(softplus_inverse(1.5 * np.delete(phi_star, 4)), 0.1)
     result = fit(problem, raw0)
     assert result.iterations == 12 and np.isfinite(result.loss)
-    n_value_calls = len(raws) - len(gradient_marches)
-    assert len(marches) == n_value_calls + 1 == len(set(raws))
-    assert gradient_marches[0] == 1
-    assert not any(gradient_marches[1:])
+    # one march per call, each at its own raw vector, and one more for the
+    # reported loss at the result
+    assert len(marches) == len(raws) + 1
+    assert len(set(raws)) == len(raws)
 
 
 def test_line_search_candidates_reading_inf_keep_the_accepted_march(monkeypatch):
